@@ -333,14 +333,10 @@ let serve_run () inputs output stats_path cache_size batch_size access_log metri
     exit 1
   end;
   let want_metrics = metrics_text <> None || metrics_json <> None in
-  if want_metrics then begin
-    Mcx.Util.Metrics.enable ();
-    (* The telemetry bridge needs counters recorded even when no trace
-       was requested; enabling without events keeps it cheap. *)
-    if not (Mcx.Util.Telemetry.enabled ()) then Mcx.Util.Telemetry.enable ~events:false ()
-  end;
+  (* --trace already enabled the store (with trace events). *)
+  if want_metrics && not (Mcx.Util.Telemetry.enabled ()) then Mcx.Util.Telemetry.enable ();
   Option.iter (fun n -> set_flag_or_die "MCX_CACHE_SIZE" (string_of_int n)) cache_size;
-  let times = Mcx.Util.Telemetry.times_from_env () in
+  let times = Mcx.Util.Config.trace_times () in
   (* Deterministic projection (times = false) embeds the semantic-only
      digest, so access logs stay byte-identical across job counts; the
      timed projection records the full config digest. *)
@@ -413,18 +409,17 @@ let serve_run () inputs output stats_path cache_size batch_size access_log metri
   if want_metrics then begin
     Mcx_service.Serve.record_metrics server;
     Mcx.Util.Checkpoint.record_metrics ();
-    Mcx.Util.Metrics.bridge_telemetry (Mcx.Util.Telemetry.snapshot ());
-    let snapshot = Mcx.Util.Metrics.snapshot () in
+    let snapshot = Mcx.Util.Telemetry.snapshot () in
     Option.iter
       (fun path ->
         let oc = open_out path in
-        output_string oc (Mcx.Util.Metrics.Snapshot.to_openmetrics ~times snapshot);
+        output_string oc (Mcx.Util.Telemetry.Snapshot.to_openmetrics ~times snapshot);
         close_out oc)
       metrics_text;
     Option.iter
       (fun path ->
         Mcx.Util.Json_out.write_file path
-          (Mcx.Util.Metrics.Snapshot.to_json ~times
+          (Mcx.Util.Telemetry.Snapshot.to_json ~times
              ~config:(Mcx.Util.Config.snapshot ~semantic_only:(not times) ())
              snapshot))
       metrics_json
@@ -487,8 +482,8 @@ let serve_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Export the metrics registry (request/cache/stage families, cache and pool \
-             bridges, telemetry counters) as OpenMetrics/Prometheus text to $(docv) at \
+            "Export the telemetry store (request/cache/stage families, cache and pool \
+             state, span and counter totals) as OpenMetrics/Prometheus text to $(docv) at \
              exit.")
   in
   let metrics_json =

@@ -39,7 +39,7 @@ let clock_owners =
 let prng_owners = [ "lib/util/prng.ml"; "lib/util/prng.mli" ]
 
 (* DLS-guarded modules exempt from the top-level mutable state rule. *)
-let dls_guarded = [ "lib/util/telemetry.ml"; "lib/util/prng.ml"; "lib/util/metrics.ml" ]
+let dls_guarded = [ "lib/util/telemetry.ml"; "lib/util/prng.ml" ]
 
 let dls_guarded_file rel = is_one_of rel dls_guarded
 
@@ -49,7 +49,7 @@ let render_owners = [ "lib/crossbar/render.ml"; "lib/util/texttable.ml" ]
 (* Designated stderr summary/logging modules in the instrumented layers
    (checkpoint resume/degradation notices; the telemetry exit summary).
    Everything else in lib/util and lib/service must surface diagnostics
-   through structured channels — Access_log, Metrics, return values —
+   through structured channels — Access_log, Telemetry, return values —
    not ad-hoc prints that no tool can ingest. *)
 let stderr_owners = [ "lib/util/checkpoint.ml"; "lib/util/telemetry.ml" ]
 
@@ -117,7 +117,7 @@ let all : t list =
       synopsis =
         "raw stderr printing (prerr_*/Printf.eprintf/Format.eprintf) in lib/util and \
          lib/service outside the designated summary modules; emit structured records \
-         (Access_log, Metrics) instead";
+         (Access_log, Telemetry) instead";
       kind = Source;
     };
     {

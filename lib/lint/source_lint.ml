@@ -161,7 +161,7 @@ let run ~file (str : Parsetree.structure) =
       add ~rule:"output-stderr-print" ~loc
         (Printf.sprintf
            "%s prints raw text to stderr from an instrumented layer; emit a structured \
-            record (Access_log, Metrics, a returned Texttable) or move it to a \
+            record (Access_log, Telemetry, a returned Texttable) or move it to a \
             designated summary module"
            shown);
     match path with

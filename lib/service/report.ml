@@ -2,7 +2,6 @@
    and the exit status. *)
 
 module Json = Mcx_util.Json_out
-module Telemetry = Mcx_util.Telemetry
 module Texttable = Mcx_util.Texttable
 
 type stage_stat = {
@@ -36,25 +35,22 @@ let tally key_of records =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let stage_stat_of stage records =
-  let buckets = Array.make Telemetry.n_buckets 0 in
-  let count = ref 0 and total = ref 0L and max_ns = ref 0L in
-  List.iter
-    (fun r ->
-      let ns = Access_log.stage_ns r stage in
-      incr count;
-      total := Int64.add !total ns;
-      if Int64.compare ns !max_ns > 0 then max_ns := ns;
-      let i = Telemetry.bucket_of_ns ns in
-      buckets.(i) <- buckets.(i) + 1)
-    records;
+  let durations = List.map (fun r -> Access_log.stage_ns r stage) records in
+  let count = List.length durations in
+  let total = List.fold_left Int64.add 0L durations in
+  let percentile p =
+    match durations with
+    | [] -> 0L
+    | _ -> Int64.of_float (Mcx_util.Stats.percentile (List.map Int64.to_float durations) p)
+  in
   {
     stage;
-    count = !count;
-    total_ns = !total;
-    mean_ns = (if !count = 0 then 0L else Int64.div !total (Int64.of_int !count));
-    p50_ns = Telemetry.Report.percentile_of_buckets buckets ~calls:!count ~p:0.50;
-    p95_ns = Telemetry.Report.percentile_of_buckets buckets ~calls:!count ~p:0.95;
-    max_ns = !max_ns;
+    count;
+    total_ns = total;
+    mean_ns = (if count = 0 then 0L else Int64.div total (Int64.of_int count));
+    p50_ns = percentile 50.;
+    p95_ns = percentile 95.;
+    max_ns = List.fold_left Int64.max 0L durations;
   }
 
 let summarize ~source records ~has_times =

@@ -2,7 +2,7 @@
 
     Ingests the three file formats the serving stack emits —
     [mcx-access/1] JSONL access logs ({!Access_log}), [mcx-metrics/1]
-    snapshots ({!Mcx_util.Metrics.Snapshot.to_json}) and [mcx-trace/1]
+    snapshots ({!Mcx_util.Telemetry.Snapshot.to_json}) and [mcx-trace/1]
     Chrome traces ({!Mcx_util.Telemetry}) — and renders per-stage
     latency tables, cache-efficiency summaries and an A/B diff with a
     configurable regression threshold (the CI gate).
@@ -15,8 +15,8 @@ type stage_stat = {
   count : int;
   total_ns : int64;
   mean_ns : int64;
-  p50_ns : int64;  (** bucket-edge estimates via
-      {!Mcx_util.Telemetry.Report.percentile_of_buckets} *)
+  p50_ns : int64;  (** order statistics of the raw stage durations
+      ({!Mcx_util.Stats.percentile}), so [p50_ns <= p95_ns <= max_ns] *)
   p95_ns : int64;
   max_ns : int64;
 }

@@ -6,7 +6,6 @@
 module Pool = Mcx_util.Pool
 module Lru = Mcx_util.Lru
 module Telemetry = Mcx_util.Telemetry
-module Metrics = Mcx_util.Metrics
 module Timing = Mcx_util.Timing
 module Json = Mcx_util.Json_out
 module Mapper = Mcx_mapping.Mapper
@@ -118,32 +117,36 @@ let response_of_result (canonical : Canonical.t) result ~elapsed_ns =
         })
 
 let declare_metrics () =
-  if Metrics.enabled () then begin
-    Metrics.declare ~help:"requests served, by response status" Metrics.Counter
+  if Telemetry.enabled () then begin
+    Telemetry.declare ~help:"requests served, by response status" Telemetry.Counter
       "mcx_serve_requests_total";
-    Metrics.declare ~help:"requests served, by cache outcome" Metrics.Counter
+    Telemetry.declare ~help:"requests served, by cache outcome" Telemetry.Counter
       "mcx_serve_cache_total";
-    Metrics.declare ~help:"per-request stage durations" Metrics.Histogram
+    Telemetry.declare ~help:"per-request stage durations" Telemetry.Histogram
       "mcx_serve_stage_ns"
   end
 
 let observe_access (record : Access_log.record) =
-  if Metrics.enabled () then begin
-    Metrics.inc
+  if Telemetry.enabled () then begin
+    Telemetry.inc
       ~labels:[ ("status", record.Access_log.status) ]
       "mcx_serve_requests_total";
-    Metrics.inc
+    Telemetry.inc
       ~labels:
         [ ("outcome", Access_log.cache_outcome_to_string record.Access_log.cache) ]
       "mcx_serve_cache_total";
     List.iter
       (fun stage ->
-        Metrics.observe_ns
+        Telemetry.observe
           ~labels:[ ("stage", stage) ]
           "mcx_serve_stage_ns"
           (Access_log.stage_ns record stage))
       Access_log.stage_names
   end
+
+(* Order statistic of raw nanosecond durations; 0 for none. *)
+let percentile_ns durations p =
+  match durations with [] -> 0L | _ -> Int64.of_float (Mcx_util.Stats.percentile durations p)
 
 let serve_batch t ~label lines =
   Telemetry.span "serve.batch" @@ fun () ->
@@ -239,12 +242,10 @@ let serve_batch t ~label lines =
     (Lru.stats t.cache).Lru.evictions - cache_stats_before.Lru.evictions
   in
   (* Stage 4: responses in request order + latency accounting. *)
-  let buckets = Array.make Telemetry.n_buckets 0 in
-  let calls = ref 0 in
+  let latencies = ref [] in
   let errors = ref 0 and infeasible = ref 0 in
   let observe ns =
-    incr calls;
-    buckets.(Telemetry.bucket_of_ns ns) <- buckets.(Telemetry.bucket_of_ns ns) + 1;
+    latencies := Int64.to_float ns :: !latencies;
     Telemetry.observe_ns "serve.request" ns
   in
   let rendered =
@@ -331,8 +332,8 @@ let serve_batch t ~label lines =
       infeasible = !infeasible;
       evictions;
       elapsed_ns = Int64.sub (Timing.monotonic_ns ()) batch_t0;
-      p50_ns = Telemetry.Report.percentile_of_buckets buckets ~calls:!calls ~p:0.50;
-      p95_ns = Telemetry.Report.percentile_of_buckets buckets ~calls:!calls ~p:0.95;
+      p50_ns = percentile_ns !latencies 50.;
+      p95_ns = percentile_ns !latencies 95.;
     }
   in
   t.batches_rev <- stats :: t.batches_rev;
@@ -415,10 +416,10 @@ let summary_table t =
   table
 
 let record_metrics t =
-  if Metrics.enabled () then begin
+  if Telemetry.enabled () then begin
     Lru.record_metrics t.cache;
     Pool.record_metrics t.pool;
-    Metrics.declare ~help:"batches served" Metrics.Counter "mcx_serve_batches_total";
+    Telemetry.declare ~help:"batches served" Telemetry.Counter "mcx_serve_batches_total";
     let batches = List.length t.batches_rev in
-    if batches > 0 then Metrics.inc ~n:batches "mcx_serve_batches_total"
+    if batches > 0 then Telemetry.inc ~n:batches "mcx_serve_batches_total"
   end

@@ -22,10 +22,9 @@
     that set [deadline_ms] are the one documented exception: their
     status depends on measured wall time.
 
-    Latency is recorded per request into the {!Mcx_util.Telemetry}
-    log2-histogram geometry (and under the [serve.request] telemetry
-    span name when tracing is on); batch p50/p95 derive from those
-    buckets. *)
+    Latency is recorded per request (and under the [serve.request]
+    telemetry span name when telemetry is on); batch p50/p95 are order
+    statistics of those raw durations ({!Mcx_util.Stats.percentile}). *)
 
 type batch_stats = {
   label : string;
@@ -38,7 +37,7 @@ type batch_stats = {
   evictions : int;  (** cache evictions caused by this batch *)
   elapsed_ns : int64;  (** batch wall time *)
   p50_ns : int64;
-  p95_ns : int64;  (** per-request latency percentiles (bucket upper edges) *)
+  p95_ns : int64;  (** per-request latency percentiles (never above the max) *)
 }
 
 type t
@@ -82,10 +81,10 @@ val summary_table : t -> Mcx_util.Texttable.t
 (** Human-readable per-batch summary for the [--stats] stderr report. *)
 
 val record_metrics : t -> unit
-(** One-shot export of server state into the {!Mcx_util.Metrics}
-    registry: the cache counters ({!Mcx_util.Lru.record_metrics}), the
+(** One-shot export of server state into the {!Mcx_util.Telemetry}
+    store: the cache counters ({!Mcx_util.Lru.record_metrics}), the
     pool size ({!Mcx_util.Pool.record_metrics}) and the served batch
     count. Per-request counters ([mcx_serve_requests_total],
     [mcx_serve_cache_total]) and stage histograms ([mcx_serve_stage_ns])
     are recorded live by {!serve_batch} instead. No-op while
-    {!Mcx_util.Metrics.enabled} is false. *)
+    {!Mcx_util.Telemetry.enabled} is false. *)

@@ -548,9 +548,9 @@ let manifest_json fs =
     ]
 
 let record_metrics () =
-  Metrics.declare ~help:"trials that failed permanently (degradation protocol)"
-    Metrics.Gauge "mcx_checkpoint_failed_trials";
-  Metrics.set "mcx_checkpoint_failed_trials" (float_of_int (List.length (failures ())))
+  Telemetry.declare ~help:"trials that failed permanently (degradation protocol)"
+    Telemetry.Gauge "mcx_checkpoint_failed_trials";
+  Telemetry.set "mcx_checkpoint_failed_trials" (float_of_int (List.length (failures ())))
 
 let finalize () =
   match failures () with

@@ -151,9 +151,9 @@ val finalize : unit -> int
     returns 4 — the exit status for "completed with partial results". *)
 
 val record_metrics : unit -> unit
-(** Export the permanent-failure count into the {!Metrics} registry as
+(** Export the permanent-failure count into the {!Telemetry} store as
     the [mcx_checkpoint_failed_trials] gauge. No-op while
-    {!Metrics.enabled} is false. *)
+    {!Telemetry.enabled} is false. *)
 
 val reset : unit -> unit
 (** Forget recorded failures (not the journal). For test harnesses that

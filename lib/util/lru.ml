@@ -13,6 +13,11 @@ type stats = { hits : int; misses : int; insertions : int; evictions : int }
 
 type 'a t = {
   name : string option;
+  (* [<name>.hit], [<name>.miss], [<name>.eviction], built once here so a
+     lookup with telemetry off allocates nothing for them. *)
+  hit_counter : string option;
+  miss_counter : string option;
+  eviction_counter : string option;
   capacity : int;
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;
@@ -25,8 +30,12 @@ type 'a t = {
 
 let create ?name ~capacity () =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
+  let counter suffix = Option.map (fun name -> name ^ suffix) name in
   {
     name;
+    hit_counter = counter ".hit";
+    miss_counter = counter ".miss";
+    eviction_counter = counter ".eviction";
     capacity;
     table = Hashtbl.create (max 16 capacity);
     head = None;
@@ -41,8 +50,7 @@ let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 let stats t = { hits = t.hits; misses = t.misses; insertions = t.insertions; evictions = t.evictions }
 
-let count t suffix =
-  match t.name with None -> () | Some name -> Telemetry.count (name ^ suffix)
+let count = function None -> () | Some counter -> Telemetry.count counter
 
 let unlink t node =
   (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
@@ -67,12 +75,12 @@ let find t key =
   match Hashtbl.find_opt t.table key with
   | Some node ->
     t.hits <- t.hits + 1;
-    count t ".hit";
+    count t.hit_counter;
     promote t node;
     Some node.value
   | None ->
     t.misses <- t.misses + 1;
-    count t ".miss";
+    count t.miss_counter;
     None
 
 let peek t key = Option.map (fun node -> node.value) (Hashtbl.find_opt t.table key)
@@ -84,7 +92,7 @@ let evict_lru t =
     unlink t node;
     Hashtbl.remove t.table node.key;
     t.evictions <- t.evictions + 1;
-    count t ".eviction"
+    count t.eviction_counter
 
 let put t key value =
   if t.capacity > 0 then
@@ -101,19 +109,22 @@ let put t key value =
 
 let record_metrics t =
   let labels = [ ("cache", Option.value t.name ~default:"cache") ] in
-  Metrics.declare ~help:"live entries in the cache" Metrics.Gauge "mcx_cache_entries";
-  Metrics.declare ~help:"configured cache capacity" Metrics.Gauge "mcx_cache_capacity";
-  Metrics.declare ~help:"lookups that found a live entry" Metrics.Counter "mcx_cache_hits_total";
-  Metrics.declare ~help:"lookups that found nothing" Metrics.Counter "mcx_cache_misses_total";
-  Metrics.declare ~help:"puts that added a new key" Metrics.Counter "mcx_cache_insertions_total";
-  Metrics.declare ~help:"entries dropped to respect capacity" Metrics.Counter
+  Telemetry.declare ~help:"live entries in the cache" Telemetry.Gauge "mcx_cache_entries";
+  Telemetry.declare ~help:"configured cache capacity" Telemetry.Gauge "mcx_cache_capacity";
+  Telemetry.declare ~help:"lookups that found a live entry" Telemetry.Counter
+    "mcx_cache_hits_total";
+  Telemetry.declare ~help:"lookups that found nothing" Telemetry.Counter
+    "mcx_cache_misses_total";
+  Telemetry.declare ~help:"puts that added a new key" Telemetry.Counter
+    "mcx_cache_insertions_total";
+  Telemetry.declare ~help:"entries dropped to respect capacity" Telemetry.Counter
     "mcx_cache_evictions_total";
-  Metrics.set ~labels "mcx_cache_entries" (float_of_int (length t));
-  Metrics.set ~labels "mcx_cache_capacity" (float_of_int t.capacity);
-  Metrics.inc ~labels ~n:t.hits "mcx_cache_hits_total";
-  Metrics.inc ~labels ~n:t.misses "mcx_cache_misses_total";
-  Metrics.inc ~labels ~n:t.insertions "mcx_cache_insertions_total";
-  Metrics.inc ~labels ~n:t.evictions "mcx_cache_evictions_total"
+  Telemetry.set ~labels "mcx_cache_entries" (float_of_int (length t));
+  Telemetry.set ~labels "mcx_cache_capacity" (float_of_int t.capacity);
+  Telemetry.inc ~labels ~n:t.hits "mcx_cache_hits_total";
+  Telemetry.inc ~labels ~n:t.misses "mcx_cache_misses_total";
+  Telemetry.inc ~labels ~n:t.insertions "mcx_cache_insertions_total";
+  Telemetry.inc ~labels ~n:t.evictions "mcx_cache_evictions_total"
 
 let to_list t =
   let rec walk acc = function

@@ -52,8 +52,8 @@ val to_list : 'a t -> (string * 'a) list
 val stats : 'a t -> stats
 
 val record_metrics : 'a t -> unit
-(** Export the cache's counters and current size into the {!Metrics}
-    registry as [mcx_cache_*] series labeled [cache=<name>] ("cache"
-    when anonymous). A one-shot bridge for exporter paths ([memx serve
-    --metrics]); calling it twice double-counts the counter families.
-    No-op while {!Metrics.enabled} is false. *)
+(** Export the cache's counters and current size into the {!Telemetry}
+    store as [mcx_cache_*] series labeled [cache=<name>] ("cache" when
+    anonymous). A one-shot exporter for [memx serve --metrics]; calling
+    it twice double-counts the counter families. No-op while
+    {!Telemetry.enabled} is false. *)

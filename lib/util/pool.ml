@@ -65,9 +65,9 @@ let record_metrics pool =
   (* The worker count is an environment fact (MCX_JOBS), not a result:
      marked measured so the deterministic metrics projection stays
      byte-identical across job counts. *)
-  Metrics.declare ~help:"pool workers (MCX_JOBS)" ~measured:true Metrics.Gauge
+  Telemetry.declare ~help:"pool workers (MCX_JOBS)" ~measured:true Telemetry.Gauge
     "mcx_pool_jobs";
-  Metrics.set "mcx_pool_jobs" (float_of_int pool.jobs)
+  Telemetry.set "mcx_pool_jobs" (float_of_int pool.jobs)
 
 let shutdown pool =
   Mutex.lock pool.mutex;

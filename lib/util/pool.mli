@@ -30,10 +30,10 @@ val jobs : t -> int
 (** Number of workers (including the calling domain). *)
 
 val record_metrics : t -> unit
-(** Export the worker count into the {!Metrics} registry as the
+(** Export the worker count into the {!Telemetry} store as the
     [mcx_pool_jobs] gauge (declared [measured]: it is an environment
     fact and is excluded from the deterministic metrics projection).
-    No-op while {!Metrics.enabled} is false. *)
+    No-op while {!Telemetry.enabled} is false. *)
 
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map pool n f] is [[| f 0; ...; f (n-1) |]], with the calls distributed

@@ -157,8 +157,6 @@ let test_rule_scoping () =
     (applies "determinism-wallclock" "lib/util/timing.ml");
   Alcotest.(check bool) "toplevel state ok in telemetry" false
     (applies "domain-toplevel-state" "lib/util/telemetry.ml");
-  Alcotest.(check bool) "toplevel state ok in metrics" false
-    (applies "domain-toplevel-state" "lib/util/metrics.ml");
   Alcotest.(check bool) "stderr banned in service" true
     (applies "output-stderr-print" "lib/service/serve.ml");
   Alcotest.(check bool) "stderr banned in util" true

@@ -1,31 +1,31 @@
-(* Metrics registry tests: name/label validation, kind discipline,
-   series identity under label reordering, gauge last-write-wins,
-   histogram geometry, the keyed commutative merge (bit-identical
-   exporter output at any job count), both exporters (a hand-rolled
-   OpenMetrics line-grammar validator and the mcx-metrics/1 JSON
-   shape), the deterministic [~times:false] projection, the subsystem
-   bridges, and the shared bucket-percentile estimator. *)
+(* Labeled-family tests of the telemetry store: name/label validation,
+   kind discipline, series identity under label reordering, gauge
+   last-write-wins, histogram geometry, the keyed commutative merge
+   (bit-identical exporter output at any job count), both exporters (a
+   hand-rolled OpenMetrics line-grammar validator and the mcx-metrics/1
+   JSON shape), the deterministic [~times:false] projection, the span
+   and counter families, the subsystem exporters, the bucket-percentile
+   estimator, and byte goldens of memx's observability output. *)
 
 open Mcx_util
 
 (* Every test starts from a clean, enabled registry. The whole binary is
    single-threaded between Pool fan-outs, so reset is safe here. *)
 let fresh () =
-  Metrics.reset ();
-  Metrics.enable ()
+  Telemetry.reset ();
+  Telemetry.enable ()
 
-let find_family name (snap : Metrics.Snapshot.t) =
-  List.find_opt (fun (f : Metrics.Snapshot.family) -> f.name = name) snap
+let find_family name snap = Telemetry.Snapshot.family snap name
 
 let get_family name snap =
   match find_family name snap with
   | Some f -> f
   | None -> Alcotest.failf "family %s missing from snapshot" name
 
-let series_value (f : Metrics.Snapshot.family) labels =
+let series_value (f : Telemetry.Snapshot.family) labels =
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   match
-    List.find_opt (fun (s : Metrics.Snapshot.series) -> s.labels = sorted) f.series
+    List.find_opt (fun (s : Telemetry.Snapshot.series) -> s.labels = sorted) f.series
   with
   | Some s -> s.value
   | None ->
@@ -34,7 +34,7 @@ let series_value (f : Metrics.Snapshot.family) labels =
 
 let counter_value f labels =
   match series_value f labels with
-  | Metrics.Snapshot.Counter n -> n
+  | Telemetry.Snapshot.Counter n -> n
   | _ -> Alcotest.fail "expected a counter series"
 
 (* --- validation ------------------------------------------------------- *)
@@ -42,7 +42,7 @@ let counter_value f labels =
 let test_name_validation () =
   List.iter
     (fun (name, ok) ->
-      Alcotest.(check bool) ("metric name " ^ name) ok (Metrics.valid_metric_name name))
+      Alcotest.(check bool) ("metric name " ^ name) ok (Telemetry.valid_metric_name name))
     [
       ("mcx_serve_requests_total", true);
       ("a:b:c", true);
@@ -54,7 +54,7 @@ let test_name_validation () =
     ];
   List.iter
     (fun (name, ok) ->
-      Alcotest.(check bool) ("label name " ^ name) ok (Metrics.valid_label_name name))
+      Alcotest.(check bool) ("label name " ^ name) ok (Telemetry.valid_label_name name))
     [
       ("status", true);
       ("_ok", true);
@@ -71,81 +71,66 @@ let expect_invalid_arg what f =
 let test_declare_rejects () =
   fresh ();
   expect_invalid_arg "bad metric name" (fun () ->
-      Metrics.declare Metrics.Counter "not a name");
-  Metrics.declare Metrics.Counter "mcx_test_total";
+      Telemetry.declare Telemetry.Counter "not a name");
+  Telemetry.declare Telemetry.Counter "mcx_test_total";
   expect_invalid_arg "kind flip on redeclare" (fun () ->
-      Metrics.declare Metrics.Gauge "mcx_test_total");
+      Telemetry.declare Telemetry.Gauge "mcx_test_total");
   (* auto-declaration pins the kind too *)
-  Metrics.inc "mcx_test_auto";
+  Telemetry.inc "mcx_test_auto";
   expect_invalid_arg "kind mismatch after auto-declare" (fun () ->
-      Metrics.set "mcx_test_auto" 1.0)
+      Telemetry.set "mcx_test_auto" 1.0)
 
 let test_recording_rejects () =
   fresh ();
   expect_invalid_arg "bad label name" (fun () ->
-      Metrics.inc ~labels:[ ("le", "1") ] "mcx_test_total");
+      Telemetry.inc ~labels:[ ("le", "1") ] "mcx_test_total");
   expect_invalid_arg "duplicate label" (fun () ->
-      Metrics.inc ~labels:[ ("a", "1"); ("a", "2") ] "mcx_test_total");
-  Metrics.declare Metrics.Histogram "mcx_test_ns";
-  expect_invalid_arg "inc into a histogram" (fun () -> Metrics.inc "mcx_test_ns")
+      Telemetry.inc ~labels:[ ("a", "1"); ("a", "2") ] "mcx_test_total");
+  Telemetry.declare Telemetry.Histogram "mcx_test_ns";
+  expect_invalid_arg "inc into a histogram" (fun () -> Telemetry.inc "mcx_test_ns")
 
 (* --- recording semantics ---------------------------------------------- *)
 
 let test_label_order_is_identity () =
   fresh ();
-  Metrics.inc ~labels:[ ("a", "1"); ("b", "2") ] "mcx_test_total";
-  Metrics.inc ~labels:[ ("b", "2"); ("a", "1") ] ~n:2 "mcx_test_total";
-  let f = get_family "mcx_test_total" (Metrics.snapshot ()) in
+  Telemetry.inc ~labels:[ ("a", "1"); ("b", "2") ] "mcx_test_total";
+  Telemetry.inc ~labels:[ ("b", "2"); ("a", "1") ] ~n:2 "mcx_test_total";
+  let f = get_family "mcx_test_total" (Telemetry.snapshot ()) in
   Alcotest.(check int) "one series" 1 (List.length f.series);
   Alcotest.(check int) "merged count" 3
     (counter_value f [ ("a", "1"); ("b", "2") ])
 
 let test_gauge_last_write_wins () =
   fresh ();
-  Metrics.set "mcx_test_gauge" 1.5;
-  Metrics.set "mcx_test_gauge" 4.25;
-  let f = get_family "mcx_test_gauge" (Metrics.snapshot ()) in
+  Telemetry.set "mcx_test_gauge" 1.5;
+  Telemetry.set "mcx_test_gauge" 4.25;
+  let f = get_family "mcx_test_gauge" (Telemetry.snapshot ()) in
   (match series_value f [] with
-  | Metrics.Snapshot.Gauge v -> Alcotest.(check (float 0.)) "last value" 4.25 v
+  | Telemetry.Snapshot.Gauge v -> Alcotest.(check (float 0.)) "last value" 4.25 v
   | _ -> Alcotest.fail "expected a gauge")
 
 let test_histogram_geometry () =
   fresh ();
   (* 1ns -> bucket 0; 1000ns -> bucket 9 ([512,1024)); negative clamps. *)
-  Metrics.observe_ns "mcx_test_ns" 1L;
-  Metrics.observe_ns "mcx_test_ns" 1000L;
-  Metrics.observe_ns "mcx_test_ns" (-5L);
-  let f = get_family "mcx_test_ns" (Metrics.snapshot ()) in
+  Telemetry.observe "mcx_test_ns" 1L;
+  Telemetry.observe "mcx_test_ns" 1000L;
+  Telemetry.observe "mcx_test_ns" (-5L);
+  let f = get_family "mcx_test_ns" (Telemetry.snapshot ()) in
   match series_value f [] with
-  | Metrics.Snapshot.Histogram { count; sum_ns; buckets } ->
+  | Telemetry.Snapshot.Histogram { count; sum_ns; buckets; _ } ->
     Alcotest.(check int) "count" 3 count;
     Alcotest.(check int64) "sum clamps negatives" 1001L sum_ns;
     Alcotest.(check int) "bucket 0" 2 buckets.(0);
     Alcotest.(check int) "bucket of 1000ns" 1 buckets.(Telemetry.bucket_of_ns 1000L)
   | _ -> Alcotest.fail "expected a histogram"
 
-let test_merge_histogram () =
-  fresh ();
-  Metrics.merge_histogram "mcx_test_ns" ~count:4 ~sum_ns:400L ~buckets:[| 1; 3 |];
-  Metrics.observe_ns "mcx_test_ns" 1L;
-  let f = get_family "mcx_test_ns" (Metrics.snapshot ()) in
-  (match series_value f [] with
-  | Metrics.Snapshot.Histogram { count; sum_ns; buckets } ->
-    Alcotest.(check int) "count folds" 5 count;
-    Alcotest.(check int64) "sum folds" 401L sum_ns;
-    Alcotest.(check int) "short buckets pad" 2 buckets.(0);
-    Alcotest.(check int) "bucket 1" 3 buckets.(1)
-  | _ -> Alcotest.fail "expected a histogram");
-  expect_invalid_arg "oversized buckets rejected" (fun () ->
-      Metrics.merge_histogram "mcx_test_ns" ~count:1 ~sum_ns:0L
-        ~buckets:(Array.make (Telemetry.n_buckets + 1) 0))
-
 let test_disabled_is_inert () =
-  Metrics.reset ();
-  Metrics.disable ();
-  Metrics.inc "mcx_test_total";
-  Metrics.observe_ns "mcx_test_ns" 5L;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Metrics.snapshot ()))
+  Telemetry.reset ();
+  Telemetry.disable ();
+  Telemetry.inc "mcx_test_total";
+  Telemetry.observe "mcx_test_ns" 5L;
+  Alcotest.(check int) "nothing recorded" 0
+    (List.length (Telemetry.Snapshot.families (Telemetry.snapshot ())))
 
 (* --- determinism across job counts ------------------------------------ *)
 
@@ -154,32 +139,32 @@ let test_disabled_is_inert () =
    byte-identical whatever the domain count. *)
 let record_from_pool ~jobs =
   fresh ();
-  Metrics.declare ~help:"test rows" Metrics.Counter "mcx_test_rows_total";
-  Metrics.declare Metrics.Histogram "mcx_test_trial_ns";
+  Telemetry.declare ~help:"test rows" Telemetry.Counter "mcx_test_rows_total";
+  Telemetry.declare Telemetry.Histogram "mcx_test_trial_ns";
   let pool = Pool.create ~jobs () in
   let _ =
     Pool.map pool 40 (fun i ->
         let bucket = if i mod 3 = 0 then "small" else "large" in
-        Metrics.inc ~labels:[ ("size", bucket) ] "mcx_test_rows_total";
-        Metrics.observe_ns "mcx_test_trial_ns" (Int64.of_int ((i * 37) mod 5000));
+        Telemetry.inc ~labels:[ ("size", bucket) ] "mcx_test_rows_total";
+        Telemetry.observe "mcx_test_trial_ns" (Int64.of_int ((i * 37) mod 5000));
         i)
   in
-  Metrics.snapshot ()
+  Telemetry.snapshot ()
 
 let test_jobs_identical_projection () =
   let s1 = record_from_pool ~jobs:1 in
   let s4 = record_from_pool ~jobs:4 in
   Alcotest.(check string) "OpenMetrics bytes agree"
-    (Metrics.Snapshot.to_openmetrics ~times:false s1)
-    (Metrics.Snapshot.to_openmetrics ~times:false s4);
+    (Telemetry.Snapshot.to_openmetrics ~times:false s1)
+    (Telemetry.Snapshot.to_openmetrics ~times:false s4);
   Alcotest.(check string) "mcx-metrics/1 bytes agree"
-    (Json_out.to_string (Metrics.Snapshot.to_json ~times:false s1))
-    (Json_out.to_string (Metrics.Snapshot.to_json ~times:false s4));
+    (Json_out.to_string (Telemetry.Snapshot.to_json ~times:false s1))
+    (Json_out.to_string (Telemetry.Snapshot.to_json ~times:false s4));
   (* The full (timed) export also agrees here because the observed
      durations are a function of the index alone. *)
   Alcotest.(check string) "timed bytes agree too"
-    (Metrics.Snapshot.to_openmetrics s1)
-    (Metrics.Snapshot.to_openmetrics s4)
+    (Telemetry.Snapshot.to_openmetrics s1)
+    (Telemetry.Snapshot.to_openmetrics s4)
 
 (* --- OpenMetrics text grammar ----------------------------------------- *)
 
@@ -265,15 +250,15 @@ let check_openmetrics text =
 
 let populated_snapshot () =
   fresh ();
-  Metrics.declare ~help:"requests by status" Metrics.Counter "mcx_test_requests_total";
-  Metrics.declare ~help:"stage latency" Metrics.Histogram "mcx_test_stage_ns";
-  Metrics.declare ~measured:true Metrics.Gauge "mcx_test_jobs";
-  Metrics.inc ~labels:[ ("status", "ok") ] ~n:3 "mcx_test_requests_total";
-  Metrics.inc ~labels:[ ("status", "error") ] "mcx_test_requests_total";
-  Metrics.set "mcx_test_jobs" 4.0;
-  Metrics.observe_ns ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 900L;
-  Metrics.observe_ns ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 64_000L;
-  Metrics.snapshot ()
+  Telemetry.declare ~help:"requests by status" Telemetry.Counter "mcx_test_requests_total";
+  Telemetry.declare ~help:"stage latency" Telemetry.Histogram "mcx_test_stage_ns";
+  Telemetry.declare ~measured:true Telemetry.Gauge "mcx_test_jobs";
+  Telemetry.inc ~labels:[ ("status", "ok") ] ~n:3 "mcx_test_requests_total";
+  Telemetry.inc ~labels:[ ("status", "error") ] "mcx_test_requests_total";
+  Telemetry.set "mcx_test_jobs" 4.0;
+  Telemetry.observe ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 900L;
+  Telemetry.observe ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 64_000L;
+  Telemetry.snapshot ()
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -282,9 +267,9 @@ let contains hay needle =
 
 let test_openmetrics_grammar () =
   let snap = populated_snapshot () in
-  let timed = Metrics.Snapshot.to_openmetrics snap in
+  let timed = Telemetry.Snapshot.to_openmetrics snap in
   check_openmetrics timed;
-  check_openmetrics (Metrics.Snapshot.to_openmetrics ~times:false snap);
+  check_openmetrics (Telemetry.Snapshot.to_openmetrics ~times:false snap);
   Alcotest.(check bool) "help line" true
     (contains timed "# HELP mcx_test_requests_total requests by status");
   Alcotest.(check bool) "series sample" true
@@ -295,21 +280,21 @@ let test_openmetrics_grammar () =
 
 let test_projection_drops_measurements () =
   let snap = populated_snapshot () in
-  let det = Metrics.Snapshot.to_openmetrics ~times:false snap in
+  let det = Telemetry.Snapshot.to_openmetrics ~times:false snap in
   Alcotest.(check bool) "measured gauge dropped" false (contains det "mcx_test_jobs");
   Alcotest.(check bool) "no buckets" false (contains det "_bucket");
   Alcotest.(check bool) "no sum" false (contains det "mcx_test_stage_ns_sum");
   Alcotest.(check bool) "count survives" true
     (contains det "mcx_test_stage_ns_count{stage=\"parse\"} 2");
   Alcotest.(check bool) "timed export keeps the gauge" true
-    (contains (Metrics.Snapshot.to_openmetrics snap) "mcx_test_jobs 4")
+    (contains (Telemetry.Snapshot.to_openmetrics snap) "mcx_test_jobs 4")
 
 (* --- mcx-metrics/1 JSON shape ----------------------------------------- *)
 
 let test_json_shape () =
   let snap = populated_snapshot () in
   let reparse times =
-    match Json_out.of_string (Json_out.to_string (Metrics.Snapshot.to_json ~times snap)) with
+    match Json_out.of_string (Json_out.to_string (Telemetry.Snapshot.to_json ~times snap)) with
     | Ok json -> json
     | Error e -> Alcotest.failf "exporter emitted unparseable JSON: %s" e
   in
@@ -364,9 +349,9 @@ let test_json_shape () =
     Alcotest.(check bool) "no buckets" true (Json_out.member "buckets" s = None)
   | _ -> Alcotest.fail "expected the histogram series in the projection"
 
-(* --- bridges ----------------------------------------------------------- *)
+(* --- subsystem exporters ------------------------------------------------ *)
 
-let test_lru_bridge () =
+let test_lru_exporter () =
   fresh ();
   let cache = Lru.create ~name:"serve.cache" ~capacity:2 () in
   Lru.put cache "a" 1;
@@ -375,55 +360,178 @@ let test_lru_bridge () =
   ignore (Lru.find cache "zzz");
   Lru.put cache "c" 3 (* evicts b *);
   Lru.record_metrics cache;
-  let snap = Metrics.snapshot () in
+  let snap = Telemetry.snapshot () in
   let count name = counter_value (get_family name snap) [ ("cache", "serve.cache") ] in
   Alcotest.(check int) "hits" 1 (count "mcx_cache_hits_total");
   Alcotest.(check int) "misses" 1 (count "mcx_cache_misses_total");
   Alcotest.(check int) "evictions" 1 (count "mcx_cache_evictions_total")
 
-let test_telemetry_bridge () =
+(* --- the span and counter families --------------------------------------- *)
+
+(* span/observe_ns and count land in two ordinary families of the store,
+   so every exporter sees their calls, totals and counter values. *)
+let test_span_and_counter_families () =
   fresh ();
-  Telemetry.reset ();
-  Telemetry.enable ();
   Telemetry.count ~n:5 "trials";
   Telemetry.observe_ns "map.trial" 1234L;
   Telemetry.observe_ns "map.trial" 99L;
-  Metrics.bridge_telemetry (Telemetry.snapshot ());
-  Telemetry.disable ();
-  Telemetry.reset ();
-  let snap = Metrics.snapshot () in
-  Alcotest.(check int) "counter bridged" 5
+  Telemetry.span "map.span" (fun () -> ());
+  let snap = Telemetry.snapshot () in
+  Alcotest.(check int) "counter value" 5
     (counter_value (get_family "mcx_telemetry_counter" snap) [ ("name", "trials") ]);
-  match series_value (get_family "mcx_telemetry_span_ns" snap) [ ("span", "map.trial") ] with
-  | Metrics.Snapshot.Histogram { count; sum_ns; _ } ->
-    Alcotest.(check int) "span calls bridged" 2 count;
-    Alcotest.(check int64) "span total bridged" 1333L sum_ns
-  | _ -> Alcotest.fail "expected a histogram series"
+  (match series_value (get_family "mcx_telemetry_span_ns" snap) [ ("span", "map.trial") ] with
+  | Telemetry.Snapshot.Histogram { count; sum_ns; _ } ->
+    Alcotest.(check int) "span calls" 2 count;
+    Alcotest.(check int64) "span total" 1333L sum_ns
+  | _ -> Alcotest.fail "expected a histogram series");
+  let text = Telemetry.Snapshot.to_openmetrics ~times:false snap in
+  check_openmetrics text;
+  Alcotest.(check bool) "span family exported" true
+    (contains text "mcx_telemetry_span_ns_count{span=\"map.span\"} 1");
+  Alcotest.(check bool) "counter family exported" true
+    (contains text "mcx_telemetry_counter{name=\"trials\"} 5")
 
-(* --- the shared percentile estimator ----------------------------------- *)
+(* --- the summary's percentile estimator -------------------------------- *)
 
 let test_percentile_estimator () =
   let buckets = Array.make Telemetry.n_buckets 0 in
-  (* 90 observations in [512,1024), 10 in [65536,131072) *)
+  (* 90 observations of 1000ns (bucket [512,1024)) and 10 of 100000ns
+     (bucket [65536,131072)) *)
   buckets.(Telemetry.bucket_of_ns 1000L) <- 90;
   buckets.(Telemetry.bucket_of_ns 100_000L) <- 10;
-  let p50 = Telemetry.Report.percentile_of_buckets buckets ~calls:100 ~p:0.50 in
-  let p95 = Telemetry.Report.percentile_of_buckets buckets ~calls:100 ~p:0.95 in
-  Alcotest.(check int64) "p50 at the small bucket's edge" 1023L p50;
-  Alcotest.(check int64) "p95 at the large bucket's edge" 131071L p95;
-  Alcotest.(check int64) "empty histogram" 0L
-    (Telemetry.Report.percentile_of_buckets (Array.make Telemetry.n_buckets 0) ~calls:0 ~p:0.5);
-  (* percentile_ns is the same estimator over a span aggregate *)
-  let stat =
-    { Telemetry.Report.name = "s"; calls = 100; total_ns = 0L; max_ns = 0L; buckets }
+  let fixture =
+    {
+      Telemetry.Snapshot.count = 100;
+      sum_ns = 1_090_000L;
+      min_ns = 1000L;
+      max_ns = 100_000L;
+      buckets;
+    }
   in
-  Alcotest.(check int64) "span wrapper agrees" p95
-    (Telemetry.Report.percentile_ns stat ~p:0.95)
+  let p50 = Telemetry.Snapshot.percentile_ns fixture ~p:0.50 in
+  let p95 = Telemetry.Snapshot.percentile_ns fixture ~p:0.95 in
+  Alcotest.(check int64) "p50 at the small bucket's edge" 1023L p50;
+  Alcotest.(check int64) "p95 clamped to the observed max" 100_000L p95;
+  Alcotest.(check int64) "empty histogram" 0L
+    (Telemetry.Snapshot.percentile_ns
+       { fixture with count = 0; buckets = Array.make Telemetry.n_buckets 0 }
+       ~p:0.5);
+  (* the same observations recorded through the store agree *)
+  fresh ();
+  for i = 1 to 100 do
+    Telemetry.observe_ns "s" (if i <= 90 then 1000L else 100_000L)
+  done;
+  match List.assoc_opt "s" (Telemetry.Snapshot.spans (Telemetry.snapshot ())) with
+  | Some recorded ->
+    Alcotest.(check int64) "recorded aggregate agrees" p95
+      (Telemetry.Snapshot.percentile_ns recorded ~p:0.95)
+  | None -> Alcotest.fail "span missing"
+
+(* --- goldens: memx observability bytes --------------------------------- *)
+
+(* The exported bytes of [memx serve --metrics/--metrics-json/--access-log]
+   and of a traced [memx experiment yield] on the deterministic projection
+   (MCX_JOBS=1, MCX_TRACE_TIMES=0, every other MCX_* knob unset). A
+   refactor of the recording core must leave them byte-identical.
+
+   Regenerating (only when an intentional schema change lands):
+
+     MCX_GOLDEN_REGEN=$PWD/test/golden dune exec test/test_metrics.exe *)
+
+let memx = "../bin/memx.exe"
+let requests = "../examples/serve_requests.jsonl"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let memx_env () =
+  Unix.environment ()
+  |> Array.to_list
+  |> List.filter (fun kv -> not (String.starts_with ~prefix:"MCX_" kv))
+  |> List.append [ "MCX_JOBS=1"; "MCX_TRACE_TIMES=0" ]
+  |> Array.of_list
+
+(* Run memx with stdout discarded and stderr captured into [stderr_path]. *)
+let run_memx ~stderr_path args =
+  let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err = Unix.openfile stderr_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process_env memx (Array.of_list (memx :: args)) (memx_env ()) Unix.stdin out err
+  in
+  Unix.close out;
+  Unix.close err;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> failwith ("memx " ^ String.concat " " args ^ " failed: " ^ read_file stderr_path)
+
+let serve_outputs =
+  lazy
+    (run_memx ~stderr_path:"obs_serve.err"
+       [
+         "serve"; "--in"; requests; "--in"; requests; "-o"; "obs_resp.jsonl";
+         "--access-log"; "obs_access.jsonl"; "--metrics"; "obs_metrics.txt";
+         "--metrics-json"; "obs_metrics.json";
+       ];
+     [
+       ("obs_serve_metrics_txt", read_file "obs_metrics.txt");
+       ("obs_serve_metrics_json", read_file "obs_metrics.json");
+       ("obs_serve_access", read_file "obs_access.jsonl");
+     ])
+
+let yield_outputs =
+  lazy
+    (run_memx ~stderr_path:"obs_yield.err"
+       [ "experiment"; "yield"; "--samples"; "4"; "--trace"; "obs_yield_trace.json" ];
+     let counters =
+       match Json_out.of_string (read_file "obs_yield_trace.json") with
+       | Ok trace -> (
+         match Option.bind (Json_out.member "otherData" trace) (Json_out.member "counters") with
+         | Some c -> Json_out.to_string c ^ "\n"
+         | None -> failwith "trace has no otherData.counters")
+       | Error e -> failwith ("unparseable trace: " ^ e)
+     in
+     [ ("obs_yield_summary", read_file "obs_yield.err"); ("obs_yield_counters", counters) ])
+
+let golden_outputs () = Lazy.force serve_outputs @ Lazy.force yield_outputs
+
+let golden_names =
+  [
+    "obs_serve_metrics_txt"; "obs_serve_metrics_json"; "obs_serve_access";
+    "obs_yield_summary"; "obs_yield_counters";
+  ]
+
+let check_golden name () =
+  let path = Filename.concat "golden" (name ^ ".golden") in
+  let actual = List.assoc name (golden_outputs ()) in
+  if not (String.equal (read_file path) actual) then begin
+    write_file (name ^ ".actual") actual;
+    Alcotest.failf "%s drifted from %s (actual written to %s.actual)" name path name
+  end
+
+let test_golden_text_grammar () =
+  check_openmetrics (read_file (Filename.concat "golden" "obs_serve_metrics_txt.golden"))
 
 let () =
+  match Config.golden_regen () with
+  | Some dir ->
+    List.iter
+      (fun (name, contents) ->
+        let path = Filename.concat dir (name ^ ".golden") in
+        write_file path contents;
+        Printf.printf "wrote %s\n%!" path)
+      (golden_outputs ())
+  | None ->
   let cleanup () =
-    Metrics.reset ();
-    Metrics.disable ()
+    Telemetry.reset ();
+    Telemetry.disable ()
   in
   Fun.protect ~finally:cleanup (fun () ->
       Alcotest.run "metrics"
@@ -440,7 +548,6 @@ let () =
                 test_label_order_is_identity;
               Alcotest.test_case "gauge last write wins" `Quick test_gauge_last_write_wins;
               Alcotest.test_case "histogram geometry" `Quick test_histogram_geometry;
-              Alcotest.test_case "merge_histogram" `Quick test_merge_histogram;
               Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
             ] );
           ( "determinism",
@@ -457,9 +564,21 @@ let () =
             ] );
           ( "bridges",
             [
-              Alcotest.test_case "lru cache" `Quick test_lru_bridge;
-              Alcotest.test_case "telemetry report" `Quick test_telemetry_bridge;
+              Alcotest.test_case "lru cache" `Quick test_lru_exporter;
+            ] );
+          ( "families",
+            [
+              Alcotest.test_case "span and counter families" `Quick
+                test_span_and_counter_families;
             ] );
           ( "percentiles",
             [ Alcotest.test_case "bucket estimator" `Quick test_percentile_estimator ] );
+          ( "goldens",
+            List.map
+              (fun name -> Alcotest.test_case name `Quick (check_golden name))
+              golden_names
+            @ [
+                Alcotest.test_case "OpenMetrics golden grammar" `Quick
+                  test_golden_text_grammar;
+              ] );
         ])

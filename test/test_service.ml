@@ -454,6 +454,26 @@ let test_report_summarize () =
   Alcotest.(check int64) "stage total" 100_000_000L compute.Report.total_ns;
   Alcotest.(check int64) "stage mean" 10_000_000L compute.Report.mean_ns
 
+(* Stage percentiles are order statistics of the raw durations: with 21
+   records p50 is the 11th smallest and p95 the 20th (no interpolation
+   between neighbours), and neither exceeds the max. *)
+let test_report_stage_percentiles () =
+  let records =
+    List.init 21 (fun i ->
+        timed_record ~index:i
+          ~compute_ns:(Int64.of_int ((((i * 8) mod 21) + 1) * 1000))
+          ~render_ns:500L)
+  in
+  let s = Report.summarize ~source:"p" records ~has_times:true in
+  let compute =
+    List.find (fun (st : Report.stage_stat) -> st.Report.stage = "compute") s.Report.stages
+  in
+  Alcotest.(check int64) "p50 is the 11th smallest" 11_000L compute.Report.p50_ns;
+  Alcotest.(check int64) "p95 is the 20th smallest" 20_000L compute.Report.p95_ns;
+  Alcotest.(check int64) "max" 21_000L compute.Report.max_ns;
+  Alcotest.(check bool) "p95 <= max" true
+    (Int64.compare compute.Report.p95_ns compute.Report.max_ns <= 0)
+
 let test_report_diff () =
   let old_timed = timed_summary ~source:"old" ~compute_ns:10_000_000L ~render_ns:500L in
   Alcotest.(check int) "identical runs produce no findings" 0
@@ -567,6 +587,7 @@ let () =
         ( "report",
           [
             Alcotest.test_case "summarize" `Quick test_report_summarize;
+            Alcotest.test_case "stage percentiles" `Quick test_report_stage_percentiles;
             Alcotest.test_case "diff" `Quick test_report_diff;
             Alcotest.test_case "load access log" `Quick test_report_load_access;
           ] );

@@ -6,6 +6,11 @@ let fresh () =
   Telemetry.disable ();
   Telemetry.reset ()
 
+let contains ~affix s =
+  let n = String.length s and m = String.length affix in
+  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
+  m = 0 || go 0
+
 (* --- Json_out ------------------------------------------------------- *)
 
 let js v = Json_out.to_string v
@@ -156,33 +161,88 @@ let test_bucket_boundaries () =
   Alcotest.check_raises "negative bucket" (Invalid_argument "Telemetry.bucket_bounds")
     (fun () -> ignore (Telemetry.bucket_bounds (-1)))
 
-let stat_with_buckets pairs =
+(* A histogram fixture from (observation, how many) pairs, with the
+   count, sum, min and max those observations imply. *)
+let hist_of observations =
   let buckets = Array.make Telemetry.n_buckets 0 in
-  List.iter (fun (i, n) -> buckets.(i) <- n) pairs;
-  let calls = List.fold_left (fun acc (_, n) -> acc + n) 0 pairs in
-  { Telemetry.Report.name = "t"; calls; total_ns = 0L; max_ns = 0L; buckets }
+  List.iter
+    (fun (ns, n) ->
+      let i = Telemetry.bucket_of_ns ns in
+      buckets.(i) <- buckets.(i) + n)
+    observations;
+  let values = List.map fst observations in
+  {
+    Telemetry.Snapshot.count = List.fold_left (fun acc (_, n) -> acc + n) 0 observations;
+    sum_ns =
+      List.fold_left (fun acc (ns, n) -> Int64.add acc (Int64.mul ns (Int64.of_int n))) 0L
+        observations;
+    min_ns = List.fold_left Int64.min Int64.max_int values;
+    max_ns = List.fold_left Int64.max 0L values;
+    buckets;
+  }
 
 let test_percentiles () =
-  (* 100 calls in [8,16) plus one outlier in [512,1024) *)
-  let stat = stat_with_buckets [ (3, 100); (9, 1) ] in
+  (* 100 calls at 12ns (bucket [8,16)) plus one outlier at 1000ns
+     (bucket [512,1024)) *)
+  let stat = hist_of [ (12L, 100); (1000L, 1) ] in
   Alcotest.(check int64) "p50 upper edge of bucket 3" 15L
-    (Telemetry.Report.percentile_ns stat ~p:0.50);
+    (Telemetry.Snapshot.percentile_ns stat ~p:0.50);
   Alcotest.(check int64) "p99 still bucket 3" 15L
-    (Telemetry.Report.percentile_ns stat ~p:0.99);
-  Alcotest.(check int64) "p100 reaches the outlier" 1023L
-    (Telemetry.Report.percentile_ns stat ~p:1.0);
-  let empty = stat_with_buckets [] in
-  Alcotest.(check int64) "no calls" 0L (Telemetry.Report.percentile_ns empty ~p:0.5);
+    (Telemetry.Snapshot.percentile_ns stat ~p:0.99);
+  Alcotest.(check int64) "p100 is the outlier, not its bucket edge" 1000L
+    (Telemetry.Snapshot.percentile_ns stat ~p:1.0);
+  let empty = hist_of [] in
+  Alcotest.(check int64) "no calls" 0L (Telemetry.Snapshot.percentile_ns empty ~p:0.5);
   Alcotest.check_raises "p out of range"
-    (Invalid_argument "Telemetry.Report.percentile_of_buckets") (fun () ->
-      ignore (Telemetry.Report.percentile_ns stat ~p:0.))
+    (Invalid_argument "Telemetry.Snapshot.percentile_ns") (fun () ->
+      ignore (Telemetry.Snapshot.percentile_ns stat ~p:0.))
 
 (* --- spans and counters --------------------------------------------- *)
 
-let find_span report name =
-  List.find_opt
-    (fun s -> String.equal s.Telemetry.Report.name name)
-    (Telemetry.Report.spans report)
+let find_span report name = List.assoc_opt name (Telemetry.Snapshot.spans report)
+
+(* A lone 9.76 s observation sits in bucket [2^33, 2^34) ns, whose upper
+   edge is 17.18 s: the summary must print the observed value instead. *)
+let test_single_observation_percentiles () =
+  fresh ();
+  Telemetry.enable ();
+  Telemetry.observe_ns "t.long" 9_760_000_000L;
+  let report = Telemetry.snapshot () in
+  Telemetry.disable ();
+  (match find_span report "t.long" with
+  | Some h ->
+    Alcotest.(check int64) "max is the observation" 9_760_000_000L
+      h.Telemetry.Snapshot.max_ns;
+    Alcotest.(check int64) "p50 = max" h.Telemetry.Snapshot.max_ns
+      (Telemetry.Snapshot.percentile_ns h ~p:0.50);
+    Alcotest.(check int64) "p99 = max" h.Telemetry.Snapshot.max_ns
+      (Telemetry.Snapshot.percentile_ns h ~p:0.99)
+  | None -> Alcotest.fail "span missing");
+  let summary = Texttable.render (Telemetry.Snapshot.summary_table report) in
+  Alcotest.(check bool) "no bucket edge in the summary" false
+    (contains ~affix:"17.18s" summary)
+
+let prop_percentiles_within_observed =
+  QCheck2.Test.make ~name:"min <= p50 <= p99 <= max" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 60)
+        (map Int64.of_int (oneof [ int_range 0 5000; int_range 0 20_000_000_000 ])))
+    (fun observations ->
+      fresh ();
+      Telemetry.enable ();
+      List.iter (Telemetry.observe_ns "t.prop") observations;
+      let report = Telemetry.snapshot () in
+      Telemetry.disable ();
+      match find_span report "t.prop" with
+      | None -> false
+      | Some h ->
+        let p50 = Telemetry.Snapshot.percentile_ns h ~p:0.50
+        and p99 = Telemetry.Snapshot.percentile_ns h ~p:0.99 in
+        h.Telemetry.Snapshot.min_ns = List.fold_left Int64.min Int64.max_int observations
+        && h.Telemetry.Snapshot.max_ns = List.fold_left Int64.max 0L observations
+        && Int64.compare h.Telemetry.Snapshot.min_ns p50 <= 0
+        && Int64.compare p50 p99 <= 0
+        && Int64.compare p99 h.Telemetry.Snapshot.max_ns <= 0)
 
 let test_span_nesting () =
   fresh ();
@@ -195,16 +255,16 @@ let test_span_nesting () =
   Alcotest.(check int) "span is transparent" 5 v;
   let report = Telemetry.snapshot () in
   let calls name =
-    match find_span report name with Some s -> s.Telemetry.Report.calls | None -> 0
+    match find_span report name with Some s -> s.Telemetry.Snapshot.count | None -> 0
   in
   Alcotest.(check int) "outer once" 1 (calls "t.outer");
   Alcotest.(check int) "inner twice" 2 (calls "t.inner");
   (match find_span report "t.inner" with
   | Some s ->
     Alcotest.(check int) "histogram holds every call" 2
-      (Array.fold_left ( + ) 0 s.Telemetry.Report.buckets);
+      (Array.fold_left ( + ) 0 s.Telemetry.Snapshot.buckets);
     Alcotest.(check bool) "total >= max" true
-      (Int64.compare s.Telemetry.Report.total_ns s.Telemetry.Report.max_ns >= 0)
+      (Int64.compare s.Telemetry.Snapshot.sum_ns s.Telemetry.Snapshot.max_ns >= 0)
   | None -> Alcotest.fail "inner span missing")
 
 let test_span_exception_safety () =
@@ -213,7 +273,7 @@ let test_span_exception_safety () =
   (try Telemetry.span "t.raises" (fun () -> raise Exit) with Exit -> ());
   let report = Telemetry.snapshot () in
   (match find_span report "t.raises" with
-  | Some s -> Alcotest.(check int) "recorded despite raise" 1 s.Telemetry.Report.calls
+  | Some s -> Alcotest.(check int) "recorded despite raise" 1 s.Telemetry.Snapshot.count
   | None -> Alcotest.fail "span lost on exception");
   (* the stack unwound: a follow-up balanced close still works *)
   Telemetry.begin_span "t.after";
@@ -242,7 +302,7 @@ let test_disabled_records_nothing () =
   let report = Telemetry.snapshot () in
   Alcotest.(check bool) "no span" true (find_span report "t.off" = None);
   Alcotest.(check bool) "no counter" true
-    (List.assoc_opt "t.off_counter" (Telemetry.Report.counters report) = None)
+    (List.assoc_opt "t.off_counter" (Telemetry.Snapshot.counters report) = None)
 
 let test_counters_and_observe () =
   fresh ();
@@ -254,17 +314,60 @@ let test_counters_and_observe () =
   (* clamps to 0 *)
   let report = Telemetry.snapshot () in
   Alcotest.(check (option int)) "counter sums" (Some 42)
-    (List.assoc_opt "t.c" (Telemetry.Report.counters report));
+    (List.assoc_opt "t.c" (Telemetry.Snapshot.counters report));
   match find_span report "t.obs" with
   | Some s ->
-    Alcotest.(check int) "observe counts calls" 2 s.Telemetry.Report.calls;
-    Alcotest.(check int64) "negative clamped" 10L s.Telemetry.Report.total_ns
+    Alcotest.(check int) "observe counts calls" 2 s.Telemetry.Snapshot.count;
+    Alcotest.(check int64) "negative clamped" 10L s.Telemetry.Snapshot.sum_ns;
+    Alcotest.(check int64) "min sees the clamped 0" 0L s.Telemetry.Snapshot.min_ns
   | None -> Alcotest.fail "observe_ns aggregate missing"
 
-let contains ~affix s =
-  let n = String.length s and m = String.length affix in
-  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
-  m = 0 || go 0
+(* --- the disabled path allocates nothing ------------------------------ *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* 10 000 calls of each entry point with telemetry off must allocate no
+   more than an empty measurement does; this is the regression guard for
+   the "one load and one branch" promise in telemetry.mli. *)
+let test_disabled_path_allocation () =
+  fresh ();
+  let calls = 10_000 and name = "t.alloc" in
+  let baseline = minor_words_of (fun () -> ()) in
+  let no_alloc what f =
+    Alcotest.(check (float 0.)) (what ^ " allocates nothing") baseline (minor_words_of f)
+  in
+  let body () = () in
+  no_alloc "count" (fun () ->
+      for _ = 1 to calls do
+        Telemetry.count name
+      done);
+  no_alloc "span" (fun () ->
+      for _ = 1 to calls do
+        Telemetry.span name body
+      done);
+  no_alloc "observe_ns" (fun () ->
+      for _ = 1 to calls do
+        Telemetry.observe_ns name 5L
+      done);
+  (* A named cache pays nothing for its counter names. *)
+  let named = Lru.create ~name:"t.cache" ~capacity:4 () in
+  let anonymous = Lru.create ~capacity:4 () in
+  Lru.put named "k" 1;
+  Lru.put anonymous "k" 1;
+  let lookups cache key () =
+    for _ = 1 to calls do
+      ignore (Lru.find cache key)
+    done
+  in
+  Alcotest.(check (float 0.)) "named hit = anonymous hit"
+    (minor_words_of (lookups anonymous "k"))
+    (minor_words_of (lookups named "k"));
+  Alcotest.(check (float 0.)) "named miss = anonymous miss"
+    (minor_words_of (lookups anonymous "x"))
+    (minor_words_of (lookups named "x"))
 
 (* --- deterministic merge across job counts --------------------------- *)
 
@@ -285,7 +388,7 @@ let run_workload jobs =
   in
   Pool.shutdown pool;
   let report = Telemetry.snapshot () in
-  let summary = Texttable.render (Telemetry.Report.summary_table ~times:false report) in
+  let summary = Texttable.render (Telemetry.Snapshot.summary_table ~times:false report) in
   Telemetry.disable ();
   (total, summary)
 
@@ -311,15 +414,15 @@ let test_report_merge_order_independent () =
   Telemetry.count ~n:4 "t.mc";
   let b = Telemetry.snapshot () in
   Telemetry.disable ();
-  let render r = Texttable.render (Telemetry.Report.summary_table ~times:false r) in
+  let render r = Texttable.render (Telemetry.Snapshot.summary_table ~times:false r) in
   Alcotest.(check string) "merge commutes"
-    (render (Telemetry.Report.merge a b))
-    (render (Telemetry.Report.merge b a));
-  let merged = Telemetry.Report.merge a b in
+    (render (Telemetry.Snapshot.merge a b))
+    (render (Telemetry.Snapshot.merge b a));
+  let merged = Telemetry.Snapshot.merge a b in
   Alcotest.(check (option int)) "counters sum" (Some 7)
-    (List.assoc_opt "t.mc" (Telemetry.Report.counters merged));
+    (List.assoc_opt "t.mc" (Telemetry.Snapshot.counters merged));
   match find_span merged "t.m" with
-  | Some s -> Alcotest.(check int) "span calls sum" 2 s.Telemetry.Report.calls
+  | Some s -> Alcotest.(check int) "span calls sum" 2 s.Telemetry.Snapshot.count
   | None -> Alcotest.fail "merged span missing"
 
 (* --- chrome trace export -------------------------------------------- *)
@@ -331,7 +434,7 @@ let test_chrome_trace_shape () =
   Telemetry.count ~n:9 "t.traced_count";
   let report = Telemetry.snapshot () in
   Telemetry.disable ();
-  let json = Json_out.to_string (Telemetry.Report.chrome_trace report) in
+  let json = Json_out.to_string (Telemetry.Snapshot.chrome_trace report) in
   List.iter
     (fun affix ->
       Alcotest.(check bool) (Printf.sprintf "trace contains %s" affix) true
@@ -369,6 +472,9 @@ let () =
         [
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
+          Alcotest.test_case "single observation: p50 = p99 = max" `Quick
+            test_single_observation_percentiles;
+          QCheck_alcotest.to_alcotest prop_percentiles_within_observed;
         ] );
       ( "spans",
         [
@@ -377,6 +483,8 @@ let () =
           Alcotest.test_case "unbalanced close" `Quick test_unbalanced_close_detection;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_records_nothing;
           Alcotest.test_case "counters and observe_ns" `Quick test_counters_and_observe;
+          Alcotest.test_case "disabled path allocates nothing" `Quick
+            test_disabled_path_allocation;
         ] );
       ( "determinism",
         [
