@@ -5,10 +5,10 @@ let map_matrix fm cm =
   if Bmatrix.cols cm <> Bmatrix.cols fm then invalid_arg "Exact.map: column count mismatch";
   if Bmatrix.rows cm < Bmatrix.rows fm then
     invalid_arg "Exact.map: crossbar has fewer rows than the function matrix";
-  let fm_rows = List.init (Bmatrix.rows fm) Fun.id in
-  let cm_rows = List.init (Bmatrix.rows cm) Fun.id in
-  let cost = Matching.matching_matrix ~fm ~fm_rows ~cm ~cm_rows in
-  Munkres.feasible_zero cost
+  Matching.assign ~fm
+    ~fm_rows:(List.init (Bmatrix.rows fm) Fun.id)
+    ~cm
+    ~cm_rows:(List.init (Bmatrix.rows cm) Fun.id)
 
 let map fm_struct cm = map_matrix fm_struct.Mcx_crossbar.Function_matrix.matrix cm
 

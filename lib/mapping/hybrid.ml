@@ -76,16 +76,11 @@ let map_rows ?(order = Top_down) ~fm ~greedy_rows ~assignment_rows cm =
   else begin
     (* Exact assignment of the output rows over the unmatched CM rows. *)
     let unmatched = List.filter (fun t -> owner.(t) < 0) (List.init n_cm Fun.id) in
-    let cost = Matching.matching_matrix ~fm ~fm_rows:output_rows ~cm ~cm_rows:unmatched in
-    let unmatched_arr = Array.of_list unmatched in
-    match (output_rows, Munkres.feasible_zero cost) with
-    | [], _ -> (Some assigned, stats ())
-    | _, Some solution ->
-      List.iteri
-        (fun idx fm_row -> assigned.(fm_row) <- unmatched_arr.(solution.(idx)))
-        output_rows;
+    match Matching.assign ~fm ~fm_rows:output_rows ~cm ~cm_rows:unmatched with
+    | Some targets ->
+      List.iteri (fun k fm_row -> assigned.(fm_row) <- targets.(k)) output_rows;
       (Some assigned, stats ())
-    | _, None -> (None, stats ())
+    | None -> (None, stats ())
   end
 
 let map_with_stats ?order fm_struct cm =

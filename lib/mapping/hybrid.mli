@@ -5,8 +5,9 @@
     unmatched crossbar row, already-matched crossbar rows are considered
     and their current owner is relocated to an unmatched row if possible.
     Output rows — where a single defect might discard a whole output — are
-    then assigned exactly with {!Munkres} over the remaining crossbar
-    rows. *)
+    then assigned exactly over the remaining crossbar rows with
+    {!Matching.assign}, which decides the paper's zero-cost Munkres
+    criterion. *)
 
 type stats = {
   backtracks : int;  (** products that needed the relocation step *)
@@ -41,7 +42,7 @@ val map_rows :
   Mcx_util.Bmatrix.t ->
   (int array option * stats)
 (** Matrix-level core: [greedy_rows] are matched first-fit with
-    backtracking, [assignment_rows] exactly via Munkres over the leftover
-    crossbar rows. The two lists must partition the FM's rows. Used
+    backtracking, [assignment_rows] exactly via {!Matching.assign} over the
+    leftover crossbar rows. The two lists must partition the FM's rows. Used
     directly by the multi-level defect-tolerance extension, whose FM does
     not come from a two-level {!Mcx_crossbar.Function_matrix}. *)

@@ -16,15 +16,27 @@ val row_matches :
     Invalid_argument when column counts differ or indices are out of
     range. *)
 
-val matching_matrix :
+val assign :
   fm:Mcx_util.Bmatrix.t ->
   fm_rows:int list ->
   cm:Mcx_util.Bmatrix.t ->
   cm_rows:int list ->
-  int array array
-(** Cost matrix for the assignment step: entry 0 when the FM row (outer
-    index) can be placed on the CM row (inner index), 1 otherwise — the
-    representation of Fig. 8(c). *)
+  int array option
+(** [assign ~fm ~fm_rows ~cm ~cm_rows] places every row of [fm_rows] on a
+    distinct row of [cm_rows] that it fits: [Some a] with [a.(k)] the CM
+    row of the [k]-th FM row, or [None] when no placement exists.
+
+    The paper asks Munkres for a zero-cost assignment on the 0/1 matching
+    matrix of Fig. 8(c). Such an assignment is exactly a matching of the
+    "FM row fits CM row" bipartite graph that covers every FM row, so
+    [assign] decides the paper's criterion exactly, and [None] proves
+    infeasibility. Tie-break: each FM row in turn takes the first free
+    fitting row of [cm_rows]; each row left over then gets one
+    alternating-path search that tries fitting rows in [cm_rows] order.
+    Fit sets are word-parallel bitsets: O(n m{^ 2} / 63) word operations
+    at worst. Counts [matching.solves] once per call.
+    @raise Invalid_argument when column counts differ or a row index is out
+    of range. *)
 
 val check_assignment :
   fm:Mcx_util.Bmatrix.t -> cm:Mcx_util.Bmatrix.t -> int array -> bool

@@ -2,7 +2,6 @@
    1-indexed internal arrays, following the classical formulation. *)
 
 let solve cost =
-  Mcx_util.Telemetry.count "munkres.solves";
   let n = Array.length cost in
   if n = 0 then (0, [||])
   else begin

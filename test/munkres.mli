@@ -1,9 +1,12 @@
-(** Minimum-cost assignment (Munkres 1957).
+(** Minimum-cost assignment (Munkres 1957): the reference the matcher is
+    tested against.
 
-    The exact building block of both mapping algorithms: the paper assigns
-    output rows (hybrid) or all rows (exact) to crossbar lines by "choosing
-    which Oi is mapped to Hk yielding a zero cost ... This is an exact
-    algorithm which means if a zero cost is possible, it will be found".
+    The paper assigns output rows (hybrid) or all rows (exact) to crossbar
+    lines by "choosing which Oi is mapped to Hk yielding a zero cost ...
+    This is an exact algorithm which means if a zero cost is possible, it
+    will be found". The library decides that criterion with
+    {!Mcx_mapping.Matching.assign}; this weighted solver, run on the 0/1
+    matching matrix, is the independent oracle for its verdicts.
 
     Implemented as the O(n^2 m) shortest-augmenting-path formulation
     (Jonker–Volgenant), which computes the same optimum as Munkres'

@@ -309,6 +309,26 @@ let test_aging () =
   Alcotest.(check bool) "local repair touches fewer rows than remap" true
     (r.Aging.mean_rows_touched_per_repair <= r.Aging.remap_rows_baseline +. 0.001)
 
+let test_aging_parallel_deterministic () =
+  (* Aging is the experiment whose numbers depend on which assignment the
+     exact mapper returns (the full-remap fallback and the remap
+     baseline), so it must not depend on which domain ran a die. *)
+  let run pool =
+    let r = Aging.run ~pool ~samples:12 ~max_faults:150 ~seed:2 ~benchmark:"rd53" () in
+    Printf.sprintf "%d %h %h %h %b" r.Aging.samples r.Aging.mean_faults_survived
+      r.Aging.mean_rows_touched_per_repair r.Aging.remap_rows_baseline
+      r.Aging.repairs_verified
+  in
+  let seq_pool = Mcx_util.Pool.create ~jobs:1 () in
+  let par_pool = Mcx_util.Pool.create ~jobs:4 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Mcx_util.Pool.shutdown seq_pool;
+      Mcx_util.Pool.shutdown par_pool)
+    (fun () ->
+      Alcotest.(check string) "MCX_JOBS=4 identical to sequential" (run seq_pool)
+        (run par_pool))
+
 let test_mldefect_spares_help () =
   let run spare_rows =
     Mldefect.run ~samples:40 ~defect_rates:[ 0.10 ] ~spare_rows ~seed:7 ~benchmark:"misex1" ()
@@ -383,7 +403,11 @@ let () =
           Alcotest.test_case "fan-in limit" `Quick test_ablation_fanin;
         ] );
       ("tradeoff", [ Alcotest.test_case "latency & energy" `Quick test_tradeoff ]);
-      ("aging", [ Alcotest.test_case "incremental repair" `Quick test_aging ]);
+      ( "aging",
+        [
+          Alcotest.test_case "incremental repair" `Quick test_aging;
+          Alcotest.test_case "parallel deterministic" `Quick test_aging_parallel_deterministic;
+        ] );
       ("transient", [ Alcotest.test_case "upset sweep" `Quick test_transient ]);
       ( "mldefect_spares",
         [ Alcotest.test_case "redundancy helps multi-level" `Quick test_mldefect_spares_help ] );

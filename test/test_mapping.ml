@@ -4,7 +4,7 @@ open Mcx_logic
 open Mcx_util
 
 (* ------------------------------------------------------------------ *)
-(* Munkres                                                            *)
+(* Munkres (the weighted reference solver in test/munkres.ml)          *)
 (* ------------------------------------------------------------------ *)
 
 let test_munkres_identity () =
@@ -114,12 +114,50 @@ let test_row_matches () =
   Alcotest.(check bool) "FM 0 accepts CM 0" true
     (Matching.row_matches ~fm ~fm_row:1 ~cm:sparse_cm ~cm_row:0)
 
+(* The fit relation is the paper's matching matrix (Fig. 8(c)) with
+   0 = fits read as [true]. *)
 let test_matching_matrix () =
   let fm = Bmatrix.of_int_lists [ [ 1; 0 ]; [ 0; 1 ] ] in
   let cm = Bmatrix.of_int_lists [ [ 1; 0 ]; [ 0; 1 ] ] in
-  let m = Matching.matching_matrix ~fm ~fm_rows:[ 0; 1 ] ~cm ~cm_rows:[ 0; 1 ] in
-  Alcotest.(check bool) "diag zero" true (m.(0).(0) = 0 && m.(1).(1) = 0);
-  Alcotest.(check bool) "off-diag one" true (m.(0).(1) = 1 && m.(1).(0) = 1)
+  let fits fm_row cm_row = Matching.row_matches ~fm ~fm_row ~cm ~cm_row in
+  Alcotest.(check bool) "diag fits" true (fits 0 0 && fits 1 1);
+  Alcotest.(check bool) "off-diag does not" false (fits 0 1 || fits 1 0)
+
+let test_check_assignment_rejects () =
+  let fm = Bmatrix.of_int_lists [ [ 1; 0 ]; [ 0; 1 ] ] in
+  let cm = Bmatrix.create ~rows:3 ~cols:2 true in
+  let check name expected a =
+    Alcotest.(check bool) name expected (Matching.check_assignment ~fm ~cm a)
+  in
+  check "valid" true [| 2; 0 |];
+  check "duplicate target" false [| 1; 1 |];
+  check "negative target" false [| 0; -1 |];
+  check "out-of-range target" false [| 0; 3 |];
+  check "too short" false [| 0 |];
+  check "too long" false [| 0; 1; 2 |];
+  Bmatrix.set cm 2 0 false;
+  check "required switch stuck-open" false [| 2; 0 |]
+
+(* Greedy first-fit dead-ends: r0 -> c0 and r1 -> c1 leave r2, which fits
+   only c0, unplaced. The one augmenting path moves two earlier rows:
+   r2 -> c0, r0 -> c1, r1 -> c2. *)
+let chain_fm = Bmatrix.of_int_lists [ [ 0; 1; 0; 0 ]; [ 0; 0; 1; 0 ]; [ 1; 0; 0; 0 ] ]
+let chain_cm = Bmatrix.of_int_lists [ [ 1; 1; 0; 0 ]; [ 0; 1; 1; 0 ]; [ 0; 0; 1; 1 ] ]
+
+let test_assign_augmenting_path () =
+  let fm = chain_fm and cm = chain_cm in
+  let assign fm_rows cm_rows = Matching.assign ~fm ~fm_rows ~cm ~cm_rows in
+  Alcotest.(check (option (array int))) "path of two moves" (Some [| 1; 2; 0 |])
+    (assign [ 0; 1; 2 ] [ 0; 1; 2 ]);
+  Alcotest.(check bool) "valid" true
+    (Matching.check_assignment ~fm ~cm (Option.get (assign [ 0; 1; 2 ] [ 0; 1; 2 ])));
+  Alcotest.(check (option (array int))) "results name CM rows, in fm_rows order"
+    (Some [| 0; 1 |]) (assign [ 2; 0 ] [ 1; 0 ]);
+  Alcotest.(check (option (array int))) "no fitting row" None (assign [ 2 ] [ 1; 2 ]);
+  Alcotest.(check (option (array int))) "Hall violation" None (assign [ 0; 2 ] [ 0; 2 ]);
+  Alcotest.(check (option (array int))) "more FM rows than CM rows" None
+    (assign [ 0; 1 ] [ 1 ]);
+  Alcotest.(check (option (array int))) "nothing to place" (Some [||]) (assign [] [])
 
 let test_cm_of_defects () =
   let d = Defect_map.create ~rows:2 ~cols:2 in
@@ -531,10 +569,58 @@ let prop_redundant_sound =
       | Some placement -> Redundant.verify small_fm d placement
       | None -> true)
 
+(* Random FM/CM pairs with 0 <= n <= m <= 130 rows: half the CM row
+   counts straddle the 63- and 126-bit word boundaries of the matcher's
+   bitsets, and n is often 0 or m. The densities give roughly 3 feasible
+   instances per infeasible one, and a fifth need the alternating-path
+   search after the greedy pass. *)
+let gen_fit_instance =
+  QCheck2.Gen.(
+    let* m = oneof [ int_range 0 130; oneofl [ 0; 1; 62; 63; 64; 125; 126; 127; 130 ] ] in
+    let* n = frequency [ (1, pure 0); (3, pure m); (3, int_range 0 m) ] in
+    let* cols = int_range 1 10 in
+    let* required = float_range 0.1 0.6 in
+    let* open_rate = float_range 0.1 0.7 in
+    let* seed = int_bound 1_000_000 in
+    pure (n, m, cols, required, open_rate, seed))
+
+let fit_instance (n, m, cols, required, open_rate, seed) =
+  let prng = Prng.create seed in
+  let random rows p =
+    let b = Bmatrix.create ~rows ~cols false in
+    for i = 0 to rows - 1 do
+      for j = 0 to cols - 1 do
+        if Prng.bernoulli prng p then Bmatrix.set b i j true
+      done
+    done;
+    b
+  in
+  (random n required, random m (1. -. open_rate))
+
+let prop_assign_agrees_with_munkres =
+  QCheck2.Test.make ~name:"assign agrees with weighted feasibility" ~count:300
+    gen_fit_instance
+    (fun params ->
+      let fm, cm = fit_instance params in
+      let n = Bmatrix.rows fm and m = Bmatrix.rows cm in
+      let cost =
+        Array.init n (fun fm_row ->
+            Array.init m (fun cm_row ->
+                if Matching.row_matches ~fm ~fm_row ~cm ~cm_row then 0 else 1))
+      in
+      match
+        ( Matching.assign ~fm ~fm_rows:(List.init n Fun.id) ~cm ~cm_rows:(List.init m Fun.id),
+          Munkres.feasible_zero cost )
+      with
+      | Some a, Some _ -> Matching.check_assignment ~fm ~cm a
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_munkres_optimal;
+      prop_assign_agrees_with_munkres;
       prop_exact_is_exact;
       prop_hybrid_sound;
       prop_hybrid_implies_exact;
@@ -561,6 +647,8 @@ let () =
         [
           Alcotest.test_case "row matches" `Quick test_row_matches;
           Alcotest.test_case "matching matrix" `Quick test_matching_matrix;
+          Alcotest.test_case "check assignment rejects" `Quick test_check_assignment_rejects;
+          Alcotest.test_case "assign augmenting path" `Quick test_assign_augmenting_path;
           Alcotest.test_case "cm of defects" `Quick test_cm_of_defects;
         ] );
       ( "algorithms",
