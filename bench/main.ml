@@ -1,6 +1,6 @@
 (* Regenerates every table and figure of the paper's evaluation, plus the
-   two future-work extension studies, and micro-benchmarks the two mapping
-   algorithms with Bechamel.
+   future-work extension studies. Per-call HBA/EA times are table2's time
+   columns; bench/kernels.exe times the packed kernels.
 
    Usage:
      dune exec bench/main.exe                 # everything, paper-scale
@@ -359,54 +359,6 @@ let margin () =
   print_string (Mcx.Util.Texttable.render benchmarks)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the Table II runtime claim               *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  heading "MICRO - Bechamel: HBA vs EA on fixed defective crossbars";
-  let open Bechamel in
-  let make_pair name =
-    let bench = Mcx.Benchmarks.Suite.find name in
-    let cover = Mcx.Benchmarks.Suite.cover bench in
-    let fm = Mcx.Crossbar.Function_matrix.build cover in
-    let report = Mcx.Crossbar.Cost.two_level cover in
-    let prng = Mcx.Util.Prng.create 99 in
-    let defects =
-      Mcx.Crossbar.Defect_map.random prng ~rows:report.Mcx.Crossbar.Cost.rows
-        ~cols:report.Mcx.Crossbar.Cost.cols ~open_rate:0.10 ~closed_rate:0.
-    in
-    let cm = Mcx.Mapping.Matching.cm_of_defects defects in
-    [
-      Test.make ~name:(Printf.sprintf "HBA %s" name)
-        (Staged.stage (fun () -> ignore (Mcx.Mapping.Hybrid.map fm cm)));
-      Test.make ~name:(Printf.sprintf "EA  %s" name)
-        (Staged.stage (fun () -> ignore (Mcx.Mapping.Exact.map fm cm)));
-    ]
-  in
-  let tests =
-    Test.make_grouped ~name:"mapping"
-      (List.concat_map make_pair [ "rd53"; "misex1"; "rd73"; "rd84"; "table3" ])
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name est acc -> (name, est) :: acc) results [] in
-  let table = Mcx.Util.Texttable.create [ "test"; "time per run" ] in
-  List.iter
-    (fun (name, est) ->
-      let cell =
-        match Analyze.OLS.estimates est with
-        | Some (ns :: _) ->
-          if ns > 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-          else Printf.sprintf "%.1f us" (ns /. 1e3)
-        | Some [] | None -> "n/a"
-      in
-      Mcx.Util.Texttable.add_row table [ name; cell ])
-    (List.sort compare rows);
-  print_string (Mcx.Util.Texttable.render table)
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -425,7 +377,6 @@ let experiments =
     ("aging", aging);
     ("transient", transient);
     ("margin", margin);
-    ("micro", micro);
   ]
 
 let () =
@@ -443,7 +394,7 @@ let () =
     | [] | [ "all" ] ->
       [
         "fig3"; "fig5"; "fig6"; "table1"; "fig7"; "table2"; "yield"; "mldefect";
-        "ratesweep"; "ablation"; "tradeoff"; "aging"; "transient"; "margin"; "micro";
+        "ratesweep"; "ablation"; "tradeoff"; "aging"; "transient"; "margin";
       ]
     | names -> names
   in

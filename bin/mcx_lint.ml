@@ -8,7 +8,7 @@
 let usage =
   "mcx-lint [--list-rules] [--explain RULE] [--only RULE[,RULE...]]\n\
   \        [--format text|json|sarif] [--out FILE] [--root DIR] [--no-typed]\n\
-  \        [--allow-file FILE|none] [--cache] [--check-allows]\n\n\
+  \        [--allow-file FILE|none] [--check-allows]\n\n\
    Lints lib/ bin/ bench/ test/ under the repo root (nearest dune-project).\n\
    Typed and interprocedural rules need .cmt files: run `dune build @all` first.\n"
 
@@ -32,7 +32,6 @@ let () =
   let root = ref "" in
   let typed = ref true in
   let allow_file = ref "lint.allow" in
-  let use_cache = ref false in
   let check_allows = ref false in
   let spec =
     [
@@ -53,9 +52,6 @@ let () =
       ( "--allow-file",
         Arg.Set_string allow_file,
         "FILE allowlist path relative to the root (default lint.allow; 'none' disables)" );
-      ( "--cache",
-        Arg.Set use_cache,
-        " persist per-module analysis in _build/mcx-lint-cache.json keyed by .cmt digests" );
       ( "--check-allows",
         Arg.Set check_allows,
         " exit nonzero when an allow span or lint.allow entry suppresses nothing" );
@@ -91,7 +87,6 @@ let () =
       only = !only;
       with_typed = !typed;
       allow_file = (if !allow_file = "none" then None else Some !allow_file);
-      cache_file = (if !use_cache then Some Mcx_lint.Driver.default_cache_file else None);
     }
   in
   match Mcx_lint.Driver.run config with

@@ -598,182 +598,6 @@ let of_cmt ~file ~modname (str : Typedtree.structure) =
   walk_structure ctx ~prefix str;
   List.rev ctx.acc
 
-(* --- summary JSON (the incremental-cache payload) --------------------- *)
-
-module J = Mcx_util.Json_out
-
-let kind_str = function
-  | Nondet -> "nondet"
-  | Io_out -> "io-out"
-  | Io_err -> "io-err"
-  | Raise -> "raise"
-
-let kind_of_str = function
-  | "nondet" -> Some Nondet
-  | "io-out" -> Some Io_out
-  | "io-err" -> Some Io_err
-  | "raise" -> Some Raise
-  | _ -> None
-
-let site_json = function
-  | None -> J.Null
-  | Some (l, c) -> J.List [ J.Int l; J.Int c ]
-
-let site_of_json = function
-  | Some (J.List [ a; b ]) -> (
-    match (J.to_int_opt a, J.to_int_opt b) with
-    | Some l, Some c -> Some (l, c)
-    | _ -> None)
-  | _ -> None
-
-let source_json s =
-  J.Obj
-    [
-      ("k", J.Str (kind_str s.kind));
-      ("n", J.Str s.name);
-      ("l", J.Int s.sline);
-      ("c", J.Int s.scol);
-      ("sp", site_json s.in_span);
-    ]
-
-let edge_json e =
-  J.Obj
-    [
-      ("t", J.Str e.callee);
-      ("l", J.Int e.eline);
-      ("c", J.Int e.ecol);
-      ("p", J.Bool e.raise_protected);
-      ("sp", site_json e.e_in_span);
-    ]
-
-let span_json s = J.List [ J.Int s.spline; J.Int s.spcol ]
-
-let closure_json c =
-  J.Obj
-    [
-      ("k", J.Str (match c.ckind with Pool_closure -> "pool" | Replay_closure -> "replay"));
-      ("f", J.Str c.cfn);
-      ("l", J.Int c.cline);
-      ("c", J.Int c.ccol);
-      ("t", J.Str c.target);
-    ]
-
-let node_json n =
-  J.Obj
-    [
-      ("id", J.Str n.id);
-      ("file", J.Str n.nfile);
-      ("line", J.Int n.nline);
-      ("col", J.Int n.ncol);
-      ("mut", J.Bool n.mutable_state);
-      ("entry", J.Bool n.entrypoint);
-      ("sources", J.List (List.map source_json n.sources));
-      ("edges", J.List (List.map edge_json n.edges));
-      ("spans", J.List (List.map span_json n.spans));
-      ("closures", J.List (List.map closure_json n.closures));
-    ]
-
-let finding_json (f : Finding.t) =
-  J.Obj
-    [
-      ("file", J.Str f.file);
-      ("line", J.Int f.line);
-      ("col", J.Int f.col);
-      ("rule", J.Str f.rule);
-      ("message", J.Str f.message);
-    ]
-
-let summary_to_json s =
-  J.Obj
-    [
-      ("modname", J.Str s.modname);
-      ("src", J.Str s.src);
-      ("nodes", J.List (List.map node_json s.nodes));
-      ("typed_findings", J.List (List.map finding_json s.typed_findings));
-    ]
-
-(* Decoding: any shape surprise makes the whole summary [None] (a cache
-   miss — the module is simply re-extracted). *)
-
-let ( let* ) = Option.bind
-
-let get_str k j = let* m = J.member k j in J.to_string_opt m
-let get_int k j = let* m = J.member k j in J.to_int_opt m
-let get_bool k j = let* m = J.member k j in J.to_bool_opt m
-let get_list k j = let* m = J.member k j in J.to_list_opt m
-
-let rec map_opt f = function
-  | [] -> Some []
-  | x :: xs ->
-    let* y = f x in
-    let* ys = map_opt f xs in
-    Some (y :: ys)
-
-let source_of_json j =
-  let* kind = get_str "k" j in
-  let* kind = kind_of_str kind in
-  let* name = get_str "n" j in
-  let* sline = get_int "l" j in
-  let* scol = get_int "c" j in
-  Some { kind; name; sline; scol; in_span = site_of_json (J.member "sp" j) }
-
-let edge_of_json j =
-  let* callee = get_str "t" j in
-  let* eline = get_int "l" j in
-  let* ecol = get_int "c" j in
-  let* raise_protected = get_bool "p" j in
-  Some { callee; eline; ecol; raise_protected; e_in_span = site_of_json (J.member "sp" j) }
-
-let span_of_json j =
-  match site_of_json (Some j) with
-  | Some (spline, spcol) -> Some { spline; spcol }
-  | None -> None
-
-let closure_of_json j =
-  let* k = get_str "k" j in
-  let* ckind =
-    match k with "pool" -> Some Pool_closure | "replay" -> Some Replay_closure | _ -> None
-  in
-  let* cfn = get_str "f" j in
-  let* cline = get_int "l" j in
-  let* ccol = get_int "c" j in
-  let* target = get_str "t" j in
-  Some { ckind; cfn; cline; ccol; target }
-
-let node_of_json j =
-  let* id = get_str "id" j in
-  let* nfile = get_str "file" j in
-  let* nline = get_int "line" j in
-  let* ncol = get_int "col" j in
-  let* mutable_state = get_bool "mut" j in
-  let* entrypoint = get_bool "entry" j in
-  let* sources = get_list "sources" j in
-  let* sources = map_opt source_of_json sources in
-  let* edges = get_list "edges" j in
-  let* edges = map_opt edge_of_json edges in
-  let* spans = get_list "spans" j in
-  let* spans = map_opt span_of_json spans in
-  let* closures = get_list "closures" j in
-  let* closures = map_opt closure_of_json closures in
-  Some { id; nfile; nline; ncol; mutable_state; entrypoint; sources; edges; spans; closures }
-
-let finding_of_json j : Finding.t option =
-  let* file = get_str "file" j in
-  let* line = get_int "line" j in
-  let* col = get_int "col" j in
-  let* rule = get_str "rule" j in
-  let* message = get_str "message" j in
-  Some (Finding.make ~file ~line ~col ~rule ~message)
-
-let summary_of_json j =
-  let* modname = get_str "modname" j in
-  let* src = get_str "src" j in
-  let* nodes = get_list "nodes" j in
-  let* nodes = map_opt node_of_json nodes in
-  let* fs = get_list "typed_findings" j in
-  let* typed_findings = map_opt finding_of_json fs in
-  Some { modname; src; nodes; typed_findings }
-
 (* --- graph ------------------------------------------------------------ *)
 
 type graph = { tbl : (string, node) Hashtbl.t; mods : int }

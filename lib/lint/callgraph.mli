@@ -19,9 +19,8 @@
       and [Checkpoint.map] (synthetic nodes when the argument is a
       literal [fun]).
 
-    The per-module {!summary} is what the incremental cache journals: it
-    is JSON round-trippable and keyed by the [.cmt] digest, so warm runs
-    rebuild the graph without re-reading unchanged modules. *)
+    {!Driver} extracts one {!summary} per [.cmt] and {!build} joins them
+    into the whole-program graph. *)
 
 type source_kind = Nondet | Io_out | Io_err | Raise
 
@@ -73,8 +72,8 @@ type summary = {
   src : string;  (** repo-relative source file *)
   nodes : node list;
   typed_findings : Finding.t list;
-      (** the module's {!Typed_lint} findings, cached alongside the graph
-          summary so a warm run skips [read_cmt] entirely *)
+      (** the module's {!Typed_lint} findings, taken from the same
+          [read_cmt] as the graph summary *)
 }
 
 val starts_with : prefix:string -> string -> bool
@@ -87,9 +86,6 @@ val canonical : string -> string
 val of_cmt : file:string -> modname:string -> Typedtree.structure -> node list
 (** Extract the nodes of one compiled module. [file] is repo-relative,
     [modname] the (mangled) compilation-unit name. *)
-
-val summary_to_json : summary -> Mcx_util.Json_out.t
-val summary_of_json : Mcx_util.Json_out.t -> summary option
 
 (** {2 Graph} *)
 

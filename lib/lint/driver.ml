@@ -1,6 +1,6 @@
 (* Orchestration: walk the scanned trees, parse every .ml/.mli (source
    rules + suppression spans), pair compiled modules with their .cmt
-   (typed rules + call-graph extraction, through the incremental cache),
+   (typed rules + call-graph extraction, each .cmt read once per process),
    run the interprocedural effect rules over the whole-program graph,
    then filter findings through the attribute spans, the [lint.allow]
    file and [--only]. *)
@@ -11,11 +11,9 @@ type config = {
   only : string list;  (** restrict to these rule ids; [] = all *)
   allow_file : string option;  (** repo-relative allowlist, e.g. [Some "lint.allow"] *)
   with_typed : bool;  (** read .cmt files and run typed + interproc rules *)
-  cache_file : string option;  (** repo-relative incremental-cache path *)
 }
 
 let default_paths = [ "lib"; "bin"; "bench"; "test" ]
-let default_cache_file = "_build/mcx-lint-cache.json"
 
 let default_config ~root =
   {
@@ -24,7 +22,6 @@ let default_config ~root =
     only = [];
     allow_file = Some "lint.allow";
     with_typed = true;
-    cache_file = None;
   }
 
 let find_root () =
@@ -41,6 +38,13 @@ let find_root () =
 let skip_dir name =
   name = "_build" || name = ".git" || (String.length name > 0 && name.[0] = '.')
 
+(* [None] when the entry vanished or is a dangling symlink: a walk treats
+   it as absent rather than failing the run. *)
+let is_dir path =
+  match Sys.is_directory path with b -> Some b | exception Sys_error _ -> None
+
+let is_source name = Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+
 let rec walk_files acc dir rel =
   match Sys.readdir dir with
   | exception Sys_error _ -> acc
@@ -50,21 +54,20 @@ let rec walk_files acc dir rel =
       (fun acc entry ->
         let path = Filename.concat dir entry in
         let erel = if rel = "" then entry else rel ^ "/" ^ entry in
-        if Sys.is_directory path then
-          if skip_dir entry then acc else walk_files acc path erel
-        else if Filename.check_suffix entry ".ml" || Filename.check_suffix entry ".mli" then
-          erel :: acc
-        else acc)
+        match is_dir path with
+        | Some true -> if skip_dir entry then acc else walk_files acc path erel
+        | Some false when is_source entry -> erel :: acc
+        | Some false | None -> acc)
       acc entries
 
 let scan_sources config =
   List.concat_map
     (fun p ->
       let abs = Filename.concat config.root p in
-      if not (Sys.file_exists abs) then []
-      else if Sys.is_directory abs then List.rev (walk_files [] abs p)
-      else if Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli" then [ p ]
-      else [])
+      match is_dir abs with
+      | Some true -> List.rev (walk_files [] abs p)
+      | Some false when is_source p -> [ p ]
+      | Some false | None -> [])
     config.paths
   |> List.sort_uniq String.compare
 
@@ -98,47 +101,42 @@ let parse_error_finding rel (loc : Location.t) =
 
 (* --- cmt discovery --------------------------------------------------- *)
 
+(* Nested [_build] directories hold test-runner output (alcotest's
+   [_build/_tests], whose [latest] link another test binary may be
+   replacing); dune writes no .cmt there. *)
 let rec walk_cmts acc dir =
   match Sys.readdir dir with
+  | exception Sys_error _ -> acc
   | entries ->
     Array.sort String.compare entries;
     Array.fold_left
       (fun acc entry ->
         let path = Filename.concat dir entry in
-        if Sys.is_directory path then
-          if entry = ".git" || entry = ".sandbox" || entry = ".actions" then acc
+        match is_dir path with
+        | Some true ->
+          if List.mem entry [ "_build"; ".git"; ".sandbox"; ".actions" ] then acc
           else walk_cmts acc path
-        else if Filename.check_suffix entry ".cmt" then path :: acc
-        else acc)
+        | Some false when Filename.check_suffix entry ".cmt" -> path :: acc
+        | Some false | None -> acc)
       acc entries
-  | exception Sys_error _ -> acc
 
 let cmt_paths root =
   let build = Filename.concat (Filename.concat root "_build") "default" in
-  let roots = if Sys.file_exists build && Sys.is_directory build then [ build ] else [] in
   (* When the root *is* a dune build context (the self-hosting test runs
      inside _build/default), the .objs directories sit next to the copied
      sources. *)
-  let roots = if roots = [] then [ root ] else roots in
-  List.concat_map (fun r -> List.rev (walk_cmts [] r)) roots
+  let walk_root = if is_dir build = Some true then build else root in
+  List.rev (walk_cmts [] walk_root)
 
 let normalize_rel p =
   if String.length p >= 2 && String.sub p 0 2 = "./" then
     String.sub p 2 (String.length p - 2)
   else p
 
-(* Cache keys are root-relative so a cache written by `mcx-lint` from the
-   repo root is valid regardless of the process cwd. *)
-let cache_key root path =
-  let prefix = root ^ "/" in
-  if Rules.starts_with ~prefix path then
-    String.sub path (String.length prefix) (String.length path - String.length prefix)
-  else path
+(* --- per-module analysis ---------------------------------------------- *)
 
-(* --- per-module analysis (through the cache) -------------------------- *)
-
-(* Analyze one .cmt: the call-graph summary plus the module's typed
-   findings (cached together so a warm run never calls read_cmt). *)
+(* One .cmt: the call-graph summary plus the module's typed findings;
+   [None] for interface-only or unreadable cmts. *)
 let analyze_cmt cmt_path =
   match Cmt_format.read_cmt cmt_path with
   | exception _ -> None
@@ -157,62 +155,31 @@ let analyze_cmt cmt_path =
         }
     | _ -> None)
 
+(* Each .cmt is read once per (path, digest) per process: the test suite
+   runs the driver dozens of times over one build tree. Top-level state
+   is safe here because the driver never runs on Pool domains. *)
+let analyzed : (string, Digest.t * Callgraph.summary option) Hashtbl.t =
+  Hashtbl.create 256 [@@mcx.lint.allow "domain-toplevel-state"]
+
+let analyze_once cmt_path =
+  match Digest.file cmt_path with
+  | exception _ -> None
+  | digest -> (
+    match Hashtbl.find_opt analyzed cmt_path with
+    | Some (d, summary) when Digest.equal d digest -> summary
+    | _ ->
+      let summary = analyze_cmt cmt_path in
+      Hashtbl.replace analyzed cmt_path (digest, summary);
+      summary)
+
 type cmt_pass = {
   summaries : Callgraph.summary list;
   cp_typed : Finding.t list;  (** deduped, scanned sources only *)
   cp_files_typed : int;
-  cp_analyzed : int;  (** cmts actually read (cache misses) *)
-  cp_hits : int;
 }
 
-let empty_summary = { Callgraph.modname = ""; src = ""; nodes = []; typed_findings = [] }
-
 let cmt_pass config ~source_set =
-  let disk =
-    match config.cache_file with
-    | None -> Cache.empty ()
-    | Some rel -> Cache.load (Filename.concat config.root rel)
-  in
-  (* Rebuilt from scratch each run so entries for deleted modules are
-     pruned on save. *)
-  let fresh = Cache.empty () in
-  let analyzed = ref 0 and hits = ref 0 in
-  let summaries = ref [] in
-  List.iter
-    (fun cmt_path ->
-      match Digest.file cmt_path with
-      | exception _ -> ()
-      | d ->
-        let digest = Digest.to_hex d in
-        let key = cache_key config.root cmt_path in
-        let entry =
-          match Cache.memo_find ~path:key ~digest with
-          | Some e ->
-            incr hits;
-            e
-          | None -> (
-            match Cache.find disk ~path:key ~digest with
-            | Some e ->
-              incr hits;
-              Cache.memo_add ~path:key e;
-              e
-            | None ->
-              incr analyzed;
-              let summary =
-                match analyze_cmt cmt_path with
-                | Some s -> s
-                | None -> empty_summary (* interface-only / unreadable: cache the miss *)
-              in
-              let e = { Cache.digest; summary; findings = summary.typed_findings } in
-              Cache.memo_add ~path:key e;
-              e)
-        in
-        Cache.add fresh ~path:key entry;
-        if entry.summary.modname <> "" then summaries := entry.summary :: !summaries)
-    (cmt_paths config.root);
-  (match config.cache_file with
-  | None -> ()
-  | Some rel -> Cache.save (Filename.concat config.root rel) fresh);
+  let summaries = List.filter_map analyze_once (cmt_paths config.root) in
   (* Each scanned source contributes typed findings through at most one
      cmt (a source can be compiled into several build targets). *)
   let done_set = Hashtbl.create 64 in
@@ -224,14 +191,8 @@ let cmt_pass config ~source_set =
         incr files_typed;
         typed := s.typed_findings @ !typed
       end)
-    (List.rev !summaries);
-  {
-    summaries = List.rev !summaries;
-    cp_typed = List.rev !typed;
-    cp_files_typed = !files_typed;
-    cp_analyzed = !analyzed;
-    cp_hits = !hits;
-  }
+    summaries;
+  { summaries; cp_typed = List.rev !typed; cp_files_typed = !files_typed }
 
 (* --- top level ------------------------------------------------------- *)
 
@@ -247,8 +208,6 @@ type result = {
   files_typed : int;  (** sources that had a matching .cmt *)
   graph_modules : int;  (** compilation units in the whole-program graph *)
   graph_nodes : int;
-  modules_analyzed : int;  (** cmts read this run (cache misses) *)
-  cache_hits : int;
   stale_allows : stale_allow list;
       (** allow spans/entries that suppressed nothing and served as no
           barrier this run *)
@@ -278,8 +237,7 @@ let run config =
     sources;
   let pass =
     if config.with_typed then cmt_pass config ~source_set
-    else
-      { summaries = []; cp_typed = []; cp_files_typed = 0; cp_analyzed = 0; cp_hits = 0 }
+    else { summaries = []; cp_typed = []; cp_files_typed = 0 }
   in
   let graph = Callgraph.build pass.summaries in
   (* Barrier / allow oracle for the interprocedural rules. Consulting a
@@ -357,8 +315,6 @@ let run config =
     files_typed = pass.cp_files_typed;
     graph_modules = Callgraph.module_count graph;
     graph_nodes = Callgraph.node_count graph;
-    modules_analyzed = pass.cp_analyzed;
-    cache_hits = pass.cp_hits;
     stale_allows;
   }
 
@@ -377,8 +333,7 @@ let report_text result =
        (if List.length result.findings = 1 then "" else "s")
        result.files_scanned result.files_typed);
   Buffer.add_string buf
-    (Printf.sprintf "call graph: %d modules, %d nodes; analyzed %d cmts (%d cache hits)\n"
-       result.graph_modules result.graph_nodes result.modules_analyzed result.cache_hits);
+    (Printf.sprintf "call graph: %d modules, %d nodes\n" result.graph_modules result.graph_nodes);
   Buffer.contents buf
 
 let stale_allow_to_json (s : stale_allow) =
@@ -398,8 +353,6 @@ let report_json result =
          ("files_typed", Mcx_util.Json_out.Int result.files_typed);
          ("graph_modules", Mcx_util.Json_out.Int result.graph_modules);
          ("graph_nodes", Mcx_util.Json_out.Int result.graph_nodes);
-         ("modules_analyzed", Mcx_util.Json_out.Int result.modules_analyzed);
-         ("cache_hits", Mcx_util.Json_out.Int result.cache_hits);
          ("count", Mcx_util.Json_out.Int (List.length result.findings));
          ("findings", Mcx_util.Json_out.List (List.map Finding.to_json result.findings));
          ( "stale_allows",

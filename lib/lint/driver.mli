@@ -7,16 +7,10 @@ type config = {
   only : string list;  (** restrict to these rule ids; [] = all *)
   allow_file : string option;  (** repo-relative allowlist, e.g. [Some "lint.allow"] *)
   with_typed : bool;  (** read .cmt files and run typed + interproc rules *)
-  cache_file : string option;
-      (** repo-relative incremental-cache path ([--cache] sets
-          {!default_cache_file}); [None] = in-memory memo only *)
 }
 
 val default_paths : string list
 (** [lib bin bench test] *)
-
-val default_cache_file : string
-(** [_build/mcx-lint-cache.json] *)
 
 val default_config : root:string -> config
 
@@ -35,15 +29,16 @@ type result = {
   files_typed : int;  (** sources that had a matching .cmt *)
   graph_modules : int;  (** compilation units in the whole-program call graph *)
   graph_nodes : int;
-  modules_analyzed : int;  (** cmts read this run (cache misses) *)
-  cache_hits : int;
   stale_allows : stale_allow list;
       (** allow spans/entries that suppressed nothing and served as no
           propagation barrier this run ([--check-allows]) *)
 }
 
 val run : config -> result
-(** @raise Invalid_argument when [config.only] names an unknown rule. *)
+(** Each [.cmt] is read once per (path, digest) per process, so repeated
+    runs over one build tree re-read only recompiled modules. Entries
+    that vanish or dangle mid-walk are skipped.
+    @raise Invalid_argument when [config.only] names an unknown rule. *)
 
 val report_text : result -> string
 (** One [file:line:col [rule-id] message] line per finding (chains

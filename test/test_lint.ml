@@ -223,6 +223,32 @@ let test_json_report () =
   Alcotest.(check bool) "rule id" true (contains "\"rule\":\"hygiene-obj-magic\"");
   Alcotest.(check bool) "count" true (contains "\"count\":1")
 
+(* A dangling symlink under a walked tree (say alcotest's [latest] link
+   while another test binary replaces it) is absent to the walk; it must
+   not fail the run. *)
+let test_walk_skips_dangling () =
+  let tmp = Filename.temp_dir "mcx-lint-walk" "" in
+  let path parts = List.fold_left Filename.concat tmp parts in
+  let nowhere = path [ "nowhere" ] in
+  let build = path [ "_build" ] and default = path [ "_build"; "default" ] in
+  let lib = path [ "lib" ] in
+  List.iter (fun d -> Sys.mkdir d 0o755) [ build; default; lib ];
+  Out_channel.with_open_bin (path [ "lib"; "ok.ml" ]) (fun oc ->
+      output_string oc "let x = 1\n");
+  let links = [ path [ "_build"; "default"; "latest" ]; path [ "lib"; "gone.ml" ] ] in
+  List.iter (Unix.symlink nowhere) links;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (path [ "lib"; "ok.ml" ] :: links);
+      List.iter Sys.rmdir [ lib; default; build; tmp ])
+    (fun () ->
+      let result =
+        Lint.Driver.run { (Lint.Driver.default_config ~root:tmp) with allow_file = None }
+      in
+      Alcotest.(check int) "the one real source is scanned" 1 result.files_scanned;
+      Alcotest.(check (list string)) "no findings" []
+        (List.map Lint.Finding.to_string result.findings))
+
 (* --- interprocedural rules -------------------------------------------- *)
 
 let test_transitive_nondet () =
@@ -256,14 +282,13 @@ let test_replay_io_divergence () =
 
 (* --- call graph and effect fixpoint on hand-built graphs -------------- *)
 
-let mk_node ?(mut = false) ?(entry = false) ?(sources = []) ?(edges = []) id :
-    Lint.Callgraph.node =
+let mk_node ?(entry = false) ?(sources = []) ?(edges = []) id : Lint.Callgraph.node =
   {
     id;
     nfile = "lib/x.ml";
     nline = 1;
     ncol = 0;
-    mutable_state = mut;
+    mutable_state = false;
     entrypoint = entry;
     sources;
     edges;
@@ -320,67 +345,6 @@ let test_effect_fixpoint () =
   Alcotest.(check bool) "barrier does not mask the source itself" true
     (transitive ~barrier "M.c");
   Alcotest.(check bool) "unknown id" false (transitive "M.zzz")
-
-(* --- incremental cache ------------------------------------------------ *)
-
-let test_cache_roundtrip () =
-  let path = Filename.temp_file "mcx-lint-cache" ".json" in
-  let t = Lint.Cache.empty () in
-  let summary =
-    {
-      Lint.Callgraph.modname = "M";
-      src = "lib/x.ml";
-      nodes = [ mk_node "M.a" ~mut:true ~edges:[ mk_edge "M.b" ]; mk_node "M.b" ~sources:[ nondet_src ] ];
-      typed_findings = [ Lint.Finding.make ~file:"lib/x.ml" ~line:2 ~col:0 ~rule:"hygiene-obj-magic" ~message:"m" ];
-    }
-  in
-  Lint.Cache.add t ~path:"lib/.objs/x.cmt"
-    { Lint.Cache.digest = "abc"; summary; findings = summary.typed_findings };
-  Lint.Cache.save path t;
-  let t2 = Lint.Cache.load path in
-  (match Lint.Cache.find t2 ~path:"lib/.objs/x.cmt" ~digest:"abc" with
-  | None -> Alcotest.fail "expected a cache hit"
-  | Some e ->
-    Alcotest.(check string) "modname" "M" e.summary.modname;
-    Alcotest.(check int) "nodes" 2 (List.length e.summary.nodes);
-    Alcotest.(check bool) "mut round-trips" true
-      (List.exists (fun (n : Lint.Callgraph.node) -> n.id = "M.a" && n.mutable_state)
-         e.summary.nodes);
-    Alcotest.(check int) "findings" 1 (List.length e.findings));
-  Alcotest.(check bool) "digest change invalidates" true
-    (Lint.Cache.find t2 ~path:"lib/.objs/x.cmt" ~digest:"other" = None);
-  Sys.remove path
-
-let test_cache_corrupt_load () =
-  let path = Filename.temp_file "mcx-lint-cache" ".json" in
-  let oc = open_out path in
-  output_string oc "{not json";
-  close_out oc;
-  let t = Lint.Cache.load path in
-  Alcotest.(check bool) "corrupt file loads as empty" true
-    (Lint.Cache.find t ~path:"x" ~digest:"d" = None);
-  Sys.remove path
-
-let test_driver_cache_warm () =
-  let cache_rel = "_build/mcx-lint-test-cache.json" in
-  let config =
-    {
-      (Lint.Driver.default_config ~root) with
-      paths = [ fixture_dir ^ "ip_nondet.ml" ];
-      allow_file = None;
-      cache_file = Some cache_rel;
-    }
-  in
-  let r1 = Lint.Driver.run config in
-  let r2 = Lint.Driver.run config in
-  Alcotest.(check bool) "cache file written" true
-    (Sys.file_exists (Filename.concat root cache_rel));
-  Alcotest.(check int) "warm run re-analyzes nothing" 0 r2.modules_analyzed;
-  Alcotest.(check bool) "warm run hits the cache" true (r2.cache_hits > 0);
-  Alcotest.(check (list string)) "warm findings byte-identical"
-    (List.map Lint.Finding.to_string r1.findings)
-    (List.map Lint.Finding.to_string r2.findings);
-  Sys.remove (Filename.concat root cache_rel)
 
 (* --- stale-allow tracking (--check-allows) ---------------------------- *)
 
@@ -507,6 +471,7 @@ let () =
           Alcotest.test_case "--only filter" `Quick test_only_filter;
           Alcotest.test_case "finding format" `Quick test_finding_format;
           Alcotest.test_case "json report" `Quick test_json_report;
+          Alcotest.test_case "walk skips dangling entries" `Quick test_walk_skips_dangling;
         ] );
       ( "interproc",
         [
@@ -522,12 +487,6 @@ let () =
           Alcotest.test_case "canonical names" `Quick test_canonical_names;
           Alcotest.test_case "sccs reverse-topological" `Quick test_sccs_reverse_topological;
           Alcotest.test_case "effect fixpoint" `Quick test_effect_fixpoint;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "round-trip" `Quick test_cache_roundtrip;
-          Alcotest.test_case "corrupt load" `Quick test_cache_corrupt_load;
-          Alcotest.test_case "driver warm run" `Quick test_driver_cache_warm;
         ] );
       ( "allows",
         [

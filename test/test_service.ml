@@ -270,6 +270,27 @@ let test_partial_failure_protocol () =
         | Error e -> Alcotest.failf "unparseable response %s: %s" l e)
     responses
 
+(* Resolve and compute are deterministic, so a raising request is not
+   retried: each parsed request is canonicalized exactly once. *)
+let test_failures_not_retried () =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let _, responses, _ =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        serve_lines
+          [ line (request ~id:"bad" (`Pla ".i oops")); line (request ~id:"good" (`Pla pla_base)) ])
+  in
+  let snap = Telemetry.snapshot () in
+  Telemetry.reset ();
+  Alcotest.(check (list string)) "statuses" [ "error"; "ok" ] (List.map status_of_line responses);
+  let canonicalized =
+    Option.fold ~none:0 ~some:(fun (h : Telemetry.Snapshot.hist) -> h.count)
+      (List.assoc_opt "serve.canonicalize" (Telemetry.Snapshot.spans snap))
+  in
+  Alcotest.(check int) "one canonicalize per parsed request" 2 canonicalized;
+  Alcotest.(check (option int)) "no retries" None
+    (List.assoc_opt "pool.trial.retried" (Telemetry.Snapshot.counters snap))
+
 let test_clean_batch_exits_zero () =
   let t, _, stats = serve_lines distinct_batch in
   Alcotest.(check int) "no errors" 0 stats.Serve.errors;
@@ -574,6 +595,7 @@ let () =
               test_uncacheable_when_capacity_zero;
             Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs_byte_identity;
             Alcotest.test_case "partial failure" `Quick test_partial_failure_protocol;
+            Alcotest.test_case "failures not retried" `Quick test_failures_not_retried;
             Alcotest.test_case "clean exit" `Quick test_clean_batch_exits_zero;
             Alcotest.test_case "stats document" `Quick test_stats_json_shape;
           ] );
