@@ -10,8 +10,8 @@
      bench      list the built-in benchmark suite
      serve      answer a JSONL stream of mapping requests (cached, batched)
      report     analyze serving observability files (access/metrics/trace)
-     experiment run a paper experiment (fig6 | table1 | table2 | yield |
-                mldefect | ratesweep | ablation | tradeoff | aging)
+     experiment regenerate the paper's tables and figures and the extension
+                studies (Mcx_experiments.Registry)
      config     show the effective MCX_* knob state (and validate it) *)
 
 open Cmdliner
@@ -619,64 +619,31 @@ let report_cmd =
 
 (* --- experiment --- *)
 
-let experiment_dispatch ~samples ~seed name =
-  (match name with
-  | "fig6" ->
-    let panels = Mcx.Experiments.Fig6.run ?samples ~seed () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Fig6.summary_table panels))
-  | "table1" ->
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Table1.to_table (Mcx.Experiments.Table1.run ())))
-  | "table2" ->
-    let rows = Mcx.Experiments.Table2.run ?samples ~seed () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Table2.to_table rows))
-  | "yield" ->
-    let sweep = Mcx.Experiments.Yield.run ?samples ~seed ~benchmark:"rd53" () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Yield.to_table sweep))
-  | "mldefect" ->
-    let result = Mcx.Experiments.Mldefect.run ?samples ~seed ~benchmark:"misex1" () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Mldefect.to_table result))
-  | "ratesweep" ->
-    let sweep = Mcx.Experiments.Ratesweep.run ?samples ~seed ~benchmark:"rd73" () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Ratesweep.to_table sweep))
-  | "ablation" ->
-    let rows = Mcx.Experiments.Ablation.factoring ?samples ~seed () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Ablation.factoring_table rows));
-    let rows = Mcx.Experiments.Ablation.ordering ?samples ~seed () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Ablation.ordering_table rows))
-  | "tradeoff" ->
-    print_string
-      (Mcx.Util.Texttable.render (Mcx.Experiments.Tradeoff.to_table (Mcx.Experiments.Tradeoff.run ())))
-  | "aging" ->
-    let r = Mcx.Experiments.Aging.run ?samples ~seed ~benchmark:"rd53" () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Aging.to_table [ r ]))
-  | "transient" ->
-    let r = Mcx.Experiments.Transient.run ?evaluations:samples ~seed ~benchmark:"rd53" () in
-    print_string (Mcx.Util.Texttable.render (Mcx.Experiments.Transient.to_table r))
-  | "margin" ->
-    let result = Mcx.Experiments.Margin.run () in
-    let curve, rows = Mcx.Experiments.Margin.to_tables result in
-    print_string (Mcx.Util.Texttable.render curve);
-    print_string (Mcx.Util.Texttable.render rows)
-  | other ->
-    Printf.eprintf
-      "memx: unknown experiment %S \
-       (fig6|table1|table2|yield|mldefect|ratesweep|ablation|tradeoff|aging|transient|margin)\n"
-      other;
-    exit 1)
+let write_csv (path, contents) =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
 
-let experiment_run () name samples force_resume seed =
+let experiment_run () names samples force_resume seed =
   if force_resume then set_flag_or_die "MCX_FORCE_RESUME" "1";
   (* --samples is the flag spelling of MCX_SAMPLES: route it through the
      registry so the journal's config snapshot records the override (and
      a later resume at a different sample count refuses). *)
   Option.iter (fun n -> set_flag_or_die "MCX_SAMPLES" (string_of_int n)) samples;
   let samples = Mcx.Util.Config.samples () in
-  (try experiment_dispatch ~samples ~seed name
-   with Mcx.Util.Checkpoint.Config_mismatch _ as e ->
-     (* The registered printer spells out the recovery options
-        (--force-resume, memx config); exit 2 = "refused to start". *)
-     Printf.eprintf "memx: %s\n" (Printexc.to_string e);
-     exit 2);
+  List.iter
+    (fun name ->
+      match Mcx.Experiments.Registry.run ?samples ~seed name with
+      | { text; csvs } ->
+        List.iter write_csv csvs;
+        print_string text;
+        flush stdout
+      | exception (Mcx.Util.Checkpoint.Config_mismatch _ as e) ->
+        (* The registered printer spells out the recovery options
+           (--force-resume, memx config); exit 2 = "refused to start". *)
+        Printf.eprintf "memx: %s\n" (Printexc.to_string e);
+        exit 2)
+    (List.concat names);
   (* Degradation protocol: the tables above are already printed (partial
      where trials failed permanently); persist the failed-trial manifest
      and report the failure through the exit status. *)
@@ -684,11 +651,15 @@ let experiment_run () name samples force_resume seed =
   if code <> 0 then exit code
 
 let experiment_cmd =
-  let experiment_name =
+  let names = Mcx.Experiments.Registry.names in
+  let experiment_names =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT" ~doc:"fig6, table1, table2, yield, mldefect, ratesweep, ablation, tradeoff, aging, transient or margin.")
+      non_empty
+      & pos_all (enum (("all", names) :: List.map (fun n -> (n, [ n ])) names)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            ("Experiments to run, in order: " ^ String.concat ", " names
+           ^ "; or all of them."))
   in
   let samples =
     Arg.(
@@ -708,11 +679,16 @@ let experiment_cmd =
              $(b,MCX_FORCE_RESUME=1)). Without it, a mismatched resume refuses with \
              exit 2.")
   in
+  let seed =
+    Arg.(value & opt int 2018 & info [ "seed" ] ~docv:"N" ~doc:"Monte Carlo seed.")
+  in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one of the paper's experiments.")
+    (Cmd.info "experiment"
+       ~doc:
+         "Run the paper's experiments: print their tables and write their CSVs to the \
+          current directory.")
     Term.(
-      const experiment_run $ verbosity $ experiment_name $ samples $ force_resume
-      $ seed_arg)
+      const experiment_run $ verbosity $ experiment_names $ samples $ force_resume $ seed)
 
 (* --- config --- *)
 

@@ -77,7 +77,6 @@ let run_row ?pool ?(samples = 200) ?(defect_rate = 0.10) ~seed bench =
     let ea_hit, ea_valid = outcome ea_result in
     { hba_hit; hba_valid; hba_dt; ea_hit; ea_valid; ea_dt }
   in
-  let hba_time = Timing.Counter.create () and ea_time = Timing.Counter.create () in
   let section =
     Printf.sprintf "bench=%s rate=%s samples=%d" bench.Suite.name
       (Json_out.float_repr defect_rate)
@@ -86,17 +85,18 @@ let run_row ?pool ?(samples = 200) ?(defect_rate = 0.10) ~seed bench =
   let outcomes =
     Checkpoint.map ckpt ~pool ~section ~n:samples ~codec:trial_codec trial
   in
-  let (hba_hits, ea_hits, hba_all_valid, ea_all_valid), completed =
-    Checkpoint.fold_completed outcomes ~init:(0, 0, true, true)
-      ~f:(fun (hba, ea, hba_ok, ea_ok) t ->
-        Timing.Counter.add hba_time t.hba_dt;
-        Timing.Counter.add ea_time t.ea_dt;
+  let (hba_hits, ea_hits, hba_all_valid, ea_all_valid, hba_seconds, ea_seconds), completed =
+    Checkpoint.fold_completed outcomes ~init:(0, 0, true, true, 0., 0.)
+      ~f:(fun (hba, ea, hba_ok, ea_ok, hba_s, ea_s) t ->
         ( (if t.hba_hit then hba + 1 else hba),
           (if t.ea_hit then ea + 1 else ea),
           hba_ok && t.hba_valid,
-          ea_ok && t.ea_valid ))
+          ea_ok && t.ea_valid,
+          hba_s +. t.hba_dt,
+          ea_s +. t.ea_dt ))
   in
   let pct hits = 100. *. float_of_int hits /. float_of_int (max 1 completed) in
+  let mean seconds = if completed = 0 then 0. else seconds /. float_of_int completed in
   {
     name = bench.Suite.name;
     inputs = Mo_cover.n_inputs cover;
@@ -106,9 +106,9 @@ let run_row ?pool ?(samples = 200) ?(defect_rate = 0.10) ~seed bench =
     inclusion_ratio = report.Cost.inclusion_ratio;
     dual_used;
     hba_psucc = pct hba_hits;
-    hba_mean_seconds = Timing.Counter.mean_seconds hba_time;
+    hba_mean_seconds = mean hba_seconds;
     ea_psucc = pct ea_hits;
-    ea_mean_seconds = Timing.Counter.mean_seconds ea_time;
+    ea_mean_seconds = mean ea_seconds;
     hba_all_valid;
     ea_all_valid;
     paper = bench.Suite.paper;

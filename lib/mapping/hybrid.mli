@@ -18,8 +18,8 @@ type order =
   | Top_down  (** FM row order, as Algorithm 1 is written — the default *)
   | Hardest_first
       (** greedy rows sorted by descending switch count: placing the most
-          constrained products first reduces dead-end first-fits. An
-          ablation in the bench harness quantifies the gain. *)
+          constrained products first reduces dead-end first-fits. The
+          ablation experiment quantifies the gain. *)
 
 val map :
   ?order:order -> Mcx_crossbar.Function_matrix.t -> Mcx_util.Bmatrix.t -> int array option

@@ -101,8 +101,8 @@ val cache_size : unit -> int
     cache-invariant. *)
 
 val samples : unit -> int option
-(** [MCX_SAMPLES] — Monte Carlo sample-count override for the bench
-    driver; [None] means each experiment's paper-scale default.
+(** [MCX_SAMPLES] — Monte Carlo sample-count override for
+    [memx experiment]; [None] means each experiment's paper-scale default.
     Semantic: the sample count decides what the tables contain. *)
 
 val golden_regen : unit -> string option

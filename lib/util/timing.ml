@@ -1,36 +1,6 @@
 external monotonic_ns : unit -> int64 = "mcx_monotonic_ns"
 
-let now_seconds () = Int64.to_float (monotonic_ns ()) *. 1e-9
-
 let time f =
   let t0 = monotonic_ns () in
   let result = f () in
   (result, Int64.to_float (Int64.sub (monotonic_ns ()) t0) *. 1e-9)
-
-let mean_seconds ~repeats f =
-  if repeats <= 0 then invalid_arg "Timing.mean_seconds: repeats <= 0";
-  let total = ref 0. in
-  for _ = 1 to repeats do
-    let _, dt = time f in
-    total := !total +. dt
-  done;
-  !total /. float_of_int repeats
-
-module Counter = struct
-  type t = { mutable events : int; mutable seconds : float }
-
-  let create () = { events = 0; seconds = 0. }
-
-  let add t dt =
-    t.events <- t.events + 1;
-    t.seconds <- t.seconds +. dt
-
-  let record t f =
-    let result, dt = time f in
-    add t dt;
-    result
-
-  let events t = t.events
-  let total_seconds t = t.seconds
-  let mean_seconds t = if t.events = 0 then 0. else t.seconds /. float_of_int t.events
-end

@@ -7,37 +7,6 @@
 val monotonic_ns : unit -> int64
 (** Monotonic nanoseconds since an arbitrary epoch. *)
 
-val now_seconds : unit -> float
-(** Monotonic seconds since an arbitrary epoch; only differences are
-    meaningful. *)
-
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] once and returns the result together with the
     elapsed monotonic seconds. *)
-
-val mean_seconds : repeats:int -> (unit -> 'a) -> float
-(** [mean_seconds ~repeats f] runs [f] [repeats] times and returns the mean
-    elapsed seconds per run. @raise Invalid_argument if [repeats <= 0]. *)
-
-(** Accumulating event counters — per-trial timing totals threaded through
-    the bench harness. Not thread-safe: keep one counter per domain. For
-    cross-domain aggregation use {!Telemetry} ({!Telemetry.span} /
-    {!Telemetry.observe_ns}), which records into domain-local buffers and
-    merges them deterministically at snapshot time. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> float -> unit
-  (** Record one event of the given duration (seconds). *)
-
-  val record : t -> (unit -> 'a) -> 'a
-  (** Run a thunk, record its duration, return its result. *)
-
-  val events : t -> int
-  val total_seconds : t -> float
-
-  val mean_seconds : t -> float
-  (** 0 when no events were recorded. *)
-end

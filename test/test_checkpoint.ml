@@ -346,6 +346,90 @@ let test_experiment_replay_equals_plain () =
       Alcotest.(check bool) "checkpointed = replayed" true (a = b);
       Alcotest.(check bool) "checkpointed = uncheckpointed" true (a = c))
 
+(* --- end-to-end: memx experiment, checkpointed --------------------------- *)
+
+let yield_args = [ "experiment"; "yield"; "--samples"; "20" ]
+
+let member_string field json = Option.bind (Json_out.member field json) Json_out.to_string_opt
+
+(* A run cut short mid-sweep, made deterministic: a complete journal is
+   truncated to its header, the first half of its trial lines and one
+   torn line, and the resumed process must print the uninterrupted
+   run's stdout byte for byte. *)
+let test_memx_resume_cut_journal () =
+  let out = fresh_dir () and dir = fresh_dir () in
+  Sys.mkdir out 0o755;
+  let file name = Filename.concat out name in
+  let env = [ "MCX_CHECKPOINT=" ^ dir ] in
+  let run ?env name =
+    Memx_run.run_memx ?env ~stdout_path:(file (name ^ ".out"))
+      ~stderr_path:(file (name ^ ".err")) yield_args;
+    read_file (file (name ^ ".out"))
+  in
+  let plain = run "plain" in
+  Alcotest.(check bool) "stdout non-empty" true (String.length plain > 0);
+  Alcotest.(check string) "checkpointed run = plain run" plain (run ~env "full");
+  let path = Filename.concat dir "journal.jsonl" in
+  let journal_lines () =
+    String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "")
+  in
+  match journal_lines () with
+  | [] -> Alcotest.fail "empty journal"
+  | header :: trials ->
+    (match Json_out.of_string header with
+    | Error e -> Alcotest.fail ("header does not parse: " ^ e)
+    | Ok json ->
+      Alcotest.(check (option string)) "journal schema" (Some "mcx-journal/1")
+        (member_string "schema" json);
+      Alcotest.(check (option string)) "config schema" (Some "mcx-config/1")
+        (Option.bind (Json_out.member "config" json) (member_string "schema")));
+    List.iter
+      (fun line ->
+        match Json_out.of_string line with
+        | Error e -> Alcotest.fail ("trial line does not parse: " ^ e)
+        | Ok json ->
+          Alcotest.(check bool) "trial index is an integer" true
+            (Option.is_some (Option.bind (Json_out.member "trial" json) Json_out.to_int_opt)))
+      trials;
+    let half = List.length trials / 2 in
+    let next = List.nth trials half in
+    write_file path
+      (String.concat "\n" (header :: List.filteri (fun i _ -> i < half) trials)
+      ^ "\n"
+      ^ String.sub next 0 (String.length next / 2));
+    Alcotest.(check string) "resumed stdout" plain (run ~env "resumed");
+    let err = read_file (file "resumed.err") in
+    Alcotest.(check bool) "replayed the kept half" true
+      (Memx_run.contains err (Printf.sprintf "%d journaled trial(s)" half));
+    Alcotest.(check bool) "dropped the torn line" true
+      (Memx_run.contains err "(1 corrupt line(s) dropped)");
+    (* Only the missing trials ran: the resume appended one line per
+       trial from the torn one on, the first of them onto the torn bytes. *)
+    Alcotest.(check int) "journal lines after resume" (1 + List.length trials)
+      (List.length (journal_lines ()))
+
+(* Injected faults with no retries degrade to partial tables, a
+   failed-trial manifest and exit status 4, not an abort. *)
+let test_memx_fault_degrades () =
+  let dir = fresh_dir () in
+  let stdout_path = Filename.temp_file "mcx-fault" ".out" in
+  Memx_run.run_memx ~status:4 ~stdout_path ~stderr_path:(stdout_path ^ ".err")
+    ~env:
+      [
+        "MCX_CHECKPOINT=" ^ dir; "MCX_FAULT_RATE=0.2"; "MCX_TRIAL_RETRIES=0"; "MCX_JOBS=2";
+      ]
+    [ "experiment"; "yield"; "--samples"; "50" ];
+  Alcotest.(check bool) "stdout non-empty" true (String.length (read_file stdout_path) > 0);
+  match Json_out.of_string (read_file (Filename.concat dir "failed-trials.json")) with
+  | Error e -> Alcotest.fail ("manifest does not parse: " ^ e)
+  | Ok json ->
+    Alcotest.(check (option string)) "manifest schema" (Some "mcx-failed-trials/1")
+      (member_string "schema" json);
+    Alcotest.(check bool) "failures recorded" true
+      (match Option.bind (Json_out.member "count" json) Json_out.to_int_opt with
+      | Some n -> n > 0
+      | None -> false)
+
 (* --- Codec round-trips ------------------------------------------------ *)
 
 (* Every combinator must survive the full journal path: encode, render
@@ -464,5 +548,8 @@ let () =
         [
           Alcotest.test_case "yield replay = plain run" `Quick
             test_experiment_replay_equals_plain;
+          Alcotest.test_case "memx resumes a cut journal" `Quick
+            test_memx_resume_cut_journal;
+          Alcotest.test_case "memx fault injection exits 4" `Quick test_memx_fault_degrades;
         ] );
     ]

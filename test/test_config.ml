@@ -93,6 +93,16 @@ let test_invalid_message () =
           "invalid MCX_FAULT_RATE=\"1.5\" (expected a float in [0, 1])"
           (Printexc.to_string e))
 
+(* Every entry point refuses to start on a malformed knob, not just
+   [memx config]: exit 2, naming the knob and value. *)
+let test_memx_refuses_malformed () =
+  let stderr_path = Filename.temp_file "mcx-config" ".err" in
+  Memx_run.run_memx ~status:2 ~env:[ "MCX_FAULT_RATE=1.5" ] ~stderr_path
+    [ "experiment"; "yield" ];
+  let needle = "invalid MCX_FAULT_RATE=\"1.5\"" in
+  Alcotest.(check bool) ("stderr names " ^ needle) true
+    (Memx_run.contains (Memx_run.read_file stderr_path) needle)
+
 let test_set_flag_validates_eagerly () =
   check_invalid "MCX_JOBS" "flag abc" (fun () -> Config.set_flag "MCX_JOBS" "abc");
   Alcotest.check_raises "unregistered name rejected"
@@ -329,6 +339,7 @@ let () =
         [
           Alcotest.test_case "malformed values raise" `Quick test_malformed_values;
           Alcotest.test_case "error message" `Quick test_invalid_message;
+          Alcotest.test_case "memx experiment refuses" `Quick test_memx_refuses_malformed;
           Alcotest.test_case "set_flag validates eagerly" `Quick
             test_set_flag_validates_eagerly;
           Alcotest.test_case "errors () sweeps every knob" `Quick test_errors_sweep;

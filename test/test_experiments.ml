@@ -1,6 +1,6 @@
 open Mcx_experiments
 
-(* Small sample counts keep the suite fast; the bench harness runs the
+(* Small sample counts keep the suite fast; [memx experiment] runs the
    paper-scale versions. *)
 
 (* ------------------------------------------------------------------ *)
@@ -360,6 +360,37 @@ let test_transient () =
          && p.Transient.multi_level_error_rate <= 100.)
        r.Transient.points)
 
+(* ------------------------------------------------------------------ *)
+(* Registry                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_registry_names_unique () =
+  let names = Registry.names in
+  Alcotest.(check int) "fourteen experiments" 14 (List.length names);
+  Alcotest.(check int) "no duplicates" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
+(* Every entry's text and CSVs are byte-identical at any pool size.
+   table2 is left out: its time columns are measurements, and
+   table2.golden pins its verdicts. *)
+let test_registry_jobs_invariant () =
+  let run jobs =
+    let pool = Mcx_util.Pool.create ~jobs () in
+    Fun.protect
+      ~finally:(fun () -> Mcx_util.Pool.shutdown pool)
+      (fun () ->
+        List.filter_map
+          (fun name ->
+            if String.equal name "table2" then None
+            else Some (name, Registry.run ~pool ~samples:4 ~seed:2018 name))
+          Registry.names)
+  in
+  List.iter2
+    (fun (name, (a : Registry.output)) (_, (b : Registry.output)) ->
+      Alcotest.(check string) (name ^ " text") a.text b.text;
+      Alcotest.(check (list (pair string string))) (name ^ " csvs") a.csvs b.csvs)
+    (run 1) (run 4)
+
 let () =
   Alcotest.run "mcx_experiments"
     [
@@ -411,4 +442,9 @@ let () =
       ("transient", [ Alcotest.test_case "upset sweep" `Quick test_transient ]);
       ( "mldefect_spares",
         [ Alcotest.test_case "redundancy helps multi-level" `Quick test_mldefect_spares_help ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "jobs 1 = jobs 4" `Quick test_registry_jobs_invariant;
+        ] );
     ]

@@ -431,46 +431,17 @@ let test_percentile_estimator () =
 
 (* The exported bytes of [memx serve --metrics/--metrics-json/--access-log]
    and of a traced [memx experiment yield] on the deterministic projection
-   (MCX_JOBS=1, MCX_TRACE_TIMES=0, every other MCX_* knob unset). A
-   refactor of the recording core must leave them byte-identical.
+   (MCX_TRACE_TIMES=0, every other MCX_* knob unset). A refactor of the
+   recording core must leave them byte-identical. The yield summary is
+   recorded at MCX_JOBS=1 and must come out the same at MCX_JOBS=4.
 
    Regenerating (only when an intentional schema change lands):
 
      MCX_GOLDEN_REGEN=$PWD/test/golden dune exec test/test_metrics.exe *)
 
-let memx = "../bin/memx.exe"
+open Memx_run
+
 let requests = "../examples/serve_requests.jsonl"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-let memx_env () =
-  Unix.environment ()
-  |> Array.to_list
-  |> List.filter (fun kv -> not (String.starts_with ~prefix:"MCX_" kv))
-  |> List.append [ "MCX_JOBS=1"; "MCX_TRACE_TIMES=0" ]
-  |> Array.of_list
-
-(* Run memx with stdout discarded and stderr captured into [stderr_path]. *)
-let run_memx ~stderr_path args =
-  let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let err = Unix.openfile stderr_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let pid =
-    Unix.create_process_env memx (Array.of_list (memx :: args)) (memx_env ()) Unix.stdin out err
-  in
-  Unix.close out;
-  Unix.close err;
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> failwith ("memx " ^ String.concat " " args ^ " failed: " ^ read_file stderr_path)
 
 let serve_outputs =
   lazy
@@ -486,10 +457,13 @@ let serve_outputs =
        ("obs_serve_access", read_file "obs_access.jsonl");
      ])
 
+let traced_yield ?env () =
+  run_memx ?env ~stderr_path:"obs_yield.err"
+    [ "experiment"; "yield"; "--samples"; "4"; "--trace"; "obs_yield_trace.json" ]
+
 let yield_outputs =
   lazy
-    (run_memx ~stderr_path:"obs_yield.err"
-       [ "experiment"; "yield"; "--samples"; "4"; "--trace"; "obs_yield_trace.json" ];
+    (traced_yield ();
      let counters =
        match Json_out.of_string (read_file "obs_yield_trace.json") with
        | Ok trace -> (
@@ -500,7 +474,16 @@ let yield_outputs =
      in
      [ ("obs_yield_summary", read_file "obs_yield.err"); ("obs_yield_counters", counters) ])
 
+(* Inputs that must match a golden without regenerating it. *)
+let yield_jobs4_summary =
+  lazy
+    (traced_yield ~env:[ "MCX_JOBS=4" ] ();
+     read_file "obs_yield.err")
+
 let golden_outputs () = Lazy.force serve_outputs @ Lazy.force yield_outputs
+
+let golden_inputs () =
+  golden_outputs () @ [ ("obs_yield_summary", Lazy.force yield_jobs4_summary) ]
 
 let golden_names =
   [
@@ -510,11 +493,49 @@ let golden_names =
 
 let check_golden name () =
   let path = Filename.concat "golden" (name ^ ".golden") in
-  let actual = List.assoc name (golden_outputs ()) in
-  if not (String.equal (read_file path) actual) then begin
-    write_file (name ^ ".actual") actual;
-    Alcotest.failf "%s drifted from %s (actual written to %s.actual)" name path name
-  end
+  List.iteri
+    (fun i (_, actual) ->
+      if not (String.equal (read_file path) actual) then begin
+        let actual_path = Printf.sprintf "%s.%d.actual" name i in
+        write_file actual_path actual;
+        Alcotest.failf "%s drifted from %s (actual written to %s)" name path actual_path
+      end)
+    (List.filter (fun (n, _) -> String.equal n name) (golden_inputs ()))
+
+(* --- memx experiment --trace ------------------------------------------- *)
+
+(* Tracing must not perturb experiment output, and the trace must be a
+   Chrome trace-event document carrying the run's config snapshot. *)
+let test_trace_keeps_stdout () =
+  let yield50 = [ "experiment"; "yield"; "--samples"; "50" ] in
+  run_memx ~stdout_path:"trace_plain.out" ~stderr_path:"trace_plain.err" yield50;
+  run_memx ~stdout_path:"trace_traced.out" ~stderr_path:"trace_traced.err"
+    (yield50 @ [ "--trace"; "trace_yield50.json" ]);
+  let plain = read_file "trace_plain.out" in
+  Alcotest.(check bool) "stdout non-empty" true (String.length plain > 0);
+  Alcotest.(check string) "stdout with --trace" plain (read_file "trace_traced.out");
+  match Json_out.of_string (read_file "trace_yield50.json") with
+  | Error e -> Alcotest.failf "unparseable trace: %s" e
+  | Ok trace ->
+    let field path =
+      List.fold_left (fun j k -> Option.bind j (Json_out.member k)) (Some trace) path
+    in
+    let str path = Option.bind (field path) Json_out.to_string_opt in
+    Alcotest.(check (option string))
+      "trace schema" (Some "mcx-trace/1") (str [ "otherData"; "schema" ]);
+    Alcotest.(check (option string))
+      "config schema" (Some "mcx-config/1")
+      (str [ "otherData"; "config"; "schema" ]);
+    let complete_events =
+      match Option.bind (field [ "traceEvents" ]) Json_out.to_list_opt with
+      | None -> Alcotest.fail "trace has no traceEvents list"
+      | Some events ->
+        List.filter
+          (fun e ->
+            Option.bind (Json_out.member "ph" e) Json_out.to_string_opt = Some "X")
+          events
+    in
+    Alcotest.(check bool) "at least one ph:X event" true (complete_events <> [])
 
 let test_golden_text_grammar () =
   check_openmetrics (read_file (Filename.concat "golden" "obs_serve_metrics_txt.golden"))
@@ -573,6 +594,8 @@ let () =
             ] );
           ( "percentiles",
             [ Alcotest.test_case "bucket estimator" `Quick test_percentile_estimator ] );
+          ( "experiment trace",
+              [ Alcotest.test_case "stdout unchanged by --trace" `Quick test_trace_keeps_stdout ] );
           ( "goldens",
             List.map
               (fun name -> Alcotest.test_case name `Quick (check_golden name))

@@ -587,14 +587,7 @@ let lru_qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_lru_matches_m
 let test_timing () =
   let v, dt = Timing.time (fun () -> 41 + 1) in
   Alcotest.(check int) "result" 42 v;
-  Alcotest.(check bool) "nonnegative" true (dt >= 0.);
-  let mean = Timing.mean_seconds ~repeats:3 (fun () -> ()) in
-  Alcotest.(check bool) "mean nonnegative" true (mean >= 0.);
-  Alcotest.(check bool) "repeats <= 0 rejected" true
-    (try
-       ignore (Timing.mean_seconds ~repeats:0 (fun () -> ()));
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "nonnegative" true (dt >= 0.)
 
 let () =
   Alcotest.run "mcx_util"
