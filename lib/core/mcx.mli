@@ -54,9 +54,9 @@ val map_defect_tolerant :
 
 val verify :
   ?defects:Mcx_crossbar.Defect_map.t -> Mcx_crossbar.Layout.t -> bool
-(** Exhaustive simulation of a placed design against its cover (inputs <=
-    16): the end-to-end correctness check behind the paper's notion of a
-    "valid mapping". *)
+(** Whether the placed design computes its cover on every input under
+    [defects], checked over BDDs at any width: the end-to-end correctness
+    check behind the paper's notion of a "valid mapping". *)
 
 val simulate :
   ?defects:Mcx_crossbar.Defect_map.t ->

@@ -50,4 +50,6 @@ val run_with_upsets :
 (** Transient write-upset simulation, as {!Sim.run_with_upsets}. *)
 
 val agrees_with_reference : ?defects:Defect_map.t -> t -> Mcx_logic.Mo_cover.t -> bool
-(** Exhaustive check against a reference cover (arity <= 16). *)
+(** Exhaustive check against a reference cover (arity <= 16). Unlike
+    {!Sim.agrees_with_reference} it runs {!run} per input: the CR machine
+    has its own interpreter, and no caller checks more than 16 inputs. *)

@@ -7,9 +7,10 @@
     stuck-closed junctions always read 0 and therefore force any NAND row
     they touch to 1 and any AND column to 0.
 
-    This simulator is the ground truth the mapping algorithms are verified
-    against: a valid defect-tolerant placement must make [run] agree with
-    the reference cover on every input. *)
+    One interpreter runs the states over Booleans for one computation
+    ({!run}) or over BDDs for all of them at once
+    ({!agrees_with_reference}); the defect semantics sit in its write path
+    only. *)
 
 type step = INA | RI | CFM | EVM | EVR | INR | SO
 
@@ -38,10 +39,6 @@ val run_with_upsets :
     Permanent defects compose with upsets; stuck junctions are immune
     since their state cannot change. *)
 
-val run_exhaustive :
-  ?defects:Defect_map.t -> Layout.t -> (bool array * bool array * bool array) list
-(** For arities <= 16: every assignment with the simulated and reference
-    outputs, as [(input, simulated, reference)] triples. *)
-
 val agrees_with_reference : ?defects:Defect_map.t -> Layout.t -> bool
-(** [run] equals the cover's semantics on all assignments (arity <= 16). *)
+(** [run] equals the cover's semantics on every input, at any arity: the
+    states run once over BDDs, whose size can grow exponentially. *)

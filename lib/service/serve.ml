@@ -80,6 +80,9 @@ let compute (canonical : Canonical.t) =
     with
     | None -> Unmappable
     | Some layout ->
+      (* Symbolic verify works at any width, but above 16 inputs BDDs can
+         need exponential memory (36 inputs of x_i x_(i+18) take seconds and
+         hundreds of MB) and nothing bounds a request's work yet. *)
       let verified =
         if
           config.Wire.verify

@@ -69,6 +69,57 @@ let test_simulate () =
   let zero = Array.make 8 false in
   Alcotest.(check (array bool)) "0 -> f=0" [| false |] (Mcx.simulate layout zero)
 
+(* Verification at widths exhaustive simulation never reached, pristine
+   and HBA-mapped on a seeded stuck-open map. Every product of t481's
+   stand-in spans all 16 variables, so a physical row with both
+   polarities of one variable stuck-open hosts none; a 5% map leaves
+   about ten such rows and no optimum-size placement exists, so t481 is
+   mapped at 1%. *)
+let wide_circuits =
+  [ ("table3", 0.05, 1); ("alu4", 0.05, 1); ("t481", 0.01, 21); ("cordic", 0.05, 40) ]
+
+let wide_cover name = Mcx.Benchmarks.Suite.cover (Mcx.Benchmarks.Suite.find name)
+
+let test_verify_wide () =
+  List.iter
+    (fun (name, open_rate, seed) ->
+      let cover = wide_cover name in
+      let pristine = Mcx.Crossbar.Layout.of_cover cover in
+      Alcotest.(check bool) (name ^ " pristine verifies") true (Mcx.verify pristine);
+      let defects =
+        Mcx.Crossbar.Defect_map.random (Mcx.Util.Prng.create seed)
+          ~rows:pristine.Mcx.Crossbar.Layout.physical_rows
+          ~cols:pristine.Mcx.Crossbar.Layout.physical_cols ~open_rate ~closed_rate:0.
+      in
+      match Mcx.map_defect_tolerant ~algorithm:Mcx.Hybrid cover defects with
+      | None -> Alcotest.failf "%s: HBA found no placement" name
+      | Some layout ->
+        Alcotest.(check bool) (name ^ " mapped verifies under defects") true
+          (Mcx.verify ~defects layout))
+    wide_circuits
+
+let test_verify_wide_mismatch () =
+  let layout = Mcx.Crossbar.Layout.of_cover (wide_cover "cordic") in
+  let defects =
+    Mcx.Crossbar.Defect_map.create ~rows:layout.Mcx.Crossbar.Layout.physical_rows
+      ~cols:layout.Mcx.Crossbar.Layout.physical_cols
+  in
+  (* the first required switch of the first product row *)
+  let rec first_switch c =
+    if Mcx.Util.Bmatrix.get layout.Mcx.Crossbar.Layout.program 0 c then c
+    else first_switch (c + 1)
+  in
+  Mcx.Crossbar.Defect_map.set defects 0 (first_switch 0) Mcx.Crossbar.Junction.Stuck_open;
+  Alcotest.(check bool) "stuck-open on a required switch breaks cordic" false
+    (Mcx.verify ~defects layout)
+
+let test_memx_map_verify_wide () =
+  Memx_run.run_memx ~stdout_path:"map_cordic.out" ~stderr_path:"map_cordic.err"
+    [ "map"; "cordic"; "--rate"; "0.05"; "--seed"; "40"; "--verify" ];
+  let out = Memx_run.read_file "map_cordic.out" in
+  Alcotest.(check bool) ("MATCH line in: " ^ out) true
+    (Memx_run.contains out "verification under defects: MATCH\n")
+
 let () =
   Alcotest.run "mcx"
     [
@@ -81,5 +132,11 @@ let () =
           Alcotest.test_case "defect-tolerant mapping" `Quick test_map_defect_tolerant;
           Alcotest.test_case "dimension check" `Quick test_map_defect_tolerant_dimension_check;
           Alcotest.test_case "simulate" `Quick test_simulate;
+        ] );
+      ( "wide verify",
+        [
+          Alcotest.test_case "table3 alu4 t481 cordic" `Quick test_verify_wide;
+          Alcotest.test_case "cordic mismatch" `Quick test_verify_wide_mismatch;
+          Alcotest.test_case "memx map --verify" `Quick test_memx_map_verify_wide;
         ] );
     ]

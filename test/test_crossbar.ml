@@ -510,16 +510,97 @@ let gen_cover ~arity ~max_products =
     let+ cubes = list_size (pure n) gen_cube in
     Cover.create ~arity (List.map Cube.of_literals cubes))
 
+(* The exhaustive oracle: [Sim.run] on every input vector against the
+   cover's own semantics, the reference for the symbolic
+   [Sim.agrees_with_reference]. *)
+let exhaustive_agrees ?defects layout =
+  let cover = layout.Layout.fm.Function_matrix.cover in
+  let n = Mo_cover.n_inputs cover in
+  let rec from idx =
+    idx = 1 lsl n
+    || (let v = Array.init n (fun i -> (idx lsr i) land 1 = 1) in
+        Sim.run ?defects layout v = Mo_cover.eval cover v && from (idx + 1))
+  in
+  from 0
+
 let prop_sim_matches_cover =
   QCheck2.Test.make ~name:"two-level sim computes the cover" ~count:60
     (gen_cover ~arity:4 ~max_products:5)
-    (fun f -> Sim.agrees_with_reference (Layout.of_cover (Mo_cover.of_single f)))
+    (fun f -> exhaustive_agrees (Layout.of_cover (Mo_cover.of_single f)))
 
 let prop_sim_matches_cover_with_il =
   QCheck2.Test.make ~name:"two-level sim with IL row computes the cover" ~count:40
     (gen_cover ~arity:4 ~max_products:5)
-    (fun f ->
-      Sim.agrees_with_reference (Layout.of_cover ~include_il_row:true (Mo_cover.of_single f)))
+    (fun f -> exhaustive_agrees (Layout.of_cover ~include_il_row:true (Mo_cover.of_single f)))
+
+(* A placed design under defects: a multi-output cover of up to 10
+   inputs, with or without the IL row, on a crossbar with up to two spare
+   rows and columns under random injective assignments, and a random
+   stuck-open/stuck-closed map; half the cases also get a stuck-closed
+   junction at a used-row x used-column crossing. *)
+let gen_defective_placement =
+  QCheck2.Gen.(
+    let* n_inputs = int_range 1 10 in
+    let* n_outputs = int_range 1 3 in
+    let gen_row =
+      let gen_lit = oneofl [ Literal.Pos; Literal.Neg; Literal.Absent; Literal.Absent ] in
+      let* lits = array_size (pure n_inputs) gen_lit in
+      let* outputs = array_size (pure n_outputs) bool in
+      let+ k = int_bound (n_outputs - 1) in
+      let outputs = Array.mapi (fun i o -> o || i = k) outputs in
+      { Mo_cover.cube = Cube.of_literals lits; outputs }
+    in
+    let* rows = list_size (int_range 1 6) gen_row in
+    let* include_il_row = bool in
+    let fm = Function_matrix.build ~include_il_row (Mo_cover.create ~n_inputs ~n_outputs rows) in
+    let geometry = fm.Function_matrix.geometry in
+    let* physical_rows = int_range (Geometry.rows geometry) (Geometry.rows geometry + 2) in
+    let* physical_cols = int_range (Geometry.cols geometry) (Geometry.cols geometry + 2) in
+    let* rows_shuffled = shuffle_a (Array.init physical_rows Fun.id) in
+    let* cols_shuffled = shuffle_a (Array.init physical_cols Fun.id) in
+    let layout =
+      Layout.place
+        ~row_assignment:(Array.sub rows_shuffled 0 (Geometry.rows geometry))
+        ~col_assignment:(Array.sub cols_shuffled 0 (Geometry.cols geometry))
+        ~physical_rows ~physical_cols fm
+    in
+    let* open_rate = oneofl [ 0.; 0.02; 0.05; 0.1 ] in
+    let* closed_rate = oneofl [ 0.; 0.; 0.01; 0.03 ] in
+    let* seed = int_bound 1_000_000 in
+    let* closed_on_used = bool in
+    let* r = int_bound (Geometry.rows geometry - 1) in
+    let+ c = int_bound (Geometry.cols geometry - 1) in
+    let defects =
+      Defect_map.random (Mcx_util.Prng.create seed) ~rows:physical_rows ~cols:physical_cols
+        ~open_rate ~closed_rate
+    in
+    if closed_on_used then
+      Defect_map.set defects layout.Layout.row_assignment.(r) layout.Layout.col_assignment.(c)
+        Junction.Stuck_closed;
+    (layout, defects))
+
+let print_defective_placement (layout, defects) =
+  Format.asprintf "%a@.rows %s@.cols %s@.%a" Mo_cover.pp layout.Layout.fm.Function_matrix.cover
+    (String.concat " " (Array.to_list (Array.map string_of_int layout.Layout.row_assignment)))
+    (String.concat " " (Array.to_list (Array.map string_of_int layout.Layout.col_assignment)))
+    Defect_map.pp defects
+
+(* The symbolic verdict equals the exhaustive one. At least a fifth of
+   the cases must be false verdicts, so a check that always answers true
+   cannot pass. *)
+let test_symbolic_matches_exhaustive () =
+  let cases = ref 0 and false_verdicts = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"symbolic verdict = exhaustive verdict" ~count:300
+       ~print:print_defective_placement gen_defective_placement (fun (layout, defects) ->
+         let verdict = exhaustive_agrees ~defects layout in
+         incr cases;
+         if not verdict then incr false_verdicts;
+         Bool.equal (Sim.agrees_with_reference ~defects layout) verdict));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d verdicts false" !false_verdicts !cases)
+    true
+    (5 * !false_verdicts >= !cases)
 
 let prop_multilevel_matches_cover =
   QCheck2.Test.make ~name:"multi-level sim computes the cover" ~count:60
@@ -637,5 +718,10 @@ let () =
           Alcotest.test_case "defect overlay" `Quick test_render_defect_overlay;
           Alcotest.test_case "multi-level" `Quick test_render_multilevel;
         ] );
-      ("properties", qcheck_cases);
+      ( "properties",
+        qcheck_cases
+        @ [
+            Alcotest.test_case "symbolic verdict = exhaustive verdict" `Quick
+              test_symbolic_matches_exhaustive;
+          ] );
     ]

@@ -1,7 +1,8 @@
 (* Service-layer tests: wire schema round-trips, canonical digest
    collisions for permuted-equivalent requests, cache cold/warm
    equivalence, byte identity across job counts, the partial-failure
-   protocol, and a golden request-file -> response-file replay.
+   protocol, a golden request-file -> response-file replay, and the
+   [memx serve] binary driven end to end.
 
    Regenerating the golden responses (only when the wire format or the
    mapping semantics intentionally change):
@@ -320,6 +321,23 @@ let test_stats_json_shape () =
       (num (Json_out.member "hit_rate" b2))
   | _ -> Alcotest.fail "expected two batch rows"
 
+(* Serve verifies symbolically only up to 16 inputs; a wider request is
+   still mapped and answered, without a [verified] member. *)
+let test_wide_verify_unchecked () =
+  let _, responses, _ =
+    serve_lines
+      [ {|{"schema":"mcx-request/1","id":"wide","benchmark":"cordic","config":{"verify":true}}|} ]
+  in
+  match responses with
+  | [ r ] -> (
+    Alcotest.(check string) "status" "ok" (status_of_line r);
+    match Json_out.of_string r with
+    | Ok json ->
+      Alcotest.(check bool) "no verified member" true
+        (Option.is_none (Json_out.member "verified" json))
+    | Error e -> Alcotest.failf "unparseable response %s: %s" r e)
+  | _ -> Alcotest.fail "expected one response"
+
 (* --- golden replay ---------------------------------------------------- *)
 
 let read_file path =
@@ -427,6 +445,85 @@ let test_access_jobs_identity () =
   let _, r4 = serve_with_access ~jobs:4 lines in
   Alcotest.(check (list string)) "deterministic projection agrees across jobs"
     (project r1) (project r4)
+
+(* --- the memx serve binary ---------------------------------------------- *)
+
+(* Byte identity across job counts, warm = cold and the partial-failure
+   statuses are asserted in-process above ("jobs 1 = jobs 4", "warm =
+   cold", "partial failure"); these cases pin what only the binary does:
+   two [--in] batches through one server process, the stats file and the
+   exit status. *)
+
+let bundled_requests = "../examples/serve_requests.jsonl"
+
+let json_of_file path =
+  match Json_out.of_string (read_file path) with
+  | Ok json -> json
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+let rec json_path json = function
+  | [] -> Some json
+  | key :: rest -> Option.bind (Json_out.member key json) (fun j -> json_path j rest)
+
+let str_at json path = Option.bind (json_path json path) Json_out.to_string_opt
+let num_at json path = Option.bind (json_path json path) Json_out.to_float_opt
+
+let test_binary_replay () =
+  Memx_run.run_memx ~stderr_path:"smoke_serve.err"
+    [
+      "serve"; "--in"; bundled_requests; "--in"; bundled_requests; "-o";
+      "smoke_responses.jsonl"; "--stats"; "smoke_stats.json";
+    ];
+  let n = List.length (read_request_lines bundled_requests) in
+  let responses = read_request_lines "smoke_responses.jsonl" in
+  Alcotest.(check int) "two batches of responses" (2 * n) (List.length responses);
+  let first = List.filteri (fun i _ -> i < n) responses in
+  Alcotest.(check (list string)) "the second batch repeats the first byte for byte" first
+    (List.filteri (fun i _ -> i >= n) responses);
+  List.iter
+    (fun l ->
+      match Json_out.of_string l with
+      | Error e -> Alcotest.failf "unparseable response %s: %s" l e
+      | Ok json ->
+        Alcotest.(check (option string)) "response schema" (Some "mcx-response/1")
+          (str_at json [ "schema" ]);
+        Alcotest.(check bool) ("ok or infeasible: " ^ l) true
+          (List.mem (status_of_line l) [ "ok"; "infeasible" ]);
+        Alcotest.(check bool) ("has a digest: " ^ l) true
+          (Option.is_some (str_at json [ "digest" ])))
+    first;
+  let stats = json_of_file "smoke_stats.json" in
+  Alcotest.(check (option string)) "stats schema" (Some "mcx-serve-stats/1")
+    (str_at stats [ "schema" ]);
+  Alcotest.(check (option string)) "config snapshot schema" (Some "mcx-config/1")
+    (str_at stats [ "config"; "schema" ]);
+  Alcotest.(check bool) "cache hits" true
+    (Option.value ~default:0. (num_at stats [ "cache"; "hits" ]) > 0.);
+  match Option.bind (json_path stats [ "batches" ]) Json_out.to_list_opt with
+  | Some [ cold; warm ] ->
+    Alcotest.(check bool) "warm batch hit rate >= 0.9" true
+      (Option.value ~default:0. (num_at warm [ "hit_rate" ]) >= 0.9);
+    let elapsed b = Option.value ~default:Float.nan (num_at b [ "elapsed_ns" ]) in
+    Alcotest.(check bool)
+      (Printf.sprintf "warm batch (%.0f ns) faster than cold (%.0f ns)" (elapsed warm)
+         (elapsed cold))
+      true
+      (elapsed warm < elapsed cold)
+  | _ -> Alcotest.fail "expected two batch rows"
+
+let test_binary_bad_line () =
+  write_file "smoke_bad.jsonl"
+    ({|{"schema":"mcx-request/1","id":"good","benchmark":"rd53"}|} ^ "\n"
+   ^ {|{"schema":"mcx-request/1","id":"bad","pla":".i oops"}|} ^ "\n");
+  Memx_run.run_memx ~status:4 ~stderr_path:"smoke_bad.err"
+    [ "serve"; "--in"; "smoke_bad.jsonl"; "-o"; "smoke_bad_out.jsonl" ];
+  let responses = read_request_lines "smoke_bad_out.jsonl" in
+  Alcotest.(check (list string)) "statuses" [ "ok"; "error" ] (List.map status_of_line responses);
+  match Json_out.of_string (List.nth responses 1) with
+  | Ok json ->
+    Alcotest.(check bool) "the error carries a message" true
+      (Option.fold ~none:false ~some:(fun e -> String.length e > 0) (str_at json [ "error" ]))
+  | Error e -> Alcotest.failf "unparseable error response: %s" e
 
 (* --- memx report ------------------------------------------------------- *)
 
@@ -598,8 +695,14 @@ let () =
             Alcotest.test_case "failures not retried" `Quick test_failures_not_retried;
             Alcotest.test_case "clean exit" `Quick test_clean_batch_exits_zero;
             Alcotest.test_case "stats document" `Quick test_stats_json_shape;
+            Alcotest.test_case "wide verify unchecked" `Quick test_wide_verify_unchecked;
           ] );
         ("golden", [ Alcotest.test_case "request replay" `Quick test_golden_replay ]);
+        ( "binary",
+          [
+            Alcotest.test_case "two-batch replay" `Quick test_binary_replay;
+            Alcotest.test_case "bad line exits 4" `Quick test_binary_bad_line;
+          ] );
         ( "access",
           [
             Alcotest.test_case "structured replay" `Quick test_access_log_replay;
