@@ -6,16 +6,14 @@
    --check-allows), 2 usage/internal error. *)
 
 let usage =
-  "mcx-lint [--list-rules] [--explain RULE] [--only RULE[,RULE...]]\n\
-  \        [--format text|json|sarif] [--out FILE] [--root DIR] [--no-typed]\n\
-  \        [--allow-file FILE|none] [--check-allows]\n\n\
+  "mcx-lint [--list-rules] [--only RULE[,RULE...]] [--format text|json|sarif]\n\
+  \        [--out FILE] [--root DIR] [--allow-file FILE|none] [--check-allows]\n\n\
    Lints lib/ bin/ bench/ test/ under the repo root (nearest dune-project).\n\
-   Typed and interprocedural rules need .cmt files: run `dune build @all` first.\n"
+   Typed rules need a .cmt for every .ml: run `dune build @default @check` first.\n"
 
 let kind_tag = function
   | Mcx_lint.Rules.Source -> "[source]"
   | Mcx_lint.Rules.Typed -> "[typed] "
-  | Mcx_lint.Rules.Interproc -> "[interp]"
 
 let list_rules () =
   List.iter
@@ -25,20 +23,15 @@ let list_rules () =
 
 let () =
   let list = ref false in
-  let explain = ref "" in
   let only = ref [] in
   let format = ref "text" in
   let out = ref "" in
   let root = ref "" in
-  let typed = ref true in
   let allow_file = ref "lint.allow" in
   let check_allows = ref false in
   let spec =
     [
       ("--list-rules", Arg.Set list, " list rule ids and synopses, then exit");
-      ( "--explain",
-        Arg.Set_string explain,
-        "RULE run only RULE and print each finding's shortest source\xe2\x86\x92sink call chain" );
       ( "--only",
         Arg.String
           (fun s -> only := !only @ List.filter (( <> ) "") (String.split_on_char ',' s)),
@@ -48,7 +41,6 @@ let () =
         " report format (default text)" );
       ("--out", Arg.Set_string out, "FILE also write the report to FILE");
       ("--root", Arg.Set_string root, "DIR repo root (default: walk up to dune-project)");
-      ("--no-typed", Arg.Clear typed, " skip .cmt-based typed and interprocedural rules");
       ( "--allow-file",
         Arg.Set_string allow_file,
         "FILE allowlist path relative to the root (default lint.allow; 'none' disables)" );
@@ -70,10 +62,6 @@ let () =
     list_rules ();
     exit 0
   end;
-  if !explain <> "" then begin
-    if not (Mcx_lint.Rules.mem !explain) then fail "unknown rule %S" !explain;
-    only := [ !explain ]
-  end;
   let root =
     if !root <> "" then !root
     else
@@ -85,32 +73,22 @@ let () =
     {
       (Mcx_lint.Driver.default_config ~root) with
       only = !only;
-      with_typed = !typed;
       allow_file = (if !allow_file = "none" then None else Some !allow_file);
     }
   in
   match Mcx_lint.Driver.run config with
   | exception Invalid_argument msg -> fail "%s" msg
+  | exception Mcx_lint.Driver.Missing_cmt files ->
+    fail "no .cmt for %s; run `dune build @default @check` first"
+      (String.concat ", " files)
   | result ->
-    (if !explain <> "" then begin
-       let r = List.find (fun (r : Mcx_lint.Rules.t) -> r.id = !explain) Mcx_lint.Rules.all in
-       Printf.printf "%s %s\n  %s\n\n" r.id (kind_tag r.kind) r.synopsis;
-       match result.findings with
-       | [] -> print_string "no findings.\n"
-       | fs ->
-         List.iter
-           (fun (f : Mcx_lint.Finding.t) ->
-             print_string (Mcx_lint.Finding.to_string f);
-             print_newline ())
-           fs
-     end);
     let report =
       match !format with
       | "json" -> Mcx_lint.Driver.report_json result ^ "\n"
       | "sarif" -> Mcx_lint.Driver.report_sarif result ^ "\n"
       | _ -> Mcx_lint.Driver.report_text result
     in
-    if !explain = "" then print_string report;
+    print_string report;
     if !out <> "" then begin
       let oc = open_out !out in
       output_string oc report;

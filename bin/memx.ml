@@ -305,7 +305,7 @@ let bench_run () =
                ]);
         ])
     Mcx.Benchmarks.Suite.all;
-  Mcx.Util.Texttable.print table
+  print_string (Mcx.Util.Texttable.render table)
 
 let bench_cmd =
   Cmd.v
@@ -723,7 +723,7 @@ let config_run json =
             Mcx.Util.Json_out.to_string k.Mcx.Util.Config.default;
           ])
       (Mcx.Util.Config.knobs ());
-    Mcx.Util.Texttable.print table;
+    print_string (Mcx.Util.Texttable.render table);
     Printf.printf "digest: %s (semantic-only: %s)\n" (Mcx.Util.Config.digest ())
       (Mcx.Util.Config.digest ~semantic_only:true ())
   end

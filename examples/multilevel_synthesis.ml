@@ -41,7 +41,7 @@ let () =
           (if used_dual then "yes" else "no");
         ])
     benchmarks;
-  Mcx.Util.Texttable.print table;
+  print_string (Mcx.Util.Texttable.render table);
   print_newline ();
 
   (* Show what multi-level evaluation actually does: the factored NAND

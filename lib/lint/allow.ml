@@ -5,7 +5,8 @@
       allows every rule). It suppresses any finding of that rule whose
       location falls inside the annotated node — attach it to an
       expression, a [let] binding ([@@...]) or float it at the top of a
-      structure ([@@@...]) for whole-file effect.
+      structure ([@@@...]) for whole-file effect. Inside lib/ it cannot
+      suppress the owner-only rules ([Rules.attribute_suppresses]).
 
    2. A [lint.allow] file at the repo root: one entry per line,
       `<path-prefix> <rule-id|*>`, `#` comments. A finding is dropped when
@@ -18,8 +19,8 @@ type span = {
   end_line : int;
   end_col : int;
   mutable used : bool;
-      (* consulted-and-matched at least once this run: it suppressed a
-         finding or served as a propagation barrier ([--check-allows]) *)
+      (* covered a finding of its rule at least once this run
+         ([--check-allows]) *)
 }
 
 (* --- attribute spans ------------------------------------------------- *)
@@ -109,25 +110,22 @@ let spans_of_signature (sg : Parsetree.signature) =
 
 let pos_leq (l1, c1) (l2, c2) = l1 < l2 || (l1 = l2 && c1 <= c2)
 
-let span_suppresses span ~rule ~line ~col =
+let span_covers span ~rule ~line ~col =
   (match span.rule with None -> true | Some r -> r = rule)
   && pos_leq (span.start_line, span.start_col) (line, col)
   && pos_leq (line, col) (span.end_line, span.end_col)
 
 (* Mark every matching span used (no short-circuit): [--check-allows]
    must not call redundant-but-matching annotations stale. *)
-let allows spans ~rule ~line ~col =
+let covers spans (f : Finding.t) =
   List.fold_left
     (fun acc s ->
-      if span_suppresses s ~rule ~line ~col then begin
+      if span_covers s ~rule:f.rule ~line:f.line ~col:f.col then begin
         s.used <- true;
         true
       end
       else acc)
     false spans
-
-let suppressed spans (f : Finding.t) =
-  allows spans ~rule:f.Finding.rule ~line:f.Finding.line ~col:f.Finding.col
 
 (* --- lint.allow file ------------------------------------------------- *)
 

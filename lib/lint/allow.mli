@@ -1,10 +1,9 @@
 (** Finding suppression: [@mcx.lint.allow "rule-id"] attributes collected
     as source spans, and the repo-root [lint.allow] path allowlist.
 
-    Both mechanisms track {e usage}: a span or file entry that matched at
-    least once — suppressing a finding, or consulted as a propagation
-    barrier by the interprocedural rules — is marked used. [--check-allows]
-    reports the rest as stale. *)
+    Both mechanisms track {e usage}: a span or file entry that covered at
+    least one finding is marked used. [--check-allows] reports the rest
+    as stale. *)
 
 type span = {
   rule : string option;  (** [None] allows every rule *)
@@ -18,12 +17,11 @@ type span = {
 val spans_of_structure : Parsetree.structure -> span list
 val spans_of_signature : Parsetree.signature -> span list
 
-val allows : span list -> rule:string -> line:int -> col:int -> bool
-(** Does any span cover this rule at this position? Marks {e every}
-    matching span used (redundant annotations are not reported stale). *)
-
-val suppressed : span list -> Finding.t -> bool
-(** [allows] at the finding's rule and position. *)
+val covers : span list -> Finding.t -> bool
+(** Does any span cover the finding's rule at its position? Marks
+    {e every} matching span used (redundant annotations are not reported
+    stale). Whether a covering span may suppress the finding is
+    {!Rules.attribute_suppresses}' call. *)
 
 type file_entry = {
   prefix : string;

@@ -1,28 +1,21 @@
 (* Orchestration: walk the scanned trees, parse every .ml/.mli (source
-   rules + suppression spans), pair compiled modules with their .cmt
-   (typed rules + call-graph extraction, each .cmt read once per process),
-   run the interprocedural effect rules over the whole-program graph,
-   then filter findings through the attribute spans, the [lint.allow]
-   file and [--only]. *)
+   rules + suppression spans), pair every scanned .ml with its .cmt
+   (typed rules, each .cmt read once per process), then filter findings
+   through the attribute spans, the [lint.allow] file and [--only]. *)
 
 type config = {
   root : string;  (** absolute repo root *)
   paths : string list;  (** repo-relative files/dirs to scan *)
   only : string list;  (** restrict to these rule ids; [] = all *)
   allow_file : string option;  (** repo-relative allowlist, e.g. [Some "lint.allow"] *)
-  with_typed : bool;  (** read .cmt files and run typed + interproc rules *)
 }
+
+exception Missing_cmt of string list
 
 let default_paths = [ "lib"; "bin"; "bench"; "test" ]
 
 let default_config ~root =
-  {
-    root;
-    paths = default_paths;
-    only = [];
-    allow_file = Some "lint.allow";
-    with_typed = true;
-  }
+  { root; paths = default_paths; only = []; allow_file = Some "lint.allow" }
 
 let find_root () =
   let rec up dir =
@@ -135,8 +128,8 @@ let normalize_rel p =
 
 (* --- per-module analysis ---------------------------------------------- *)
 
-(* One .cmt: the call-graph summary plus the module's typed findings;
-   [None] for interface-only or unreadable cmts. *)
+(* One .cmt: its source and typed findings; [None] for interface-only or
+   unreadable cmts. *)
 let analyze_cmt cmt_path =
   match Cmt_format.read_cmt cmt_path with
   | exception _ -> None
@@ -144,21 +137,13 @@ let analyze_cmt cmt_path =
     match (cmt.cmt_sourcefile, cmt.cmt_annots) with
     | Some src, Implementation str ->
       let rel = normalize_rel src in
-      let nodes = Callgraph.of_cmt ~file:rel ~modname:cmt.cmt_modname str in
-      let typed_findings = Typed_lint.run ~file:rel ~modname:cmt.cmt_modname str in
-      Some
-        {
-          Callgraph.modname = Callgraph.canonical cmt.cmt_modname;
-          src = rel;
-          nodes;
-          typed_findings;
-        }
+      Some (rel, Typed_lint.run ~file:rel ~modname:cmt.cmt_modname str)
     | _ -> None)
 
 (* Each .cmt is read once per (path, digest) per process: the test suite
    runs the driver dozens of times over one build tree. Top-level state
    is safe here because the driver never runs on Pool domains. *)
-let analyzed : (string, Digest.t * Callgraph.summary option) Hashtbl.t =
+let analyzed : (string, Digest.t * (string * Finding.t list) option) Hashtbl.t =
   Hashtbl.create 256 [@@mcx.lint.allow "domain-toplevel-state"]
 
 let analyze_once cmt_path =
@@ -166,33 +151,34 @@ let analyze_once cmt_path =
   | exception _ -> None
   | digest -> (
     match Hashtbl.find_opt analyzed cmt_path with
-    | Some (d, summary) when Digest.equal d digest -> summary
+    | Some (d, result) when Digest.equal d digest -> result
     | _ ->
-      let summary = analyze_cmt cmt_path in
-      Hashtbl.replace analyzed cmt_path (digest, summary);
-      summary)
+      let result = analyze_cmt cmt_path in
+      Hashtbl.replace analyzed cmt_path (digest, result);
+      result)
 
-type cmt_pass = {
-  summaries : Callgraph.summary list;
-  cp_typed : Finding.t list;  (** deduped, scanned sources only *)
-  cp_files_typed : int;
-}
-
-let cmt_pass config ~source_set =
-  let summaries = List.filter_map analyze_once (cmt_paths config.root) in
-  (* Each scanned source contributes typed findings through at most one
-     cmt (a source can be compiled into several build targets). *)
-  let done_set = Hashtbl.create 64 in
-  let typed = ref [] and files_typed = ref 0 in
+(* Typed findings of every scanned .ml, each through one cmt (a source
+   can be compiled into several build targets).
+   @raise Missing_cmt naming the scanned .ml files that have none. *)
+let typed_pass config ~sources =
+  let pending = Hashtbl.create 64 in
   List.iter
-    (fun (s : Callgraph.summary) ->
-      if Hashtbl.mem source_set s.src && not (Hashtbl.mem done_set s.src) then begin
-        Hashtbl.add done_set s.src ();
-        incr files_typed;
-        typed := s.typed_findings @ !typed
-      end)
-    summaries;
-  { summaries; cp_typed = List.rev !typed; cp_files_typed = !files_typed }
+    (fun rel -> if Filename.check_suffix rel ".ml" then Hashtbl.replace pending rel ())
+    sources;
+  let files_typed = Hashtbl.length pending in
+  let typed =
+    List.concat_map
+      (fun cmt ->
+        match analyze_once cmt with
+        | Some (src, findings) when Hashtbl.mem pending src ->
+          Hashtbl.remove pending src;
+          findings
+        | _ -> [])
+      (cmt_paths config.root)
+  in
+  match List.filter (Hashtbl.mem pending) sources with
+  | [] -> (typed, files_typed)
+  | missing -> raise (Missing_cmt missing)
 
 (* --- top level ------------------------------------------------------- *)
 
@@ -205,12 +191,8 @@ type stale_allow = {
 type result = {
   findings : Finding.t list;
   files_scanned : int;
-  files_typed : int;  (** sources that had a matching .cmt *)
-  graph_modules : int;  (** compilation units in the whole-program graph *)
-  graph_nodes : int;
-  stale_allows : stale_allow list;
-      (** allow spans/entries that suppressed nothing and served as no
-          barrier this run *)
+  files_typed : int;  (** scanned .ml files, each linted through its .cmt *)
+  stale_allows : stale_allow list;  (** allow spans/entries that covered no finding *)
 }
 
 let run config =
@@ -219,8 +201,6 @@ let run config =
       if not (Rules.mem id) then invalid_arg (Printf.sprintf "mcx-lint: unknown rule %S" id))
     config.only;
   let sources = scan_sources config in
-  let source_set = Hashtbl.create 64 in
-  List.iter (fun rel -> Hashtbl.replace source_set rel ()) sources;
   let spans_by_file = Hashtbl.create 64 in
   let source_findings = ref [] in
   List.iter
@@ -235,25 +215,10 @@ let run config =
       | exception Lexer.Error (_, loc) ->
         source_findings := parse_error_finding rel loc :: !source_findings)
     sources;
-  let pass =
-    if config.with_typed then cmt_pass config ~source_set
-    else { summaries = []; cp_typed = []; cp_files_typed = 0 }
-  in
-  let graph = Callgraph.build pass.summaries in
-  (* Barrier / allow oracle for the interprocedural rules. Consulting a
-     span marks it used, so an annotation whose only job is to stop
-     effect propagation still counts for [--check-allows]. Files outside
-     the scan set have no parsed spans; their findings are dropped below
-     anyway. *)
-  let allowed ~rule ~file ~line ~col =
-    match Hashtbl.find_opt spans_by_file file with
-    | Some spans -> Allow.allows spans ~rule ~line ~col
-    | None -> false
-  in
-  let interproc =
-    if config.with_typed then
-      List.filter (fun (f : Finding.t) -> Hashtbl.mem source_set f.file) (Effects.run graph ~allowed)
-    else []
+  (* A file that does not parse has no .cmt either; its parse-error
+     finding is the report. *)
+  let typed, files_typed =
+    typed_pass config ~sources:(List.filter (Hashtbl.mem spans_by_file) sources)
   in
   let allow_entries =
     match config.allow_file with
@@ -262,20 +227,22 @@ let run config =
   in
   (* Evaluate both suppression mechanisms unconditionally (no &&
      short-circuit): usage marking must see every mechanism that would
-     have matched, or [--check-allows] reports live annotations stale. *)
+     have matched, or [--check-allows] reports live annotations stale. A
+     span that covers a finding it may not suppress counts as used: the
+     finding itself still fails the run. *)
   let keep (f : Finding.t) =
     let file_allowed = Allow.allowed_by_file allow_entries f in
-    let span_allowed =
-      match Hashtbl.find_opt spans_by_file f.Finding.file with
-      | Some spans -> Allow.suppressed spans f
+    let span_covers =
+      match Hashtbl.find_opt spans_by_file f.file with
+      | Some spans -> Allow.covers spans f
       | None -> false
     in
-    (config.only = [] || List.mem f.Finding.rule config.only)
-    && (not file_allowed) && not span_allowed
+    (config.only = [] || List.mem f.rule config.only)
+    && (not file_allowed)
+    && not (span_covers && Rules.attribute_suppresses f.rule f.file)
   in
   let findings =
-    List.filter keep (!source_findings @ pass.cp_typed @ interproc)
-    |> List.sort_uniq Finding.compare
+    List.filter keep (!source_findings @ typed) |> List.sort_uniq Finding.compare
   in
   let stale_allows =
     let acc = ref [] in
@@ -309,14 +276,7 @@ let run config =
       sources;
     List.sort compare !acc
   in
-  {
-    findings;
-    files_scanned = List.length sources;
-    files_typed = pass.cp_files_typed;
-    graph_modules = Callgraph.module_count graph;
-    graph_nodes = Callgraph.node_count graph;
-    stale_allows;
-  }
+  { findings; files_scanned = List.length sources; files_typed; stale_allows }
 
 (* --- reporting ------------------------------------------------------- *)
 
@@ -332,8 +292,6 @@ let report_text result =
        (List.length result.findings)
        (if List.length result.findings = 1 then "" else "s")
        result.files_scanned result.files_typed);
-  Buffer.add_string buf
-    (Printf.sprintf "call graph: %d modules, %d nodes\n" result.graph_modules result.graph_nodes);
   Buffer.contents buf
 
 let stale_allow_to_json (s : stale_allow) =
@@ -351,8 +309,6 @@ let report_json result =
          ("schema", Mcx_util.Json_out.Str "mcx-lint/1");
          ("files_scanned", Mcx_util.Json_out.Int result.files_scanned);
          ("files_typed", Mcx_util.Json_out.Int result.files_typed);
-         ("graph_modules", Mcx_util.Json_out.Int result.graph_modules);
-         ("graph_nodes", Mcx_util.Json_out.Int result.graph_nodes);
          ("count", Mcx_util.Json_out.Int (List.length result.findings));
          ("findings", Mcx_util.Json_out.List (List.map Finding.to_json result.findings));
          ( "stale_allows",

@@ -1,15 +1,6 @@
-type step = { name : string; file : string; line : int; col : int }
+type t = { file : string; line : int; col : int; rule : string; message : string }
 
-type t = {
-  file : string;
-  line : int;
-  col : int;
-  rule : string;
-  message : string;
-  chain : step list;
-}
-
-let make ~file ~line ~col ~rule ~message = { file; line; col; rule; message; chain = [] }
+let make ~file ~line ~col ~rule ~message = { file; line; col; rule; message }
 
 let compare a b =
   let c = String.compare a.file b.file in
@@ -21,28 +12,10 @@ let compare a b =
       let c = Int.compare a.col b.col in
       if c <> 0 then c else String.compare a.rule b.rule
 
-let to_string t =
-  let head = Printf.sprintf "%s:%d:%d [%s] %s" t.file t.line t.col t.rule t.message in
-  match t.chain with
-  | [] -> head
-  | chain ->
-    String.concat "\n"
-      (head
-      :: List.map
-           (fun s -> Printf.sprintf "    via %s (%s:%d:%d)" s.name s.file s.line s.col)
-           chain)
-
-let step_to_json (s : step) =
-  Mcx_util.Json_out.Obj
-    [
-      ("name", Mcx_util.Json_out.Str s.name);
-      ("file", Mcx_util.Json_out.Str s.file);
-      ("line", Mcx_util.Json_out.Int s.line);
-      ("col", Mcx_util.Json_out.Int s.col);
-    ]
+let to_string t = Printf.sprintf "%s:%d:%d [%s] %s" t.file t.line t.col t.rule t.message
 
 let to_json t =
-  let base =
+  Mcx_util.Json_out.Obj
     [
       ("file", Mcx_util.Json_out.Str t.file);
       ("line", Mcx_util.Json_out.Int t.line);
@@ -50,10 +23,3 @@ let to_json t =
       ("rule", Mcx_util.Json_out.Str t.rule);
       ("message", Mcx_util.Json_out.Str t.message);
     ]
-  in
-  let fields =
-    match t.chain with
-    | [] -> base
-    | chain -> base @ [ ("chain", Mcx_util.Json_out.List (List.map step_to_json chain)) ]
-  in
-  Mcx_util.Json_out.Obj fields

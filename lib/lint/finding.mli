@@ -1,35 +1,13 @@
-(** One lint finding, addressed by source position.
+(** One lint finding, addressed by source position. *)
 
-    Interprocedural findings additionally carry a call [chain]: the
-    shortest source→sink path from the reported site to the offending
-    effect source, one step per function, rendered in text/JSON/SARIF
-    output and by [mcx-lint --explain]. *)
-
-type step = {
-  name : string;  (** fully-qualified function path, e.g. [Mcx_util.Pool.default_jobs] *)
-  file : string;
-  line : int;
-  col : int;
-}
-
-type t = {
-  file : string;
-  line : int;
-  col : int;
-  rule : string;
-  message : string;
-  chain : step list;  (** [[]] for local (intraprocedural) findings *)
-}
+type t = { file : string; line : int; col : int; rule : string; message : string }
 
 val make : file:string -> line:int -> col:int -> rule:string -> message:string -> t
-(** A chainless finding. *)
 
 val compare : t -> t -> int
 (** Order by file, line, column, rule — the report order. *)
 
 val to_string : t -> string
-(** [file:line:col [rule-id] message]; chain steps follow, one indented
-    [via name (file:line:col)] line each. *)
+(** [file:line:col [rule-id] message]. *)
 
 val to_json : t -> Mcx_util.Json_out.t
-(** Adds a ["chain"] array field when the chain is non-empty. *)

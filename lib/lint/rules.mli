@@ -4,7 +4,6 @@
 type kind =
   | Source  (** Parsetree rule *)
   | Typed  (** Typedtree (.cmt) rule *)
-  | Interproc  (** Whole-program rule over the {!Callgraph} effect fixpoint *)
 
 type t = { id : string; synopsis : string; kind : kind }
 
@@ -17,8 +16,11 @@ val applies : string -> string -> bool
     path [rel]? Files under [test/lint_fixtures/] are scoped as if they
     lived under [lib/] so lib-only rules can be exercised by fixtures. *)
 
-val starts_with : prefix:string -> string -> bool
+val attribute_suppresses : string -> string -> bool
+(** [attribute_suppresses rule rel] — can an [[\@mcx.lint.allow]]
+    attribute silence [rule] in the file at [rel]? [false] inside [lib/]
+    for the owner-only rules ([determinism-*], [raw-env-read],
+    [output-print]): there the owner modules are the only sanctioned
+    sites. [lint.allow] path entries apply regardless. *)
 
-val dls_guarded_file : string -> bool
-(** Is the file at this repo-relative path one of the DLS-guarded modules
-    whose top-level mutable state is sanctioned (telemetry/prng/metrics)? *)
+val starts_with : prefix:string -> string -> bool

@@ -7,15 +7,17 @@ let info_uri = "https://github.com/mcx/mcx#static-analysis"
 
 (* SARIF regions are 1-based; clamp degenerate positions (parse errors
    can report line 0). *)
-let phys ~file ~line ~col =
+let physical_location ~file ~line ~col =
   J.Obj
     [
-      ("artifactLocation", J.Obj [ ("uri", J.Str file) ]);
-      ("region", J.Obj [ ("startLine", J.Int (max 1 line)); ("startColumn", J.Int (col + 1)) ]);
+      ( "physicalLocation",
+        J.Obj
+          [
+            ("artifactLocation", J.Obj [ ("uri", J.Str file) ]);
+            ( "region",
+              J.Obj [ ("startLine", J.Int (max 1 line)); ("startColumn", J.Int (col + 1)) ] );
+          ] );
     ]
-
-let physical_location ~file ~line ~col =
-  J.Obj [ ("physicalLocation", phys ~file ~line ~col) ]
 
 let rule_index id =
   let rec go i = function
@@ -35,35 +37,8 @@ let rules_json =
            ])
        Rules.all)
 
-let code_flow (chain : Finding.step list) =
-  J.Obj
-    [
-      ( "threadFlows",
-        J.List
-          [
-            J.Obj
-              [
-                ( "locations",
-                  J.List
-                    (List.map
-                       (fun (s : Finding.step) ->
-                         J.Obj
-                           [
-                             ( "location",
-                               J.Obj
-                                 [
-                                   ( "physicalLocation",
-                                     phys ~file:s.file ~line:s.line ~col:s.col );
-                                   ("message", J.Obj [ ("text", J.Str s.name) ]);
-                                 ] );
-                           ])
-                       chain) );
-              ];
-          ] );
-    ]
-
 let result_json (f : Finding.t) =
-  let base =
+  J.Obj
     [
       ("ruleId", J.Str f.rule);
       ("ruleIndex", J.Int (rule_index f.rule));
@@ -71,11 +46,6 @@ let result_json (f : Finding.t) =
       ("message", J.Obj [ ("text", J.Str f.message) ]);
       ("locations", J.List [ physical_location ~file:f.file ~line:f.line ~col:f.col ]);
     ]
-  in
-  let fields =
-    match f.chain with [] -> base | chain -> base @ [ ("codeFlows", J.List [ code_flow chain ]) ]
-  in
-  J.Obj fields
 
 let report findings =
   J.to_string

@@ -2,9 +2,7 @@
     code scanning ingests), so mcx-lint findings annotate PRs.
 
     One [run] with the full rule registry under [tool.driver.rules];
-    findings become [results] with 1-based physical locations and — for
-    interprocedural findings — a [codeFlows] thread flow tracing the
-    source→sink call chain. *)
+    findings become [results] with 1-based physical locations. *)
 
 val version : string
 (** Reported as [tool.driver.version]. *)

@@ -1,7 +1,8 @@
-(* Untyped (Parsetree) rules. Each rule matches on resolved-looking
-   longidents ([Stdlib.] prefixes are normalized away), so
-   [Format.pp_print_string] is never confused with [print_string] and
-   qualified aliases like [Stdlib.Random] are still caught. *)
+(* Untyped (Parsetree) rules: the ones that judge a shape of code rather
+   than a resolved value — top-level mutable state, hand-rolled float
+   JSON, catch-all handlers. Value bans live in [Typed_lint], which sees
+   through [open]s and module aliases. Longidents are matched with a
+   leading [Stdlib.] normalized away. *)
 
 let finding ~file ~rule ~(loc : Location.t) message =
   Finding.make ~file ~line:loc.loc_start.pos_lnum
@@ -17,42 +18,6 @@ let rec flatten_lid (lid : Longident.t) =
 (* Normalize an ident path: drop a leading [Stdlib]. *)
 let ident_path lid =
   match flatten_lid lid with "Stdlib" :: rest -> rest | path -> path
-
-(* --- per-ident bans -------------------------------------------------- *)
-
-let wallclock_idents =
-  [ [ "Unix"; "gettimeofday" ]; [ "Unix"; "time" ]; [ "Sys"; "time" ] ]
-
-let poly_hash_idents =
-  [ [ "Hashtbl"; "hash" ]; [ "Hashtbl"; "seeded_hash" ]; [ "Hashtbl"; "hash_param" ] ]
-
-let stdout_idents =
-  [
-    [ "print_endline" ];
-    [ "print_string" ];
-    [ "print_newline" ];
-    [ "print_char" ];
-    [ "print_int" ];
-    [ "print_float" ];
-    [ "print_bytes" ];
-    [ "Printf"; "printf" ];
-    [ "Format"; "printf" ];
-    [ "Format"; "print_string" ];
-    [ "Format"; "print_newline" ];
-  ]
-
-let stderr_idents =
-  [
-    [ "prerr_endline" ];
-    [ "prerr_string" ];
-    [ "prerr_newline" ];
-    [ "prerr_char" ];
-    [ "prerr_int" ];
-    [ "prerr_float" ];
-    [ "prerr_bytes" ];
-    [ "Printf"; "eprintf" ];
-    [ "Format"; "eprintf" ];
-  ]
 
 let sprintf_idents =
   [
@@ -130,48 +95,12 @@ let rec mutable_toplevel_rhs (e : Parsetree.expression) =
 
 let run ~file (str : Parsetree.structure) =
   let findings = ref [] in
-  let applies rule = Rules.applies rule file in
   let add ~rule ~loc message =
-    if applies rule then findings := finding ~file ~rule ~loc message :: !findings
-  in
-  let check_ident (lid : Longident.t) (loc : Location.t) =
-    let path = ident_path lid in
-    let shown = String.concat "." (flatten_lid lid) in
-    (match path with
-    | "Random" :: _ ->
-      add ~rule:"determinism-random" ~loc
-        (Printf.sprintf
-           "%s breaks MCX_JOBS bit-identity; derive a stream from Prng.Key instead" shown)
-    | _ -> ());
-    if List.mem path wallclock_idents then
-      add ~rule:"determinism-wallclock" ~loc
-        (Printf.sprintf "%s reads the wall clock; use Timing/Telemetry (monotonic)" shown);
-    if List.mem path poly_hash_idents then
-      add ~rule:"determinism-poly-hash" ~loc
-        (Printf.sprintf
-           "%s keeps 30 bits and traverses structures partially; use a dedicated hash"
-           shown);
-    if List.mem path stdout_idents then
-      add ~rule:"output-print" ~loc
-        (Printf.sprintf
-           "%s writes to stdout from library code; route through Render/Texttable or a \
-            Format printer"
-           shown);
-    if List.mem path stderr_idents then
-      add ~rule:"output-stderr-print" ~loc
-        (Printf.sprintf
-           "%s prints raw text to stderr from an instrumented layer; emit a structured \
-            record (Access_log, Telemetry, a returned Texttable) or move it to a \
-            designated summary module"
-           shown);
-    match path with
-    | [ "Obj"; "magic" ] -> add ~rule:"hygiene-obj-magic" ~loc "Obj.magic defeats the type system"
-    | _ -> ()
+    if Rules.applies rule file then findings := finding ~file ~rule ~loc message :: !findings
   in
   let super = Ast_iterator.default_iterator in
   let expr it (e : Parsetree.expression) =
     (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> check_ident txt loc
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
       when List.mem (ident_path txt) sprintf_idents ->
       List.iter
@@ -191,8 +120,8 @@ let run ~file (str : Parsetree.structure) =
           in
           if catch_all && c.pc_guard = None && not (contains_raise c.pc_rhs) then
             add ~rule:"hygiene-catchall" ~loc:c.pc_lhs.ppat_loc
-              "catch-all handler swallows exceptions (open Telemetry spans leak); match \
-               specific exceptions or re-raise")
+              "catch-all handler swallows exceptions; match specific exceptions or \
+               re-raise")
         cases
     | _ -> ());
     super.expr it e

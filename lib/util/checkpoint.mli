@@ -1,11 +1,13 @@
 (** Checkpointed, fault-tolerant Monte Carlo sweeps.
 
-    The paper-scale campaigns (Table II, Fig. 6, the yield/aging sweeps)
-    are hours of Monte Carlo trials. This module makes that progress
-    {e durable}: every completed trial is appended to a JSONL journal as
-    soon as it finishes, and a re-run of the same experiment replays
-    journaled trials instead of recomputing them — producing stdout
-    byte-identical to an uninterrupted run, because each trial's PRNG
+    The paper-scale campaigns are short here (all 14 [memx experiment]
+    entries at their default sample counts take about 17 s together at
+    [MCX_JOBS=2] on a 2-vCPU VM; mldefect, the longest, about 10 s), but
+    larger sample counts scale them linearly. This module makes their
+    progress {e durable}: every completed trial is appended to a JSONL
+    journal as soon as it finishes, and a re-run of the same experiment
+    replays journaled trials instead of recomputing them — producing
+    stdout byte-identical to an uninterrupted run, because each trial's PRNG
     stream depends only on [(seed, experiment, section, trial index)]
     (see {!Prng.Key}) and every journaled float round-trips exactly
     (see {!Json_out.float_repr}).

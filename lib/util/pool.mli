@@ -54,8 +54,8 @@ val shutdown : t -> unit
 (** {2 Trial-level fault isolation}
 
     {!map} tears the whole batch down on the first exception — correct for
-    programming errors in tests, but an hours-long Monte Carlo campaign
-    should not lose every completed trial to one bad one. {!map_isolated}
+    programming errors in tests, but a long Monte Carlo campaign should
+    not lose every completed trial to one bad one. {!map_isolated}
     confines a failure to its own index: the trial is retried, and a trial
     that keeps failing becomes a {!Failed} outcome (message + backtrace +
     attempt count) instead of an exception. *)

@@ -618,35 +618,20 @@ let begin_span name =
   end
 
 (* Close the innermost frame when it is [name], recording its duration
-   (and a trace event when events are on); [false] leaves the stack as
-   it was. *)
-let close_frame b name =
-  match b.stack with
-  | (top, t0) :: rest when String.equal top name ->
-    b.stack <- rest;
-    let dur = Int64.sub (Timing.monotonic_ns ()) t0 in
-    add_sample (span_hist b name) dur;
-    if !events_flag then
-      push_event b { ev_name = name; ev_ts = Int64.sub t0 !epoch; ev_dur = dur };
-    true
-  | _ -> false
-
-let end_span name =
+   (and a trace event when events are on). Tolerant: enabling or
+   resetting mid-flight leaves no frame to close. *)
+let close_span_if_open name =
   if !enabled_flag then begin
     let b = buffer () in
-    if not (close_frame b name) then
-      match b.stack with
-      | [] ->
-        invalid_arg
-          (Printf.sprintf "Telemetry.end_span: %S closed but no span is open" name)
-      | (top, _) :: _ ->
-        invalid_arg
-          (Printf.sprintf "Telemetry.end_span: %S closed while %S is innermost" name top)
+    match b.stack with
+    | (top, t0) :: rest when String.equal top name ->
+      b.stack <- rest;
+      let dur = Int64.sub (Timing.monotonic_ns ()) t0 in
+      add_sample (span_hist b name) dur;
+      if !events_flag then
+        push_event b { ev_name = name; ev_ts = Int64.sub t0 !epoch; ev_dur = dur }
+    | _ -> ()
   end
-
-(* Tolerant closer for the [span] wrapper: enabling/resetting mid-flight
-   must not turn the unwind into a spurious unbalanced-close failure. *)
-let close_span_if_open name = if !enabled_flag then ignore (close_frame (buffer ()) name)
 
 let span name f =
   if not !enabled_flag then f ()

@@ -76,14 +76,8 @@ val span : string -> (unit -> 'a) -> 'a
     records the duration under [mcx_telemetry_span_ns{span=name}]
     (count, sum, min, max, log2 histogram bucket, and a trace event when
     events are on). Spans nest; on an exception the open frame is closed
-    and the exception re-raised. *)
-
-val begin_span : string -> unit
-val end_span : string -> unit
-(** Manual span bracketing for code where a higher-order wrapper does not
-    fit. [end_span name] closes the innermost open span, which must be
-    [name]. @raise Invalid_argument when no span is open or the innermost
-    open span has a different name (unbalanced close). *)
+    and the exception re-raised. It is the only way to open a span, so
+    none can be left open. *)
 
 val count : ?n:int -> string -> unit
 (** Add [n] (default 1) to [mcx_telemetry_counter{name=<name>}]. *)

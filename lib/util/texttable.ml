@@ -102,5 +102,3 @@ let to_csv t =
       | Row cells -> emit cells)
     (rows_in_order t);
   Buffer.contents buf
-
-let print t = print_string (render t)

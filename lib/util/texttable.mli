@@ -28,6 +28,3 @@ val render : t -> string
 val to_csv : t -> string
 (** Render header and rows as RFC-4180-ish CSV (quotes fields containing
     commas, quotes or newlines). Separators are skipped. *)
-
-val print : t -> unit
-(** [print t] writes {!render} to stdout followed by a newline. *)

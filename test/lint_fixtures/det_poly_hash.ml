@@ -1,5 +1,5 @@
-(* determinism-poly-hash: expected at line 3. *)
-
+(* determinism-poly-hash: expected at lines 3 and 5; the allow attribute
+   on line 5 does not suppress it in lib code. *)
 let seed_of key = Hashtbl.hash key
 
 let suppressed key = (Hashtbl.hash key [@mcx.lint.allow "determinism-poly-hash"])

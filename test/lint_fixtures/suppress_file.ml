@@ -1,5 +1,5 @@
 (* A floating [@@@mcx.lint.allow] suppresses the whole file. *)
 
-[@@@mcx.lint.allow "determinism-random"]
+[@@@mcx.lint.allow "hygiene-obj-magic"]
 
-let roll () = Random.int 6
+let cast (x : int) : bool = Obj.magic x

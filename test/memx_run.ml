@@ -25,7 +25,9 @@ let memx_env env =
   let defaults =
     List.filter (fun kv -> not (overridden kv)) [ "MCX_JOBS=1"; "MCX_TRACE_TIMES=0" ]
   in
-  Unix.environment ()
+  (* The child inherits the test's environment minus its MCX_* knobs, so
+     each run sees exactly the knobs the test names. *)
+  (Unix.environment () [@mcx.lint.allow "raw-env-read"])
   |> Array.to_list
   |> List.filter (fun kv -> not (String.starts_with ~prefix:"MCX_" kv))
   |> List.append (env @ defaults)

@@ -11,13 +11,9 @@ open Mcx_util
 
 let codec = Checkpoint.Codec.int
 
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "mcx-ckpt-test-%d-%d" (Unix.getpid ()) !tmp_counter)
+(* A path that does not exist yet, so [Checkpoint.start] and
+   MCX_CHECKPOINT must create the journal directory themselves. *)
+let fresh_dir () = Filename.concat (Filename.temp_dir "mcx-ckpt-test-" "") "ckpt"
 
 let read_file path =
   let ic = open_in_bin path in

@@ -1,8 +1,9 @@
 (* Config registry tests: typed accessors with provenance, eager flag
    validation, malformed-knob errors, the canonical mcx-config/1
    snapshot (field order, digest stability, the semantic-only
-   projection's job-count invariance), and the checkpoint journal's
-   config-digest resume refusal with its --force-resume escape hatch.
+   projection's job-count invariance), the checkpoint journal's
+   config-digest resume refusal with its --force-resume escape hatch, and
+   [memx config] / [memx experiment] driven end to end.
 
    Knobs are process-global, so every test restores the environment it
    touched: [Unix.putenv name ""] clears a knob (empty-is-unset) and
@@ -94,14 +95,26 @@ let test_invalid_message () =
           (Printexc.to_string e))
 
 (* Every entry point refuses to start on a malformed knob, not just
-   [memx config]: exit 2, naming the knob and value. *)
+   [memx config]: exit 2, naming the knob and value. A malformed and an
+   unregistered knob together give one startup error naming both. *)
 let test_memx_refuses_malformed () =
-  let stderr_path = Filename.temp_file "mcx-config" ".err" in
-  Memx_run.run_memx ~status:2 ~env:[ "MCX_FAULT_RATE=1.5" ] ~stderr_path
-    [ "experiment"; "yield" ];
-  let needle = "invalid MCX_FAULT_RATE=\"1.5\"" in
-  Alcotest.(check bool) ("stderr names " ^ needle) true
-    (Memx_run.contains (Memx_run.read_file stderr_path) needle)
+  List.iter
+    (fun (env, args, needles) ->
+      let stderr_path = Filename.temp_file "mcx-config" ".err" in
+      Memx_run.run_memx ~status:2 ~env ~stderr_path args;
+      let err = Memx_run.read_file stderr_path in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) ("stderr names " ^ needle) true (Memx_run.contains err needle))
+        needles)
+    [
+      ( [ "MCX_FAULT_RATE=1.5" ],
+        [ "experiment"; "yield" ],
+        [ "invalid MCX_FAULT_RATE=\"1.5\"" ] );
+      ( [ "MCX_TYPO_KNOB=1"; "MCX_JOBS=abc" ],
+        [ "config"; "--json" ],
+        [ "invalid MCX_JOBS=\"abc\""; "unknown MCX_TYPO_KNOB" ] );
+    ]
 
 let test_set_flag_validates_eagerly () =
   check_invalid "MCX_JOBS" "flag abc" (fun () -> Config.set_flag "MCX_JOBS" "abc");
@@ -200,17 +213,7 @@ let test_semantic_projection_job_invariant () =
 
 (* --- journal resume refusal -------------------------------------------- *)
 
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcx-config-test-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  Sys.mkdir dir 0o755;
-  dir
+let fresh_dir () = Filename.temp_dir "mcx-config-test-" ""
 
 let read_file path =
   let ic = open_in_bin path in
@@ -288,6 +291,63 @@ let test_mismatch_printer () =
     (fun needle -> Alcotest.(check bool) ("mentions " ^ needle) true (contains needle))
     [ "d/journal.jsonl"; "aaa"; "bbb"; "--force-resume"; "memx config" ]
 
+(* --- the memx binary ------------------------------------------------------ *)
+
+(* [memx config] renders the registry as a table and as an mcx-config/1
+   document naming every knob with its type, layer and provenance. *)
+let test_memx_config () =
+  let dir = fresh_dir () in
+  let file name = Filename.concat dir name in
+  Memx_run.run_memx ~stdout_path:(file "config.txt") ~stderr_path:(file "config.err")
+    [ "config" ];
+  Alcotest.(check bool) "the table lists MCX_JOBS" true
+    (Memx_run.contains (Memx_run.read_file (file "config.txt")) "MCX_JOBS");
+  Memx_run.run_memx ~stdout_path:(file "config.json") ~stderr_path:(file "config.err")
+    [ "config"; "--json" ];
+  match Json_out.of_string (Memx_run.read_file (file "config.json")) with
+  | Error e -> Alcotest.failf "memx config --json does not parse: %s" e
+  | Ok json -> (
+    Alcotest.(check (option string))
+      "schema" (Some "mcx-config/1")
+      (Option.bind (Json_out.member "schema" json) Json_out.to_string_opt);
+    Alcotest.(check bool) "has a digest" true (Option.is_some (Json_out.member "digest" json));
+    match Json_out.member "knobs" json with
+    | Some (Json_out.List knobs) ->
+      Alcotest.(check bool) "at least 10 knobs" true (List.length knobs >= 10);
+      List.iter
+        (fun k ->
+          List.iter
+            (fun field ->
+              Alcotest.(check bool) ("every knob has " ^ field) true
+                (Option.is_some (Json_out.member field k)))
+            [ "name"; "type"; "layer"; "provenance" ])
+        knobs
+    | _ -> Alcotest.fail "no knobs list")
+
+(* Through the binary: a journal written at MCX_JOBS=4 refuses to resume
+   at MCX_JOBS=1 (exit 2, naming the digest and the escape hatch), and
+   --force-resume replays it to the same tables. *)
+let test_memx_resume_refusal () =
+  let dir = fresh_dir () and out = fresh_dir () in
+  let file name = Filename.concat out name in
+  let yield ?(status = 0) ?(extra = []) ~jobs name =
+    Memx_run.run_memx ~status
+      ~env:[ "MCX_CHECKPOINT=" ^ dir; "MCX_JOBS=" ^ string_of_int jobs ]
+      ~stdout_path:(file (name ^ ".out")) ~stderr_path:(file (name ^ ".err"))
+      ([ "experiment"; "yield"; "--samples"; "4" ] @ extra)
+  in
+  yield ~jobs:4 "run4";
+  yield ~status:2 ~jobs:1 "refused";
+  let err = Memx_run.read_file (file "refused.err") in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("refusal names " ^ needle) true (Memx_run.contains err needle))
+    [ "config digest"; "force-resume" ];
+  yield ~extra:[ "--force-resume" ] ~jobs:1 "forced";
+  Alcotest.(check string) "forced resume prints the same tables"
+    (Memx_run.read_file (file "run4.out"))
+    (Memx_run.read_file (file "forced.out"))
+
 (* --- property: snapshot round-trips through Json_out ------------------- *)
 
 let knob_value_gen =
@@ -352,6 +412,7 @@ let () =
           Alcotest.test_case "semantic projection is job-invariant" `Quick
             test_semantic_projection_job_invariant;
           QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
+          Alcotest.test_case "memx config" `Quick test_memx_config;
         ] );
       ( "journal",
         [
@@ -360,5 +421,6 @@ let () =
           Alcotest.test_case "force-resume overrides" `Quick
             test_force_resume_overrides_mismatch;
           Alcotest.test_case "mismatch printer" `Quick test_mismatch_printer;
+          Alcotest.test_case "memx resume refusal" `Quick test_memx_resume_refusal;
         ] );
     ]

@@ -432,8 +432,9 @@ let test_percentile_estimator () =
 (* The exported bytes of [memx serve --metrics/--metrics-json/--access-log]
    and of a traced [memx experiment yield] on the deterministic projection
    (MCX_TRACE_TIMES=0, every other MCX_* knob unset). A refactor of the
-   recording core must leave them byte-identical. The yield summary is
-   recorded at MCX_JOBS=1 and must come out the same at MCX_JOBS=4.
+   recording core must leave them byte-identical. Every golden is
+   recorded at MCX_JOBS=1; the serve exports and the yield summary must
+   come out the same at MCX_JOBS=4.
 
    Regenerating (only when an intentional schema change lands):
 
@@ -443,19 +444,21 @@ open Memx_run
 
 let requests = "../examples/serve_requests.jsonl"
 
-let serve_outputs =
-  lazy
-    (run_memx ~stderr_path:"obs_serve.err"
-       [
-         "serve"; "--in"; requests; "--in"; requests; "-o"; "obs_resp.jsonl";
-         "--access-log"; "obs_access.jsonl"; "--metrics"; "obs_metrics.txt";
-         "--metrics-json"; "obs_metrics.json";
-       ];
-     [
-       ("obs_serve_metrics_txt", read_file "obs_metrics.txt");
-       ("obs_serve_metrics_json", read_file "obs_metrics.json");
-       ("obs_serve_access", read_file "obs_access.jsonl");
-     ])
+let serve ?env tag =
+  let file name = Printf.sprintf "obs%s_%s" tag name in
+  run_memx ?env ~stderr_path:(file "serve.err")
+    [
+      "serve"; "--in"; requests; "--in"; requests; "-o"; file "resp.jsonl"; "--access-log";
+      file "access.jsonl"; "--metrics"; file "metrics.txt"; "--metrics-json";
+      file "metrics.json";
+    ];
+  [
+    ("obs_serve_metrics_txt", read_file (file "metrics.txt"));
+    ("obs_serve_metrics_json", read_file (file "metrics.json"));
+    ("obs_serve_access", read_file (file "access.jsonl"));
+  ]
+
+let serve_outputs = lazy (serve "")
 
 let traced_yield ?env () =
   run_memx ?env ~stderr_path:"obs_yield.err"
@@ -475,6 +478,8 @@ let yield_outputs =
      [ ("obs_yield_summary", read_file "obs_yield.err"); ("obs_yield_counters", counters) ])
 
 (* Inputs that must match a golden without regenerating it. *)
+let serve_jobs4_outputs = lazy (serve ~env:[ "MCX_JOBS=4" ] "_j4")
+
 let yield_jobs4_summary =
   lazy
     (traced_yield ~env:[ "MCX_JOBS=4" ] ();
@@ -483,7 +488,9 @@ let yield_jobs4_summary =
 let golden_outputs () = Lazy.force serve_outputs @ Lazy.force yield_outputs
 
 let golden_inputs () =
-  golden_outputs () @ [ ("obs_yield_summary", Lazy.force yield_jobs4_summary) ]
+  golden_outputs ()
+  @ Lazy.force serve_jobs4_outputs
+  @ [ ("obs_yield_summary", Lazy.force yield_jobs4_summary) ]
 
 let golden_names =
   [

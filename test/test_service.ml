@@ -525,6 +525,34 @@ let test_binary_bad_line () =
       (Option.fold ~none:false ~some:(fun e -> String.length e > 0) (str_at json [ "error" ]))
   | Error e -> Alcotest.failf "unparseable error response: %s" e
 
+(* Two replays of one stream through the binary, then [memx report] over
+   their artifacts: an access log rendered with its metrics snapshot, and
+   the A/B gate between the two logs. The logs are on the deterministic
+   projection (MCX_TRACE_TIMES=0), so they carry no durations and the
+   diff compares counts and cache outcomes only; both must exit 0. The
+   latency-regression path is "report diff" below. *)
+let test_binary_report () =
+  let serve k =
+    let file suffix = Printf.sprintf "smoke_ab%d%s" k suffix in
+    Memx_run.run_memx ~env:[ "MCX_JOBS=2" ] ~stderr_path:(file ".err")
+      [
+        "serve"; "--in"; bundled_requests; "-o"; file "_resp.jsonl"; "--access-log";
+        file ".jsonl"; "--metrics-json"; file "_metrics.json";
+      ];
+    file ".jsonl"
+  in
+  let a = serve 1 and b = serve 2 in
+  Memx_run.run_memx ~stdout_path:"smoke_report.out" ~stderr_path:"smoke_report.err"
+    [ "report"; "--access"; a; "--metrics"; "smoke_ab1_metrics.json" ];
+  Alcotest.(check bool) "renders both documents" true
+    (let out = read_file "smoke_report.out" in
+     Memx_run.contains out ("== " ^ a ^ " ==")
+     && Memx_run.contains out "== smoke_ab1_metrics.json ==");
+  Memx_run.run_memx ~stdout_path:"smoke_diff.out" ~stderr_path:"smoke_diff.err"
+    [ "report"; "--diff"; a ^ "," ^ b; "--threshold"; "4.0" ];
+  Alcotest.(check bool) "two replays agree" true
+    (Memx_run.contains (read_file "smoke_diff.out") "no mismatches, no regressions")
+
 (* --- memx report ------------------------------------------------------- *)
 
 let timed_record ~index ~compute_ns ~render_ns =
@@ -702,6 +730,7 @@ let () =
           [
             Alcotest.test_case "two-batch replay" `Quick test_binary_replay;
             Alcotest.test_case "bad line exits 4" `Quick test_binary_bad_line;
+            Alcotest.test_case "report and A/B diff" `Quick test_binary_report;
           ] );
         ( "access",
           [
