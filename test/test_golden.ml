@@ -2,7 +2,9 @@
    checked-in expected output.  The projection deliberately drops every
    wall-clock field so the comparison is byte-exact: kernel rewrites
    (packed cubes, bit-packed matrices, ...) must not silently change the
-   paper numbers.
+   paper numbers.  The simulator-driven entries (fig3, fig5, fig7,
+   transient, mldefect) are pinned by their full [memx experiment] text,
+   which shows a changed upset-draw order or a changed verdict.
 
    Regenerating (only when an *intentional* semantic change lands):
 
@@ -57,6 +59,11 @@ let fig6_projection () =
     panels;
   Buffer.contents buf
 
+(* Registry entries whose text has no wall-clock field, at small sample
+   counts; fig3, fig5 and fig7 take none. *)
+let registry_text ?samples name () =
+  (Mcx.Experiments.Registry.run ~pool:(Lazy.force pool) ?samples ~seed name).text
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -69,7 +76,16 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let golden_cases = [ ("table2", table2_projection); ("fig6", fig6_projection) ]
+let golden_cases =
+  [
+    ("table2", table2_projection);
+    ("fig6", fig6_projection);
+    ("fig3", registry_text "fig3");
+    ("fig5", registry_text "fig5");
+    ("fig7", registry_text "fig7");
+    ("transient", registry_text ~samples:40 "transient");
+    ("mldefect", registry_text ~samples:8 "mldefect");
+  ]
 
 let regen dir =
   List.iter
