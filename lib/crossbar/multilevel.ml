@@ -16,12 +16,9 @@ type t = {
 (* Column layout: [0, 2I) input literals (positives then complements),
    [2I, 2I + C) connection columns, then (Ok main, Ok comp) pairs. *)
 
-let input_pos_col _net i = i
-let input_neg_col net i = Network.n_inputs net + i
-
 let signal_col net = function
-  | Signal.Input i -> Some (input_pos_col net i)
-  | Signal.Input_neg i -> Some (input_neg_col net i)
+  | Signal.Input i -> Some i
+  | Signal.Input_neg i -> Some (Network.n_inputs net + i)
   | Signal.Gate _ | Signal.Const _ -> None
 
 let place ?row_assignment ?physical_rows (mapped : Tech_map.mapped) =
@@ -125,45 +122,29 @@ let function_matrix t =
   done;
   fm
 
-let run_impl ?defects ?upset t inputs =
+(* The CR machine: INA, then per gate in id (topological) order CFM, EVM
+   and CR, then INR and SO, on the same store as {!Sim}. Every row NAND
+   reads the whole row. *)
+let interpret ?defects ?upset t (dom : _ Store.domain) =
   let net = t.mapped.Tech_map.network in
-  let n_inputs = Network.n_inputs net in
-  if Array.length inputs <> n_inputs then invalid_arg "Multilevel.run: arity mismatch";
-  let defects =
-    match defects with
-    | Some d ->
-      if Defect_map.rows d <> t.physical_rows || Defect_map.cols d <> t.physical_cols then
-        invalid_arg "Multilevel.run: defect map dimension mismatch";
-      d
-    | None -> Defect_map.create ~rows:t.physical_rows ~cols:t.physical_cols
+  let negated = t.mapped.Tech_map.negated in
+  let s =
+    Store.create ~name:"Multilevel.run" ?defects ?upset dom ~rows:t.physical_rows
+      ~cols:t.physical_cols
   in
-  let values = Array.make_matrix t.physical_rows t.physical_cols true in
-  let writes = ref 0 and cr_copies = ref 0 in
-  let corrupt v =
-    match upset with Some hit when hit () -> not v | Some _ | None -> v
-  in
-  let write r c v =
-    incr writes;
-    values.(r).(c) <- Junction.store (Defect_map.get defects r c) (corrupt v)
-  in
-  (* INA *)
-  for r = 0 to t.physical_rows - 1 do
-    for c = 0 to t.physical_cols - 1 do
-      write r c true (* INA drives every junction to R_OFF *)
-    done
-  done;
-  let programmed r c = Bmatrix.get t.program r c in
+  let write r c v = if Bmatrix.get t.program r c then Store.write s r c v in
+  Store.initialize s;
   let prow logical = t.row_assignment.(logical) in
-  let used_rows = Array.to_list t.row_assignment in
+  let all_cols = Array.init t.physical_cols Fun.id in
+  let first_output_col = t.cols - (2 * Array.length negated) in
+  let output_col k ~comp = first_output_col + (2 * k) + if comp then 1 else 0 in
+  let literal = function
+    | Signal.Const b -> Some (dom.const b)
+    | Signal.Input i -> Some (dom.lit i true)
+    | Signal.Input_neg i -> Some (dom.lit i false)
+    | Signal.Gate _ -> None
+  in
   let n_gates = Network.gate_count net in
-  let latch_row = n_gates in
-  let row_nand r = not (Array.for_all Fun.id values.(r)) in
-  let col_and c = List.for_all (fun r -> values.(r).(c)) used_rows in
-  let n_outputs = Array.length t.mapped.Tech_map.negated in
-  let first_output_col = t.cols - (2 * n_outputs) in
-  let output_main_col k = first_output_col + (2 * k) in
-  let output_comp_col k = first_output_col + (2 * k) + 1 in
-  (* RI + per-gate CFM/EVM/CR, in topological (id) order. *)
   let consumers = Array.make (max 1 n_gates) [] in
   for id = 0 to n_gates - 1 do
     List.iter
@@ -172,97 +153,66 @@ let run_impl ?defects ?upset t inputs =
         | Signal.Const _ | Signal.Input _ | Signal.Input_neg _ -> ())
       (Network.gate_fanins net id)
   done;
-  let gate_value = Array.make (max 1 n_gates) false in
+  let cr_copies = ref 0 in
   for id = 0 to n_gates - 1 do
     let r = prow id in
     (* CFM: copy the input literals this gate reads. *)
     List.iter
       (fun fanin ->
-        match signal_col net fanin with
-        | Some c -> if programmed r c then write r c (match fanin with
-            | Signal.Input i -> inputs.(i)
-            | Signal.Input_neg i -> not inputs.(i)
-            | Signal.Gate _ | Signal.Const _ -> assert false)
-        | None -> ())
+        Option.iter (fun c -> write r c (Option.get (literal fanin))) (signal_col net fanin))
       (Network.gate_fanins net id);
     (* EVM: evaluate this row. *)
-    let result = row_nand r in
-    gate_value.(id) <- result;
+    let result = Store.row_nand s r all_cols in
     (* CR: copy the result into consumer rows via the connection column,
        and onto the output column if this gate is an output driver. *)
-    (match t.conn_col_of_gate.(id) with
-    | Some c ->
-      write r c result;
-      List.iter
-        (fun consumer ->
-          let rc = prow consumer in
-          if programmed rc c then begin
-            incr cr_copies;
-            write rc c result
-          end)
-        consumers.(id)
-    | None -> ());
+    Option.iter
+      (fun c ->
+        write r c result;
+        List.iter (fun consumer -> write (prow consumer) c result) consumers.(id);
+        cr_copies := !cr_copies + List.length consumers.(id))
+      t.conn_col_of_gate.(id);
     List.iteri
       (fun k signal ->
         match signal with
-        | Signal.Gate { id = g; _ } when g = id ->
-          let c =
-            if t.mapped.Tech_map.negated.(k) then output_comp_col k else output_main_col k
-          in
-          if programmed r c then write r c result
+        | Signal.Gate { id = g; _ } when g = id -> write r (output_col k ~comp:negated.(k)) result
         | Signal.Gate _ | Signal.Const _ | Signal.Input _ | Signal.Input_neg _ -> ())
       (Network.outputs net)
   done;
-  (* Outputs driven directly by inputs or constants come from the latch. *)
-  let direct_value = function
-    | Signal.Const b -> Some b
-    | Signal.Input i -> Some inputs.(i)
-    | Signal.Input_neg i -> Some (not inputs.(i))
-    | Signal.Gate _ -> None
-  in
-  let outputs = Array.make n_outputs false in
-  (* INR: the latch row completes each result pair, inverting as needed. *)
+  (* INR: the latch row completes each result pair, inverting as needed;
+     outputs driven directly by inputs or constants come from the latch. *)
+  let lr = prow n_gates in
   List.iteri
     (fun k signal ->
-      let lr = prow latch_row in
-      match direct_value signal with
+      let main = output_col k ~comp:false and comp = output_col k ~comp:true in
+      match literal signal with
       | Some v ->
-        let v = if t.mapped.Tech_map.negated.(k) then not v else v in
-        if programmed lr (output_main_col k) then write lr (output_main_col k) v;
-        if programmed lr (output_comp_col k) then write lr (output_comp_col k) (not v)
+        let v = if negated.(k) then dom.not_ v else v in
+        write lr main v;
+        write lr comp (dom.not_ v)
       | None ->
-        if t.mapped.Tech_map.negated.(k) then begin
-          (* The gate drove the complement column; invert onto main. *)
-          let comp = col_and (output_comp_col k) in
-          if programmed lr (output_main_col k) then write lr (output_main_col k) (not comp)
-        end
-        else begin
-          let main = col_and (output_main_col k) in
-          if programmed lr (output_comp_col k) then write lr (output_comp_col k) (not main)
-        end)
+        (* The gate drove one column of the pair; invert it onto the other. *)
+        let driven, other = if negated.(k) then (comp, main) else (main, comp) in
+        write lr other (dom.not_ (Store.col_and s driven t.row_assignment)))
     (Network.outputs net);
   (* SO: read the main output columns. *)
-  for k = 0 to n_outputs - 1 do
-    outputs.(k) <- col_and (output_main_col k)
-  done;
-  Telemetry.count ~n:!writes "multilevel.writes";
+  let outputs =
+    Array.init (Array.length negated) (fun k ->
+        Store.col_and s (output_col k ~comp:false) t.row_assignment)
+  in
+  Telemetry.count ~n:(Store.writes s) "multilevel.writes";
   Telemetry.count ~n:!cr_copies "multilevel.cr_copies";
-  (outputs, !writes)
+  (outputs, Store.writes s)
+
+let run_impl ?defects ?upset t inputs =
+  let n_inputs = Network.n_inputs t.mapped.Tech_map.network in
+  interpret ?defects ?upset t (Store.booleans ~name:"Multilevel.run" ~n_inputs inputs)
 
 let run_counting ?defects t inputs = run_impl ?defects t inputs
 
 let run ?defects t inputs = fst (run_impl ?defects t inputs)
 
 let run_with_upsets ?defects ~prng ~upset_rate t inputs =
-  fst
-    (run_impl ?defects ~upset:(fun () -> Mcx_util.Prng.bernoulli prng upset_rate) t inputs)
+  fst (run_impl ?defects ~upset:(fun () -> Prng.bernoulli prng upset_rate) t inputs)
 
 let agrees_with_reference ?defects t cover =
-  let n = Mcx_logic.Mo_cover.n_inputs cover in
-  if n > 16 then invalid_arg "Multilevel.agrees_with_reference: arity too large";
-  let ok = ref true in
-  for idx = 0 to (1 lsl n) - 1 do
-    let v = Array.init n (fun i -> (idx lsr i) land 1 = 1) in
-    if run ?defects t v <> Mcx_logic.Mo_cover.eval cover v then ok := false
-  done;
-  !ok
+  Store.agrees cover (fun dom -> fst (interpret ?defects t dom))

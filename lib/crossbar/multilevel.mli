@@ -34,7 +34,8 @@ val function_matrix : t -> Mcx_util.Bmatrix.t
 
 val run : ?defects:Defect_map.t -> t -> bool array -> bool array
 (** Simulate one computation: INA, RI, then per gate in topological order
-    CFM/EVM/CR, then INR and SO, with the defect semantics of {!Sim}. *)
+    CFM/EVM/CR, then INR and SO, on {!Sim}'s junction store and defect
+    semantics. *)
 
 val run_counting : ?defects:Defect_map.t -> t -> bool array -> bool array * int
 (** Like {!run}, also reporting memristor write events (agrees with
@@ -50,6 +51,6 @@ val run_with_upsets :
 (** Transient write-upset simulation, as {!Sim.run_with_upsets}. *)
 
 val agrees_with_reference : ?defects:Defect_map.t -> t -> Mcx_logic.Mo_cover.t -> bool
-(** Exhaustive check against a reference cover (arity <= 16). Unlike
-    {!Sim.agrees_with_reference} it runs {!run} per input: the CR machine
-    has its own interpreter, and no caller checks more than 16 inputs. *)
+(** [run] equals the reference cover on every input, at any arity: as in
+    {!Sim.agrees_with_reference}, the CR machine runs once over BDDs, whose
+    size can grow exponentially. *)

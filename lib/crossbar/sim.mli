@@ -9,8 +9,8 @@
 
     One interpreter runs the states over Booleans for one computation
     ({!run}) or over BDDs for all of them at once
-    ({!agrees_with_reference}); the defect semantics sit in its write path
-    only. *)
+    ({!agrees_with_reference}), on the junction store {!Multilevel} shares;
+    the defect semantics sit in the store's write path only. *)
 
 type step = INA | RI | CFM | EVM | EVR | INR | SO
 

@@ -27,7 +27,6 @@ let run ?pool ?(samples = 100) ?(defect_rates = [ 0.02; 0.05; 0.10; 0.15 ])
   let physical_rows = reference_ml.Multilevel.rows + spare_rows in
   let gate_rows = List.init (reference_ml.Multilevel.rows - 1) Fun.id in
   let latch_row = reference_ml.Multilevel.rows - 1 in
-  let can_simulate = Mcx_logic.Mo_cover.n_inputs cover <= 12 in
   let key =
     Prng.Key.(int (string (string (root seed) "mldefect") benchmark) spare_rows)
   in
@@ -45,13 +44,8 @@ let run ?pool ?(samples = 100) ?(defect_rates = [ 0.02; 0.05; 0.10; 0.15 ])
       in
       match assignment with
       | Some row_assignment ->
-        let ok =
-          (not can_simulate)
-          ||
-          let placed = Multilevel.place ~row_assignment ~physical_rows mapped in
-          Multilevel.agrees_with_reference ~defects placed cover
-        in
-        (true, ok)
+        let placed = Multilevel.place ~row_assignment ~physical_rows mapped in
+        (true, Multilevel.agrees_with_reference ~defects placed cover)
       | None -> (false, true)
     in
     let section =

@@ -7,7 +7,7 @@
     position), so the same row-matching machinery applies: gate rows play
     the role of minterm rows and the latch row is assigned exactly. Every
     successful mapping is re-validated by running the multi-level
-    simulator against the reference cover. *)
+    simulator symbolically against the reference cover, at any width. *)
 
 type point = {
   defect_rate : float;
@@ -37,7 +37,6 @@ val run :
     spare rows. With [spare_rows > 0] the crossbar gets extra horizontal
     lines for the mapper to dodge into — combining the paper's two
     future-work threads (multi-level defect tolerance and area
-    redundancy). Simulation re-validation runs when the circuit has at
-    most 12 inputs. *)
+    redundancy). *)
 
 val to_table : result -> Mcx_util.Texttable.t

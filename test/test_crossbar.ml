@@ -538,7 +538,7 @@ let prop_sim_matches_cover_with_il =
    rows and columns under random injective assignments, and a random
    stuck-open/stuck-closed map; half the cases also get a stuck-closed
    junction at a used-row x used-column crossing. *)
-let gen_defective_placement =
+let gen_mo_cover =
   QCheck2.Gen.(
     let* n_inputs = int_range 1 10 in
     let* n_outputs = int_range 1 3 in
@@ -550,9 +550,21 @@ let gen_defective_placement =
       let outputs = Array.mapi (fun i o -> o || i = k) outputs in
       { Mo_cover.cube = Cube.of_literals lits; outputs }
     in
-    let* rows = list_size (int_range 1 6) gen_row in
+    let+ rows = list_size (int_range 1 6) gen_row in
+    Mo_cover.create ~n_inputs ~n_outputs rows)
+
+let gen_defect_map ~rows ~cols =
+  QCheck2.Gen.(
+    let* open_rate = oneofl [ 0.; 0.02; 0.05; 0.1 ] in
+    let* closed_rate = oneofl [ 0.; 0.; 0.01; 0.03 ] in
+    let+ seed = int_bound 1_000_000 in
+    Defect_map.random (Mcx_util.Prng.create seed) ~rows ~cols ~open_rate ~closed_rate)
+
+let gen_defective_placement =
+  QCheck2.Gen.(
+    let* mo = gen_mo_cover in
     let* include_il_row = bool in
-    let fm = Function_matrix.build ~include_il_row (Mo_cover.create ~n_inputs ~n_outputs rows) in
+    let fm = Function_matrix.build ~include_il_row mo in
     let geometry = fm.Function_matrix.geometry in
     let* physical_rows = int_range (Geometry.rows geometry) (Geometry.rows geometry + 2) in
     let* physical_cols = int_range (Geometry.cols geometry) (Geometry.cols geometry + 2) in
@@ -564,16 +576,10 @@ let gen_defective_placement =
         ~col_assignment:(Array.sub cols_shuffled 0 (Geometry.cols geometry))
         ~physical_rows ~physical_cols fm
     in
-    let* open_rate = oneofl [ 0.; 0.02; 0.05; 0.1 ] in
-    let* closed_rate = oneofl [ 0.; 0.; 0.01; 0.03 ] in
-    let* seed = int_bound 1_000_000 in
+    let* defects = gen_defect_map ~rows:physical_rows ~cols:physical_cols in
     let* closed_on_used = bool in
     let* r = int_bound (Geometry.rows geometry - 1) in
     let+ c = int_bound (Geometry.cols geometry - 1) in
-    let defects =
-      Defect_map.random (Mcx_util.Prng.create seed) ~rows:physical_rows ~cols:physical_cols
-        ~open_rate ~closed_rate
-    in
     if closed_on_used then
       Defect_map.set defects layout.Layout.row_assignment.(r) layout.Layout.col_assignment.(c)
         Junction.Stuck_closed;
@@ -601,6 +607,80 @@ let test_symbolic_matches_exhaustive () =
     (Printf.sprintf "%d of %d verdicts false" !false_verdicts !cases)
     true
     (5 * !false_verdicts >= !cases)
+
+(* The multi-level oracle: [Multilevel.run] on every input vector against
+   the cover's semantics. *)
+let exhaustive_multilevel_agrees ?defects ml mo =
+  let n = Mo_cover.n_inputs mo in
+  let rec from idx =
+    idx = 1 lsl n
+    || (let v = Array.init n (fun i -> (idx lsr i) land 1 = 1) in
+        Multilevel.run ?defects ml v = Mo_cover.eval mo v && from (idx + 1))
+  in
+  from 0
+
+(* A multi-level design of a cover of up to 10 inputs, its rows placed by a
+   random injective assignment on up to two spare rows, under a random
+   stuck-open/stuck-closed map. *)
+let gen_defective_multilevel =
+  QCheck2.Gen.(
+    let* mo = gen_mo_cover in
+    let mapped = Mcx_netlist.Tech_map.map_mo mo in
+    let rows = (Multilevel.place mapped).Multilevel.rows in
+    let* physical_rows = int_range rows (rows + 2) in
+    let* shuffled = shuffle_a (Array.init physical_rows Fun.id) in
+    let ml =
+      Multilevel.place ~row_assignment:(Array.sub shuffled 0 rows) ~physical_rows mapped
+    in
+    let+ defects = gen_defect_map ~rows:physical_rows ~cols:ml.Multilevel.physical_cols in
+    (mo, ml, defects))
+
+let print_defective_multilevel (mo, ml, defects) =
+  Format.asprintf "%a@.rows %s@.%a" Mo_cover.pp mo
+    (String.concat " " (Array.to_list (Array.map string_of_int ml.Multilevel.row_assignment)))
+    Defect_map.pp defects
+
+let test_multilevel_symbolic_matches_exhaustive () =
+  let cases = ref 0 and false_verdicts = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"multi-level symbolic verdict = exhaustive verdict" ~count:200
+       ~print:print_defective_multilevel gen_defective_multilevel (fun (mo, ml, defects) ->
+         let verdict = exhaustive_multilevel_agrees ~defects ml mo in
+         incr cases;
+         if not verdict then incr false_verdicts;
+         Bool.equal (Multilevel.agrees_with_reference ~defects ml mo) verdict));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d verdicts false" !false_verdicts !cases)
+    true
+    (5 * !false_verdicts >= !cases)
+
+(* Widths no truth table reaches. A stuck-closed junction in the row of a
+   gate that drives a non-constant output pins that output. *)
+let test_multilevel_wide () =
+  let placed name =
+    let mo = Mcx_benchmarks.Suite.cover (Mcx_benchmarks.Suite.find name) in
+    (mo, Multilevel.place (Mcx_netlist.Tech_map.map_mo mo))
+  in
+  List.iter
+    (fun name ->
+      let mo, ml = placed name in
+      Alcotest.(check bool) (name ^ " pristine") true (Multilevel.agrees_with_reference ml mo))
+    [ "t481"; "b12"; "cordic" ];
+  let mo, ml = placed "cordic" in
+  let net = ml.Multilevel.mapped.Mcx_netlist.Tech_map.network in
+  let driver =
+    List.find_map
+      (function
+        | Mcx_netlist.Signal.Gate { id; _ } -> Some id
+        | Mcx_netlist.Signal.Const _ | Mcx_netlist.Signal.Input _
+        | Mcx_netlist.Signal.Input_neg _ ->
+          None)
+      (Mcx_netlist.Network.outputs net)
+  in
+  let d = Defect_map.create ~rows:ml.Multilevel.physical_rows ~cols:ml.Multilevel.physical_cols in
+  Defect_map.set d ml.Multilevel.row_assignment.(Option.get driver) 0 Junction.Stuck_closed;
+  Alcotest.(check bool) "cordic, output gate row stuck closed" false
+    (Multilevel.agrees_with_reference ~defects:d ml mo)
 
 let prop_multilevel_matches_cover =
   QCheck2.Test.make ~name:"multi-level sim computes the cover" ~count:60
@@ -699,6 +779,7 @@ let () =
           Alcotest.test_case "direct literal output" `Quick test_multilevel_direct_output;
           Alcotest.test_case "connection defect breaks" `Quick test_multilevel_defect_breaks;
           Alcotest.test_case "row assignment" `Quick test_multilevel_row_assignment;
+          Alcotest.test_case "wide designs" `Quick test_multilevel_wide;
         ] );
       ( "analog",
         [
@@ -723,5 +804,7 @@ let () =
         @ [
             Alcotest.test_case "symbolic verdict = exhaustive verdict" `Quick
               test_symbolic_matches_exhaustive;
+            Alcotest.test_case "multi-level symbolic verdict = exhaustive verdict" `Quick
+              test_multilevel_symbolic_matches_exhaustive;
           ] );
     ]
