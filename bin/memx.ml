@@ -406,7 +406,6 @@ let serve_run () inputs output stats_path cache_size batch_size access_log metri
     flush Stdlib.stderr);
   if want_metrics then begin
     Mcx_service.Serve.record_metrics server;
-    Mcx.Util.Checkpoint.record_metrics ();
     let snapshot = Mcx.Util.Telemetry.snapshot () in
     Option.iter
       (fun path ->
@@ -643,8 +642,8 @@ let experiment_run () names samples force_resume seed =
         exit 2)
     (List.concat names);
   (* Degradation protocol: the tables above are already printed (partial
-     where trials failed permanently); persist the failed-trial manifest
-     and report the failure through the exit status. *)
+     where trials failed); persist the failed-trial manifest and report
+     the failure through the exit status. *)
   let code = Mcx.Util.Checkpoint.finalize () in
   if code <> 0 then exit code
 

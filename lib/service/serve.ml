@@ -173,10 +173,8 @@ let serve_batch t ~label lines =
           r)
         lines
     in
-    (* Resolving and computing are deterministic: a request that raises
-       raises again on every attempt, so neither stage retries. *)
     let resolved =
-      Pool.map_isolated t.pool ~retries:0 n (fun ~attempt:_ i ->
+      Pool.map_isolated t.pool n (fun i ->
           match parsed.(i) with
           | Error msg -> (Error msg, 0L)
           | Ok request ->
@@ -229,8 +227,7 @@ let serve_batch t ~label lines =
   let misses = Array.of_list (List.rev !miss_list) in
   (* Stage 3: compute unique problems, isolated per problem. *)
   let outcomes =
-    Pool.map_isolated t.pool ~retries:0 (Array.length misses) (fun ~attempt:_ i ->
-        compute (snd misses.(i)))
+    Pool.map_isolated t.pool (Array.length misses) (fun i -> compute (snd misses.(i)))
   in
   let results = Hashtbl.create 16 in
   Array.iteri

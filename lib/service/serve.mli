@@ -7,7 +7,7 @@
     + {b resolve} — every request is parsed and canonicalized
       ({!Canonical.resolve}) under [Pool.map_isolated], so one malformed
       request degrades to an error response instead of tearing the batch
-      down (without retries: a request that raises raises every time);
+      down;
     + {b coalesce} — requests are looked up in the cache in request
       order; distinct requests with equal canonical digests collapse
       onto one computation;

@@ -135,7 +135,6 @@ type failure = {
   seed : int;
   section : string;
   trial : int;
-  attempts : int;
   error : string;
   backtrace : string;
 }
@@ -359,9 +358,9 @@ let open_journal dir =
 let env_dir () = Config.checkpoint_dir ()
 
 (* MCX_FAULT_RATE turns on fault *injection* for the fault-tolerance
-   tests; injected crashes are retried/journaled, never silently folded
-   into results. A rate outside [0, 1] is a hard Config.Invalid error
-   now, not a silent clamp. *)
+   tests; injected crashes are recorded as failures, never silently
+   folded into results. A rate outside [0, 1] is a hard Config.Invalid
+   error now, not a silent clamp. *)
 let env_fault_rate () = Config.fault_rate ()
 
 let start ?dir ~experiment ~seed () =
@@ -393,9 +392,9 @@ let exit_if_interrupted t =
 
 (* --- fault injection ------------------------------------------------ *)
 
-let maybe_inject t ~section ~trial ~attempt =
+let maybe_inject t ~section ~trial =
   if t.fault_rate > 0. then begin
-    let k = Prng.Key.(int (int (string t.fault_key section) trial) attempt) in
+    let k = Prng.Key.(int (string t.fault_key section) trial) in
     if Prng.float (Prng.of_key k) < t.fault_rate then begin
       Telemetry.count "checkpoint.faults.injected";
       raise Injected_fault
@@ -465,10 +464,10 @@ let map t ~pool ~section ~n ~(codec : _ Codec.t) f =
   if n_todo > 0 then begin
     Telemetry.count ~n:n_todo "checkpoint.trials.run";
     let outcomes =
-      Pool.map_isolated pool n_todo (fun ~attempt k ->
+      Pool.map_isolated pool n_todo (fun k ->
           if Atomic.get interrupted <> 0 then raise Pool.Cancelled;
           let i = todo.(k) in
-          maybe_inject t ~section ~trial:i ~attempt;
+          maybe_inject t ~section ~trial:i;
           let v = f i in
           record_result t ~section ~trial:i ~codec v;
           v)
@@ -479,7 +478,7 @@ let map t ~pool ~section ~n ~(codec : _ Codec.t) f =
         match outcome with
         | Pool.Done v -> results.(i) <- Some v
         | Pool.Skipped -> ()
-        | Pool.Failed { error; backtrace; attempts } ->
+        | Pool.Failed { error; backtrace } ->
           Telemetry.count "checkpoint.trials.failed";
           record_failure
             {
@@ -487,7 +486,6 @@ let map t ~pool ~section ~n ~(codec : _ Codec.t) f =
               seed = t.seed;
               section;
               trial = i;
-              attempts;
               error;
               backtrace;
             })
@@ -540,17 +538,11 @@ let manifest_json fs =
                    ("seed", Json_out.Int f.seed);
                    ("section", Json_out.Str f.section);
                    ("trial", Json_out.Int f.trial);
-                   ("attempts", Json_out.Int f.attempts);
                    ("error", Json_out.Str f.error);
                    ("backtrace", Json_out.Str f.backtrace);
                  ])
              fs) );
     ]
-
-let record_metrics () =
-  Telemetry.declare ~help:"trials that failed permanently (degradation protocol)"
-    Telemetry.Gauge "mcx_checkpoint_failed_trials";
-  Telemetry.set "mcx_checkpoint_failed_trials" (float_of_int (List.length (failures ())))
 
 let finalize () =
   match failures () with
@@ -559,8 +551,7 @@ let finalize () =
     let path = manifest_path () in
     Json_out.write_file path (manifest_json fs);
     Printf.eprintf
-      "[mcx] %d trial(s) failed permanently; results above are partial. Manifest: \
-       %s\n"
+      "[mcx] %d trial(s) failed; results above are partial. Manifest: %s\n"
       (List.length fs) path;
     flush stderr;
     4

@@ -1,8 +1,8 @@
 (** Checkpointed, fault-tolerant Monte Carlo sweeps.
 
     The paper-scale campaigns are short here (all 14 [memx experiment]
-    entries at their default sample counts take about 17 s together at
-    [MCX_JOBS=2] on a 2-vCPU VM; mldefect, the longest, about 10 s), but
+    entries at their default sample counts take about 6 s together at
+    [MCX_JOBS=2] on a 2-vCPU VM; table2, the longest, about 2 s), but
     larger sample counts scale them linearly. This module makes their
     progress {e durable}: every completed trial is appended to a JSONL
     journal as soon as it finishes, and a re-run of the same experiment
@@ -22,13 +22,13 @@
     {2 Fault tolerance}
 
     Independently of journaling, trials run under {!Pool.map_isolated}: a
-    raising trial is retried up to [MCX_TRIAL_RETRIES] times and then
-    degrades to a missing result instead of tearing down the sweep. The
-    failures are collected; {!finalize} writes them to a manifest and
-    turns them into a nonzero exit status. [MCX_FAULT_RATE=<p>] injects
-    {!Injected_fault} into trials through the seeded PRNG — keyed by
-    [(experiment, section, trial, attempt)], so injected failures (and
-    the retries they trigger) are identical at any [MCX_JOBS].
+    raising trial degrades to a missing result instead of tearing down
+    the sweep (it is not retried: trials are deterministic, so it would
+    raise again). The failures are collected; {!finalize} writes them to
+    a manifest and turns them into a nonzero exit status.
+    [MCX_FAULT_RATE=<p>] injects {!Injected_fault} into trials through
+    the seeded PRNG — keyed by [(seed, experiment, section, trial)], so
+    injected failures are identical at any [MCX_JOBS].
 
     {2 Interruption}
 
@@ -112,8 +112,8 @@ val map :
     every parameter the trial depends on besides the index (benchmark,
     rates, ...): journaled results are replayed by
     [(experiment, seed, section, index)]. Result [i] is [None] only when
-    trial [i] permanently failed (recorded for {!finalize}) or was
-    cancelled by an interrupt — in which case [map] exits the process
+    trial [i] failed (recorded for {!finalize}) or was cancelled by an
+    interrupt — in which case [map] exits the process
     after printing the resume command, so callers never observe an
     interrupted array. Journal I/O and replayed/run/failed trial counts
     are recorded under [checkpoint.*] telemetry spans and counters. *)
@@ -132,13 +132,12 @@ type failure = {
   seed : int;
   section : string;
   trial : int;
-  attempts : int;
   error : string;
   backtrace : string;
 }
 
 val failures : unit -> failure list
-(** Permanent trial failures recorded so far, oldest first. *)
+(** Trial failures recorded so far, oldest first. *)
 
 val manifest_path : unit -> string
 (** Where {!finalize} writes the failed-trial manifest:
@@ -151,11 +150,6 @@ val finalize : unit -> int
     and returns 0. Otherwise writes the manifest
     (schema [mcx-failed-trials/1]), prints a summary to stderr and
     returns 4 — the exit status for "completed with partial results". *)
-
-val record_metrics : unit -> unit
-(** Export the permanent-failure count into the {!Telemetry} store as
-    the [mcx_checkpoint_failed_trials] gauge. No-op while
-    {!Telemetry.enabled} is false. *)
 
 val reset : unit -> unit
 (** Forget recorded failures (not the journal). For test harnesses that

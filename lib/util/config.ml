@@ -24,15 +24,14 @@ type spec = {
   s_doc : string;
   s_default : Json_out.t;
   (* None = malformed; the parsed JSON value is what the snapshot
-     renders, so clamping (retry cap) happens here, visibly. *)
+     renders. *)
   s_parse : string -> Json_out.t option;
   s_expected : string;
 }
 
-let parse_int ~min ?max () s =
+let parse_int ~min s =
   match int_of_string_opt (String.trim s) with
-  | Some n when n >= min && (match max with Some m -> n <= m | None -> true) ->
-    Some (Json_out.Int n)
+  | Some n when n >= min -> Some (Json_out.Int n)
   | Some _ | None -> None
 
 let parse_float_01 s =
@@ -57,24 +56,8 @@ let registry : spec list =
       s_semantic = false;
       s_doc = "worker-domain count (default: machine cores, clamped to 1-64)";
       s_default = Json_out.Null;
-      s_parse = parse_int ~min:1 ();
+      s_parse = parse_int ~min:1;
       s_expected = "a positive integer (worker domains; clamped to 64)";
-    };
-    {
-      s_name = "MCX_TRIAL_RETRIES";
-      s_ty = "int";
-      s_layer = "pool";
-      s_semantic = false;
-      s_doc = "retry budget for a crashing trial before it fails permanently";
-      s_default = Json_out.Int 2;
-      (* The historical cap survives, but in the open: the snapshot
-         shows the capped value a sweep actually uses. *)
-      s_parse =
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some r when r >= 0 -> Some (Json_out.Int (min r 16))
-          | Some _ | None -> None);
-      s_expected = "a non-negative integer (capped at 16)";
     };
     {
       s_name = "MCX_CHECKPOINT";
@@ -91,7 +74,7 @@ let registry : spec list =
       s_ty = "float";
       s_layer = "checkpoint";
       s_semantic = true;
-      s_doc = "deterministic fault-injection probability per trial attempt";
+      s_doc = "deterministic fault-injection probability per trial";
       s_default = Json_out.Float 0.;
       s_parse = parse_float_01;
       s_expected = "a float in [0, 1]";
@@ -123,7 +106,7 @@ let registry : spec list =
       s_semantic = false;
       s_doc = "mapping-result cache capacity in entries (0 disables caching)";
       s_default = Json_out.Int 512;
-      s_parse = parse_int ~min:0 ();
+      s_parse = parse_int ~min:0;
       s_expected = "a non-negative integer (cache entries; 0 disables)";
     };
     {
@@ -133,7 +116,7 @@ let registry : spec list =
       s_semantic = true;
       s_doc = "Monte Carlo sample-count override (default: each experiment's paper scale)";
       s_default = Json_out.Null;
-      s_parse = parse_int ~min:1 ();
+      s_parse = parse_int ~min:1;
       s_expected = "a positive integer (Monte Carlo samples)";
     };
     {
@@ -237,9 +220,6 @@ let jobs () = int_opt "MCX_JOBS"
 let jobs_resolved () =
   let n = match jobs () with Some n -> n | None -> Domain.recommended_domain_count () in
   max 1 (min 64 n)
-
-let trial_retries () =
-  match int_opt "MCX_TRIAL_RETRIES" with Some r -> r | None -> assert false
 
 let checkpoint_dir () = path_opt "MCX_CHECKPOINT"
 

@@ -73,11 +73,6 @@ val jobs_resolved : unit -> int
     render an unset [MCX_JOBS] as [null] (machine-independent digest)
     while the pool still sizes itself sensibly. *)
 
-val trial_retries : unit -> int
-(** [MCX_TRIAL_RETRIES] — retry budget for a crashing trial (default 2,
-    capped at 16). Operational: a trial that succeeds computes the same
-    value at any attempt count. *)
-
 val checkpoint_dir : unit -> string option
 (** [MCX_CHECKPOINT] — journal directory; [None] disables journaling.
     Operational: swept results are journal-invariant. *)
@@ -85,7 +80,7 @@ val checkpoint_dir : unit -> string option
 val fault_rate : unit -> float
 (** [MCX_FAULT_RATE] — deterministic fault-injection probability in
     [\[0, 1\]] (default 0). Semantic: injected faults decide which
-    trials fail permanently, which changes the printed tables. *)
+    trials fail, which changes the printed tables. *)
 
 val trace : unit -> string option
 (** [MCX_TRACE] — Chrome-trace output path; [None] disables tracing. *)

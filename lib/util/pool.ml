@@ -161,8 +161,6 @@ let map pool n f =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_reduce pool ~n ~map:f ~init ~fold = Array.fold_left fold init (map pool n f)
-
 (* --- trial-level fault isolation ----------------------------------- *)
 
 exception Cancelled
@@ -170,35 +168,19 @@ exception Cancelled
 type 'a outcome =
   | Done of 'a
   | Skipped
-  | Failed of { error : string; backtrace : string; attempts : int }
+  | Failed of { error : string; backtrace : string }
 
-(* MCX_TRIAL_RETRIES bounds how often a crashing trial is re-attempted;
-   a trial that succeeds computes the same value at any attempt count, so
-   this is an operational knob, not an input. Read (validated, capped at
-   16) through the Config registry. *)
-let default_retries () = Config.trial_retries ()
-
-let map_isolated pool ?retries n f =
-  let retries = match retries with Some r -> max 0 r | None -> default_retries () in
+let map_isolated pool n f =
   let isolated i =
-    let rec attempt k =
-      (* Not a swallow: the failure is captured as a [Failed] outcome the
-         caller must consume; [Cancelled] short-circuits the retries so an
-         interrupted sweep drains promptly. *)
-      (match f ~attempt:k i with
-      | v -> Done v
-      | exception Cancelled -> Skipped
-      | exception e ->
-        let backtrace = Printexc.get_backtrace () in
-        if k < retries then begin
-          Telemetry.count "pool.trial.retried";
-          attempt (k + 1)
-        end
-        else begin
-          Telemetry.count "pool.trial.failed";
-          Failed { error = Printexc.to_string e; backtrace; attempts = k + 1 }
-        end)
-    in
-    attempt 0
+    (* Not a swallow: the failure is captured as a [Failed] outcome the
+       caller must consume. Trials are deterministic, so one that raised
+       would raise again: it is not retried. *)
+    match f i with
+    | v -> Done v
+    | exception Cancelled -> Skipped
+    | exception e ->
+      let backtrace = Printexc.get_backtrace () in
+      Telemetry.count "pool.trial.failed";
+      Failed { error = Printexc.to_string e; backtrace }
   in
   map pool n isolated

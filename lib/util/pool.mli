@@ -42,11 +42,6 @@ val map : t -> int -> (int -> 'a) -> 'a array
     drains. Calls from inside a pool task run sequentially inline (no
     nested scheduling). *)
 
-val map_reduce : t -> n:int -> map:(int -> 'a) -> init:'b -> fold:('b -> 'a -> 'b) -> 'b
-(** [map_reduce pool ~n ~map ~init ~fold] maps in parallel and folds the
-    results strictly in index order, so float accumulation and any other
-    order-sensitive reduction stay deterministic. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent; the pool must not be
     used afterwards. *)
@@ -56,29 +51,21 @@ val shutdown : t -> unit
     {!map} tears the whole batch down on the first exception — correct for
     programming errors in tests, but a long Monte Carlo campaign should
     not lose every completed trial to one bad one. {!map_isolated}
-    confines a failure to its own index: the trial is retried, and a trial
-    that keeps failing becomes a {!Failed} outcome (message + backtrace +
-    attempt count) instead of an exception. *)
+    confines a failure to its own index: the trial becomes a {!Failed}
+    outcome (message + backtrace) instead of an exception. Trials are
+    deterministic, so a failed one is not retried: it would raise again. *)
 
 exception Cancelled
 (** Raised {e by the trial function} to abandon an index without it
-    counting as a failure (and without burning retries) — the cooperative
-    cancellation path {!Checkpoint} uses after SIGINT/SIGTERM. *)
+    counting as a failure — the cooperative cancellation path
+    {!Checkpoint} uses after SIGINT/SIGTERM. *)
 
 type 'a outcome =
   | Done of 'a
-  | Skipped  (** The trial raised {!Cancelled} on some attempt. *)
-  | Failed of { error : string; backtrace : string; attempts : int }
+  | Skipped  (** The trial raised {!Cancelled}. *)
+  | Failed of { error : string; backtrace : string }
 
-val default_retries : unit -> int
-(** [MCX_TRIAL_RETRIES] when set to a non-negative integer (clamped to
-    16), else 2. Read per call, so tests can flip the variable. *)
-
-val map_isolated : t -> ?retries:int -> int -> (attempt:int -> int -> 'a) -> 'a outcome array
+val map_isolated : t -> int -> (int -> 'a) -> 'a outcome array
 (** [map_isolated pool n f] is {!map} with per-index isolation: index [i]
-    runs [f ~attempt:0 i]; if that raises, it is retried as
-    [f ~attempt:1 i], ... up to [retries] (default {!default_retries})
-    times, then yields [Failed]. The attempt number lets deterministic
-    fault injection vary per retry while everything stays independent of
-    scheduling. Retries and permanent failures are counted under the
-    [pool.trial.retried] / [pool.trial.failed] telemetry counters. *)
+    runs [f i] and yields [Failed] if that raises. Failures are counted
+    under the [pool.trial.failed] telemetry counter. *)

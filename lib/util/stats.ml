@@ -6,33 +6,6 @@ let mean xs =
   require_nonempty "mean" xs;
   List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-(* One Welford pass: count, running mean and sum of squared deviations.
-   The two-pass formulation re-walked the list up to four times (mean +
-   List.length per moment) — on the paper-scale sweeps these lists hold
-   10^5 samples and sit on the reporting hot path. *)
-let moments xs =
-  List.fold_left
-    (fun (n, m, m2) x ->
-      let n = n + 1 in
-      let d = x -. m in
-      let m' = m +. (d /. float_of_int n) in
-      (n, m', m2 +. (d *. (x -. m'))))
-    (0, 0., 0.) xs
-
-let variance xs =
-  require_nonempty "variance" xs;
-  let n, _, m2 = moments xs in
-  if n = 1 then 0. else m2 /. float_of_int (n - 1)
-
-let stddev xs = sqrt (variance xs)
-
-let ci95 xs =
-  require_nonempty "ci95" xs;
-  let n, m, m2 = moments xs in
-  let sd = if n = 1 then 0. else sqrt (m2 /. float_of_int (n - 1)) in
-  let half = 1.96 *. sd /. sqrt (float_of_int n) in
-  (m -. half, m +. half)
-
 let percentile xs p =
   require_nonempty "percentile" xs;
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of [0,100]";
@@ -61,15 +34,3 @@ let success_rate bs =
     List.fold_left (fun (n, h) b -> (n + 1, if b then h + 1 else h)) (0, 0) bs
   in
   100. *. float_of_int hits /. float_of_int n
-
-let histogram xs ~bins ~lo ~hi =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if hi <= lo then invalid_arg "Stats.histogram: hi <= lo";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  let bucket x =
-    let b = int_of_float ((x -. lo) /. width) in
-    if b < 0 then 0 else if b >= bins then bins - 1 else b
-  in
-  List.iter (fun x -> counts.(bucket x) <- counts.(bucket x) + 1) xs;
-  counts

@@ -3,19 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean. @raise Invalid_argument on empty input. *)
 
-val variance : float list -> float
-(** Unbiased sample variance (n-1 denominator); 0 for singleton input.
-    Computed in a single Welford pass (so is numerically stable for
-    means far from zero, and never negative). @raise Invalid_argument
-    on empty input. *)
-
-val stddev : float list -> float
-(** Square root of {!variance}. *)
-
-val ci95 : float list -> float * float
-(** 95% normal-approximation confidence interval for the mean, as
-    [(lo, hi)]. For n = 1 both bounds equal the sample. *)
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation between
     order statistics under [Float.compare]'s total order (NaNs sort
@@ -27,7 +14,3 @@ val median : float list -> float
 val success_rate : bool list -> float
 (** Fraction of [true] values, in percent (0..100), matching the paper's
     Psucc presentation. @raise Invalid_argument on empty input. *)
-
-val histogram : float list -> bins:int -> lo:float -> hi:float -> int array
-(** Fixed-range histogram; values outside [\[lo, hi\]] are clamped to the
-    first/last bin. @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)

@@ -240,29 +240,38 @@ let test_journal_schema () =
 
 (* --- fault injection ---------------------------------------------------- *)
 
-(* Outcomes and the set of permanently failed trials must not depend on
-   the job count: injection is keyed on (seed, experiment, section, trial,
-   attempt), never on scheduling. *)
+(* Outcomes and the set of failed trials must not depend on the job
+   count: injection is keyed on (seed, experiment, section, trial), never
+   on scheduling. Nothing retries a failed trial, so each injected fault
+   is exactly one failure. *)
 let test_fault_injection_deterministic () =
   Unix.putenv "MCX_FAULT_RATE" "0.4";
-  Unix.putenv "MCX_TRIAL_RETRIES" "1";
   Fun.protect
     ~finally:(fun () ->
       Unix.putenv "MCX_FAULT_RATE" "";
-      Unix.putenv "MCX_TRIAL_RETRIES" "")
+      Telemetry.disable ();
+      Telemetry.reset ())
     (fun () ->
       let run jobs =
         Checkpoint.reset ();
+        Telemetry.reset ();
+        Telemetry.enable ();
         let pool = Pool.create ~jobs () in
         let ckpt = Checkpoint.start ~experiment:"fault" ~seed:7 () in
         let r =
           Checkpoint.map ckpt ~pool ~section:"s n=64" ~n:64 ~codec (fun i -> i)
         in
         Pool.shutdown pool;
+        let injected =
+          List.assoc_opt "checkpoint.faults.injected"
+            (Telemetry.Snapshot.counters (Telemetry.snapshot ()))
+        in
         let failed =
           List.sort compare
             (List.map (fun (f : Checkpoint.failure) -> f.trial) (Checkpoint.failures ()))
         in
+        Alcotest.(check (option int))
+          "one failure per injected fault" (Some (List.length failed)) injected;
         (r, failed)
       in
       let r1, f1 = run 1 in
@@ -270,60 +279,54 @@ let test_fault_injection_deterministic () =
       Alcotest.(check (array (option int))) "outcomes identical at 1 vs 4 jobs" r1 r4;
       Alcotest.(check (list int)) "failed trials identical" f1 f4;
       Alcotest.(check bool) "injection actually fired" true (f1 <> []);
-      Alcotest.(check bool) "most trials survived retries" true
-        (Array.exists Option.is_some r1);
-      (* Each permanent failure burned exactly retries + 1 attempts and
-         names the injected fault. *)
+      Alcotest.(check bool) "some trials survived" true (Array.exists Option.is_some r1);
       List.iter
         (fun (f : Checkpoint.failure) ->
-          Alcotest.(check int) "attempts" 2 f.attempts;
+          Alcotest.(check (option int)) "failed trial has no result" None r1.(f.trial);
           Alcotest.(check bool) "error names the injection" true
-            (String.length f.error > 0))
+            (Memx_run.contains f.error "Injected_fault"))
         (Checkpoint.failures ()))
 
 (* --- degradation protocol ---------------------------------------------- *)
 
 let test_finalize_manifest () =
   Checkpoint.reset ();
-  Unix.putenv "MCX_TRIAL_RETRIES" "0";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MCX_TRIAL_RETRIES" "")
-    (fun () ->
-      let dir = fresh_dir () in
-      let ckpt = Checkpoint.start ~dir ~experiment:"degrade" ~seed:5 () in
-      let r =
-        Checkpoint.map ckpt ~pool:(inline_pool ()) ~section:"s n=6" ~n:6 ~codec
-          (fun i -> if i mod 2 = 1 then failwith "boom" else i)
-      in
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "trial %d" i)
-            (if i mod 2 = 1 then None else Some i)
-            v)
-        r;
-      let fs = Checkpoint.failures () in
-      Alcotest.(check int) "three permanent failures" 3 (List.length fs);
-      List.iter
-        (fun (f : Checkpoint.failure) ->
-          Alcotest.(check int) "single attempt under retries=0" 1 f.attempts;
-          Alcotest.(check bool) "error captured" true
-            (String.length f.error > 0))
-        fs;
-      Alcotest.(check int) "finalize exits 4" 4 (Checkpoint.finalize ());
-      let path = Checkpoint.manifest_path () in
-      Alcotest.(check bool) "manifest written" true (Sys.file_exists path);
-      (match Json_out.of_string (read_file path) with
-      | Error e -> Alcotest.fail ("manifest does not parse: " ^ e)
-      | Ok json ->
-        Alcotest.(check (option string))
-          "manifest schema" (Some "mcx-failed-trials/1")
-          (Option.bind (Json_out.member "schema" json) Json_out.to_string_opt);
-        Alcotest.(check (option int))
-          "manifest count" (Some 3)
-          (Option.bind (Json_out.member "count" json) Json_out.to_int_opt));
-      Checkpoint.reset ();
-      Alcotest.(check int) "clean run finalizes 0" 0 (Checkpoint.finalize ()))
+  let dir = fresh_dir () in
+  let ckpt = Checkpoint.start ~dir ~experiment:"degrade" ~seed:5 () in
+  let calls = Array.make 6 0 in
+  let r =
+    Checkpoint.map ckpt ~pool:(inline_pool ()) ~section:"s n=6" ~n:6 ~codec (fun i ->
+        calls.(i) <- calls.(i) + 1;
+        if i mod 2 = 1 then failwith "boom" else i)
+  in
+  Alcotest.(check (array int)) "each trial runs once" (Array.make 6 1) calls;
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "trial %d" i)
+        (if i mod 2 = 1 then None else Some i)
+        v)
+    r;
+  let fs = Checkpoint.failures () in
+  Alcotest.(check int) "three failures" 3 (List.length fs);
+  List.iter
+    (fun (f : Checkpoint.failure) ->
+      Alcotest.(check bool) "error captured" true (String.length f.error > 0))
+    fs;
+  Alcotest.(check int) "finalize exits 4" 4 (Checkpoint.finalize ());
+  let path = Checkpoint.manifest_path () in
+  Alcotest.(check bool) "manifest written" true (Sys.file_exists path);
+  (match Json_out.of_string (read_file path) with
+  | Error e -> Alcotest.fail ("manifest does not parse: " ^ e)
+  | Ok json ->
+    Alcotest.(check (option string))
+      "manifest schema" (Some "mcx-failed-trials/1")
+      (Option.bind (Json_out.member "schema" json) Json_out.to_string_opt);
+    Alcotest.(check (option int))
+      "manifest count" (Some 3)
+      (Option.bind (Json_out.member "count" json) Json_out.to_int_opt));
+  Checkpoint.reset ();
+  Alcotest.(check int) "clean run finalizes 0" 0 (Checkpoint.finalize ())
 
 (* --- end-to-end: a real experiment, checkpointed ------------------------ *)
 
@@ -404,16 +407,14 @@ let test_memx_resume_cut_journal () =
     Alcotest.(check int) "journal lines after resume" (1 + List.length trials)
       (List.length (journal_lines ()))
 
-(* Injected faults with no retries degrade to partial tables, a
-   failed-trial manifest and exit status 4, not an abort. *)
+(* Injected faults degrade to partial tables, a failed-trial manifest
+   and exit status 4, not an abort. *)
 let test_memx_fault_degrades () =
   let dir = fresh_dir () in
   let stdout_path = Filename.temp_file "mcx-fault" ".out" in
   Memx_run.run_memx ~status:4 ~stdout_path ~stderr_path:(stdout_path ^ ".err")
     ~env:
-      [
-        "MCX_CHECKPOINT=" ^ dir; "MCX_FAULT_RATE=0.2"; "MCX_TRIAL_RETRIES=0"; "MCX_JOBS=2";
-      ]
+      [ "MCX_CHECKPOINT=" ^ dir; "MCX_FAULT_RATE=0.2"; "MCX_JOBS=2" ]
     [ "experiment"; "yield"; "--samples"; "50" ];
   Alcotest.(check bool) "stdout non-empty" true (String.length (read_file stdout_path) > 0);
   match Json_out.of_string (read_file (Filename.concat dir "failed-trials.json")) with

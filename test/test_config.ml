@@ -30,7 +30,6 @@ let prov_of name =
 
 let test_defaults () =
   Alcotest.(check (option int)) "jobs unset" None (Config.jobs ());
-  Alcotest.(check int) "retries default" 2 (Config.trial_retries ());
   Alcotest.(check (option string)) "checkpoint unset" None (Config.checkpoint_dir ());
   Alcotest.(check (float 0.)) "fault rate default" 0. (Config.fault_rate ());
   Alcotest.(check bool) "times default" true (Config.trace_times ());
@@ -44,10 +43,11 @@ let test_env_provenance () =
       Alcotest.(check (option int)) "env value" (Some 3) (Config.jobs ());
       Alcotest.(check string) "provenance env" "env" (prov_of "MCX_JOBS"));
   Alcotest.(check (option int)) "cleared = unset" None (Config.jobs ());
-  with_env "MCX_TRIAL_RETRIES" " 5 " (fun () ->
-      Alcotest.(check int) "whitespace trimmed" 5 (Config.trial_retries ()));
-  with_env "MCX_TRIAL_RETRIES" "99" (fun () ->
-      Alcotest.(check int) "retry cap visible in the value" 16 (Config.trial_retries ()))
+  with_env "MCX_CACHE_SIZE" " 5 " (fun () ->
+      Alcotest.(check int) "whitespace trimmed" 5 (Config.cache_size ()));
+  with_env "MCX_JOBS" "99" (fun () ->
+      Alcotest.(check int) "jobs cap visible in the resolved value" 64
+        (Config.jobs_resolved ()))
 
 let test_flag_overrides_env () =
   with_env "MCX_CACHE_SIZE" "100" (fun () ->
@@ -160,7 +160,7 @@ let test_snapshot_shape () =
   let json = Config.snapshot () in
   (match Json_out.member "knobs" json with
   | Some (Json_out.List knobs) ->
-    Alcotest.(check int) "all knobs present" 10 (List.length knobs);
+    Alcotest.(check int) "all knobs present" 9 (List.length knobs);
     let names =
       List.map
         (fun k ->
@@ -172,9 +172,8 @@ let test_snapshot_shape () =
     Alcotest.(check (list string))
       "declaration order is the document order"
       [
-        "MCX_JOBS"; "MCX_TRIAL_RETRIES"; "MCX_CHECKPOINT"; "MCX_FAULT_RATE";
-        "MCX_TRACE"; "MCX_TRACE_TIMES"; "MCX_CACHE_SIZE"; "MCX_SAMPLES";
-        "MCX_GOLDEN_REGEN"; "MCX_FORCE_RESUME";
+        "MCX_JOBS"; "MCX_CHECKPOINT"; "MCX_FAULT_RATE"; "MCX_TRACE"; "MCX_TRACE_TIMES";
+        "MCX_CACHE_SIZE"; "MCX_SAMPLES"; "MCX_GOLDEN_REGEN"; "MCX_FORCE_RESUME";
       ]
       names
   | _ -> Alcotest.fail "snapshot has no knobs list");
@@ -313,7 +312,7 @@ let test_memx_config () =
     Alcotest.(check bool) "has a digest" true (Option.is_some (Json_out.member "digest" json));
     match Json_out.member "knobs" json with
     | Some (Json_out.List knobs) ->
-      Alcotest.(check bool) "at least 10 knobs" true (List.length knobs >= 10);
+      Alcotest.(check bool) "at least 9 knobs" true (List.length knobs >= 9);
       List.iter
         (fun k ->
           List.iter
@@ -354,8 +353,7 @@ let knob_value_gen =
   QCheck2.Gen.(
     oneof
       [
-        map (fun n -> ("MCX_JOBS", string_of_int n)) (int_range 1 64);
-        map (fun n -> ("MCX_TRIAL_RETRIES", string_of_int n)) (int_range 0 16);
+        map (fun n -> ("MCX_JOBS", string_of_int n)) (int_range 1 100);
         map (fun r -> ("MCX_FAULT_RATE", Printf.sprintf "%.3f" r)) (float_bound_inclusive 1.);
         map (fun b -> ("MCX_TRACE_TIMES", if b then "true" else "0")) bool;
         map (fun n -> ("MCX_CACHE_SIZE", string_of_int n)) (int_range 0 10_000);
@@ -382,7 +380,7 @@ let prop_snapshot_round_trip =
                | None -> false)
             &&
             match Json_out.member "knobs" json with
-            | Some (Json_out.List knobs) -> List.length knobs = 10
+            | Some (Json_out.List knobs) -> List.length knobs = 9
             | _ -> false))
 
 let () =

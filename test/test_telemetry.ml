@@ -362,13 +362,12 @@ let run_workload jobs =
   Telemetry.enable ();
   let pool = Pool.create ~jobs () in
   let total =
-    Pool.map_reduce pool ~n:64
-      ~map:(fun i ->
-        Telemetry.span "t.trial" (fun () ->
-            Telemetry.count ~n:(i mod 3) "t.units";
-            Telemetry.count "t.trials";
-            i))
-      ~init:0 ~fold:( + )
+    Array.fold_left ( + ) 0
+      (Pool.map pool 64 (fun i ->
+           Telemetry.span "t.trial" (fun () ->
+               Telemetry.count ~n:(i mod 3) "t.units";
+               Telemetry.count "t.trials";
+               i)))
   in
   Pool.shutdown pool;
   let report = Telemetry.snapshot () in

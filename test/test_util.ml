@@ -169,10 +169,6 @@ let feq = Alcotest.float 1e-9
 
 let test_stats_mean () = Alcotest.check feq "mean" 2.5 (Stats.mean [ 1.; 2.; 3.; 4. ])
 
-let test_stats_variance () =
-  Alcotest.check feq "variance" (14. /. 3.) (Stats.variance [ 1.; 2.; 3.; 6. ]);
-  Alcotest.check feq "singleton" 0. (Stats.variance [ 5. ])
-
 let test_stats_percentile () =
   let xs = [ 1.; 2.; 3.; 4.; 5. ] in
   Alcotest.check feq "median" 3. (Stats.median xs);
@@ -183,15 +179,6 @@ let test_stats_percentile () =
 let test_stats_success_rate () =
   Alcotest.check feq "3 of 4" 75. (Stats.success_rate [ true; true; true; false ])
 
-let test_stats_ci95 () =
-  let lo, hi = Stats.ci95 [ 10.; 10.; 10.; 10. ] in
-  Alcotest.check feq "degenerate lo" 10. lo;
-  Alcotest.check feq "degenerate hi" 10. hi
-
-let test_stats_histogram () =
-  let h = Stats.histogram [ 0.1; 0.2; 0.9; -5.; 7. ] ~bins:2 ~lo:0. ~hi:1. in
-  Alcotest.(check (array int)) "clamping" [| 3; 2 |] h
-
 let test_stats_empty () =
   Alcotest.(check bool) "mean of empty raises" true
     (try
@@ -201,9 +188,8 @@ let test_stats_empty () =
 
 (* --- Stats properties --- *)
 
-(* Bounded rationals with heavy duplication: exercises sort stability,
-   interpolation between equal neighbours, and keeps the naive reference
-   formulas free of catastrophic cancellation. *)
+(* Bounded rationals with heavy duplication: exercises sort stability
+   and interpolation between equal neighbours. *)
 let gen_samples =
   QCheck2.Gen.(
     list_size (int_range 1 60) (map (fun i -> float_of_int i /. 8.) (int_range (-400) 400)))
@@ -214,32 +200,9 @@ let gen_samples_with_nans =
       (oneof
          [ pure Float.nan; map (fun i -> float_of_int i /. 4.) (int_range (-40) 40) ]))
 
-let naive_mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let naive_variance xs =
-  match xs with
-  | [ _ ] -> 0.
-  | _ ->
-    let m = naive_mean xs in
-    List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs
-    /. float_of_int (List.length xs - 1)
-
 let close a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
   Float.abs (a -. b) <= 1e-9 *. scale
-
-let prop_welford_matches_naive =
-  QCheck2.Test.make ~name:"single-pass moments match two-pass reference" ~count:300
-    gen_samples (fun xs ->
-      let m = naive_mean xs and v = naive_variance xs in
-      close (Stats.variance xs) v
-      && close (Stats.stddev xs) (sqrt v)
-      &&
-      let lo, hi = Stats.ci95 xs in
-      let half =
-        1.96 *. sqrt (v /. float_of_int (List.length xs))
-      in
-      close lo (m -. half) && close hi (m +. half))
 
 let prop_percentile_bounds =
   QCheck2.Test.make ~name:"percentile: bounded, monotone, exact at 0/100" ~count:300
@@ -278,7 +241,6 @@ let prop_success_rate_fold =
 let stats_qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_welford_matches_naive;
       prop_percentile_bounds;
       prop_percentile_tolerates_nan;
       prop_success_rate_fold;
@@ -401,21 +363,6 @@ let test_pool_map_ordered () =
       let result = Pool.map pool 100 (fun i -> i * i) in
       Alcotest.(check (array int)) "index order" (Array.init 100 (fun i -> i * i)) result;
       Alcotest.(check (array int)) "empty map" [||] (Pool.map pool 0 (fun i -> i)))
-
-let test_pool_map_reduce_order () =
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let concat =
-        Pool.map_reduce pool ~n:20 ~map:string_of_int ~init:""
-          ~fold:(fun acc s -> acc ^ "," ^ s)
-      in
-      let expected =
-        List.fold_left (fun acc s -> acc ^ "," ^ s) ""
-          (List.init 20 string_of_int)
-      in
-      Alcotest.(check string) "fold in index order" expected concat)
 
 let test_pool_matches_sequential () =
   let seq = Pool.create ~jobs:1 () in
@@ -621,11 +568,8 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
-          Alcotest.test_case "variance" `Quick test_stats_variance;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "success rate" `Quick test_stats_success_rate;
-          Alcotest.test_case "ci95" `Quick test_stats_ci95;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
           Alcotest.test_case "empty input" `Quick test_stats_empty;
         ] );
       ("stats properties", stats_qcheck_cases);
@@ -645,7 +589,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map ordered" `Quick test_pool_map_ordered;
-          Alcotest.test_case "map_reduce order" `Quick test_pool_map_reduce_order;
           Alcotest.test_case "parallel = sequential" `Quick test_pool_matches_sequential;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "nested map" `Quick test_pool_nested;
