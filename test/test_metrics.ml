@@ -436,9 +436,11 @@ let test_percentile_estimator () =
    recorded at MCX_JOBS=1; the serve exports and the yield summary must
    come out the same at MCX_JOBS=4.
 
-   Regenerating (only when an intentional schema change lands):
+   Regenerating (only when an intentional schema change lands; the runs
+   call ../bin/memx.exe, so start from the build directory):
 
-     MCX_GOLDEN_REGEN=$PWD/test/golden dune exec test/test_metrics.exe *)
+     dune build
+     (cd _build/default/test && MCX_GOLDEN_REGEN=$PWD/../../../test/golden ./test_metrics.exe) *)
 
 open Memx_run
 
