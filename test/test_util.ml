@@ -204,6 +204,18 @@ let close a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
   Float.abs (a -. b) <= 1e-9 *. scale
 
+let prop_mean_bounds =
+  QCheck2.Test.make ~name:"mean: bounded, order-free, shifts with the data" ~count:300
+    gen_samples (fun xs ->
+      (* Samples are dyadic rationals of small magnitude, so every sum is
+         exact and only the final division rounds. *)
+      let mn = List.fold_left Float.min Float.infinity xs in
+      let mx = List.fold_left Float.max Float.neg_infinity xs in
+      let m = Stats.mean xs in
+      mn <= m && m <= mx
+      && Stats.mean (List.rev xs) = m
+      && close (Stats.mean (List.map (fun x -> x +. 3.5) xs)) (m +. 3.5))
+
 let prop_percentile_bounds =
   QCheck2.Test.make ~name:"percentile: bounded, monotone, exact at 0/100" ~count:300
     gen_samples (fun xs ->
@@ -241,6 +253,7 @@ let prop_success_rate_fold =
 let stats_qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_mean_bounds;
       prop_percentile_bounds;
       prop_percentile_tolerates_nan;
       prop_success_rate_fold;
