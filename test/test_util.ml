@@ -331,6 +331,37 @@ let test_sample_edges () =
 
 let stream_prefix prng = List.init 4 (fun _ -> Prng.bits64 prng)
 
+(* The raw stream, pinned: the first four xoshiro256++ outputs after
+   splitmix64 seeding, for plain seeds, a [Key] chain, [derive] and both
+   sides of a [split]. Any change to the state layout or the seeding must
+   reproduce these exactly, or every seeded table and golden moves. *)
+let test_prng_known_answers () =
+  let check name expected g =
+    Alcotest.(check (list int64)) name expected (stream_prefix g)
+  in
+  check "create 0"
+    [ 0x53175D61490B23DFL; 0x61DA6F3DC380D507L; 0x5C0FDF91EC9A7BFCL; 0x02EEBF8C3BBE5E1AL ]
+    (Prng.create 0);
+  check "create 2018"
+    [ 0x7898C8CE7EA100D5L; 0x7EC3E38348FDEFB0L; 0x52EC65B7266ABC66L; 0x55E66769A48F1B64L ]
+    (Prng.create 2018);
+  let key = Prng.Key.(int (string (root 2018) "table2") 3) in
+  Alcotest.(check int64) "key chain" 0x2DEE78905EF7359BL (Prng.Key.to_int64 key);
+  check "of_key"
+    [ 0x601F5FBBF9EFDE9AL; 0x03B8AC0A9B06FD73L; 0xC3AD70B1568C58B1L; 0xD154160471271DA0L ]
+    (Prng.of_key key);
+  check "derive"
+    [ 0x38D6C5202A99D3E0L; 0xFA7745AFF91CC77AL; 0x54F4E31D90A6E86AL; 0x869C9E88A4EEAB28L ]
+    (Prng.derive key 5);
+  let parent = Prng.create 2018 in
+  let child = Prng.split parent in
+  check "split child"
+    [ 0x359602CA24F79F2CL; 0xC209041D59BB8A73L; 0x9D044217043A5FDCL; 0xCAEE5A5D56F7AA0CL ]
+    child;
+  check "split parent advances by one draw"
+    [ 0x7EC3E38348FDEFB0L; 0x52EC65B7266ABC66L; 0x55E66769A48F1B64L; 0x528A1FCD045ED0B8L ]
+    parent
+
 let test_key_deterministic () =
   let k () = Prng.Key.(float (int (string (root 42) "exp") 7) 0.1) in
   Alcotest.(check int64) "same components, same key"
@@ -569,6 +600,7 @@ let () =
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "choose" `Quick test_prng_choose;
           Alcotest.test_case "sample edges" `Quick test_sample_edges;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
         ] );
       ( "bmatrix",
         [
