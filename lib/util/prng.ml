@@ -1,7 +1,19 @@
 (* xoshiro256++ with splitmix64 seeding; reference: Blackman & Vigna,
    "Scrambled linear pseudorandom number generators", 2019. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four 64-bit state words s0..s3 live at byte offsets 0, 8, 16 and
+   24 of one 32-byte buffer. Native code reads and writes them unboxed,
+   where a record of mutable [int64] fields would box a fresh value on
+   every write. *)
+type t = Bytes.t
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 s2;
+  Bytes.set_int64_le t 24 s3;
+  t
 
 let splitmix64_next state =
   let open Int64 in
@@ -17,7 +29,7 @@ let of_int64 bits =
   let s1 = splitmix64_next state in
   let s2 = splitmix64_next state in
   let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
 let create seed = of_int64 (Int64.of_int seed)
 
@@ -54,32 +66,31 @@ end
 let of_key key = of_int64 (Key.to_int64 key)
 let derive key index = of_key (Key.int key index)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 (logxor s2 tmp);
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
 let split t =
   (* Seed a fresh generator from the parent's stream; xoshiro streams seeded
      through splitmix64 from distinct 64-bit values do not overlap in
      practice for our sample counts. *)
-  let state = ref (bits64 t) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  of_int64 (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
