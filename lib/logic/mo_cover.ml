@@ -2,18 +2,19 @@ type row = { cube : Cube.t; outputs : bool array }
 
 type t = { n_inputs : int; n_outputs : int; rows : row list }
 
+module Cube_tbl = Hashtbl.Make (Cube)
+
 let merge_rows n_outputs rows =
-  let table = Hashtbl.create (List.length rows * 2) in
+  let table = Cube_tbl.create (List.length rows * 2) in
   let order = ref [] in
   List.iter
     (fun { cube; outputs } ->
-      let key = Cube.to_string cube in
-      match Hashtbl.find_opt table key with
+      match Cube_tbl.find_opt table cube with
       | Some existing ->
         Array.iteri (fun k v -> if v then existing.outputs.(k) <- true) outputs
       | None ->
         let fresh = { cube; outputs = Array.copy outputs } in
-        Hashtbl.replace table key fresh;
+        Cube_tbl.replace table cube fresh;
         order := fresh :: !order)
     rows;
   ignore n_outputs;
