@@ -25,13 +25,13 @@ type params = {
   v_threshold : float;  (** sense threshold, volts *)
 }
 
-val default_params : params
-(** R_ON = 10 kOhm, R_OFF = 10 MOhm (a typical 1000x HfOx window),
-    pull-up 30 kOhm (a few x R_ON: it must exceed R_ON to sense a single
-    closed junction low yet stay far below R_OFF / width to sense the
-    all-open code high), V_dd = 1 V, threshold at V_dd / 2. These defaults
-    sustain lines a couple of hundred junctions wide — enough for every
-    Table II benchmark (exp5's 142 columns is the widest). *)
+(** Every [?params] defaults to R_ON = 10 kOhm, R_OFF = 10 MOhm (a
+    typical 1000x HfOx window), pull-up 30 kOhm (a few x R_ON: it must
+    exceed R_ON to sense a single closed junction low yet stay far below
+    R_OFF / width to sense the all-open code high), V_dd = 1 V, threshold
+    at V_dd / 2. These defaults sustain lines a couple of hundred junctions
+    wide — enough for every Table II benchmark (exp5's 142 columns is the
+    widest). *)
 
 val line_voltage : ?params:params -> bool list -> float
 (** Voltage of a line whose junctions hold the given logic values ([true]

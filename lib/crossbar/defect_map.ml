@@ -82,7 +82,6 @@ let usable_rows t =
 let usable_cols t =
   List.filter (fun j -> not (col_has_closed t j)) (List.init t.cols Fun.id)
 
-let copy t = { t with data = Bytes.copy t.data; closed = Mcx_util.Bmatrix.copy t.closed }
 
 let digest t =
   (* Dimensions are folded in explicitly: a 2x3 and a 3x2 grid with the

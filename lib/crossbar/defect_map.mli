@@ -24,7 +24,6 @@ val random :
 val count : t -> Junction.defect -> int
 
 val row_has_closed : t -> int -> bool
-val col_has_closed : t -> int -> bool
 (** A stuck-closed junction forces its whole horizontal line to evaluate to
     logic 1 and poisons its vertical line, so these lines are unusable
     (paper §IV.A). Word-parallel over the packed stuck-closed mask. *)
@@ -38,8 +37,6 @@ val closed_mask : t -> Mcx_util.Bmatrix.t
 val usable_rows : t -> int list
 val usable_cols : t -> int list
 (** Lines free of stuck-closed defects, ascending. *)
-
-val copy : t -> t
 
 val digest : t -> string
 (** Hex MD5 of the dimensions plus the per-junction defect grid — a

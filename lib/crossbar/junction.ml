@@ -14,11 +14,3 @@ let defect_equal a b =
   | Functional, Functional | Stuck_open, Stuck_open | Stuck_closed, Stuck_closed -> true
   | (Functional | Stuck_open | Stuck_closed), _ -> false
 
-let pp_defect ppf = function
-  | Functional -> Format.pp_print_string ppf "ok"
-  | Stuck_open -> Format.pp_print_string ppf "open"
-  | Stuck_closed -> Format.pp_print_string ppf "closed"
-
-let pp_programming ppf = function
-  | Active -> Format.pp_print_string ppf "active"
-  | Disabled -> Format.pp_print_string ppf "disabled"

@@ -27,5 +27,3 @@ val reset_value : defect -> bool
 (** Junction value right after the INA (initialize-all) state. *)
 
 val defect_equal : defect -> defect -> bool
-val pp_defect : Format.formatter -> defect -> unit
-val pp_programming : Format.formatter -> programming -> unit

@@ -57,11 +57,6 @@ let physical_row_of_fm_row t i =
     invalid_arg "Layout.physical_row_of_fm_row";
   t.row_assignment.(i)
 
-let physical_col_of_fm_col t j =
-  if j < 0 || j >= Array.length t.col_assignment then
-    invalid_arg "Layout.physical_col_of_fm_col";
-  t.col_assignment.(j)
-
 let respects t defects =
   if Defect_map.rows defects <> t.physical_rows || Defect_map.cols defects <> t.physical_cols
   then invalid_arg "Layout.respects: defect map dimension mismatch";

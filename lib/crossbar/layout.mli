@@ -32,7 +32,6 @@ val of_cover : ?include_il_row:bool -> Mcx_logic.Mo_cover.t -> t
 (** Convenience: FM construction + identity placement. *)
 
 val physical_row_of_fm_row : t -> int -> int
-val physical_col_of_fm_col : t -> int -> int
 
 val respects : t -> Defect_map.t -> bool
 (** True when every required switch lands on a functional junction and no

@@ -42,6 +42,3 @@ val summary_table : panel list -> Mcx_util.Texttable.t
 val series_csv : panel -> string
 (** The sorted per-sample series of one panel (sample index, product count,
     two-level area, multi-level area) — the data behind the plot. *)
-
-val paper_success_rate : int -> float option
-(** The paper's success rate for an input size, when published. *)

@@ -16,8 +16,6 @@ type row = {
   paper : (int * int * int * int) option;
 }
 
-val run_row : Mcx_benchmarks.Suite.t -> row
-
 val run : ?benchmarks:string list -> unit -> row list
 (** Defaults to the paper's nine Table I circuits. *)
 

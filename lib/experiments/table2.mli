@@ -25,19 +25,6 @@ type row = {
   paper : Mcx_benchmarks.Suite.paper_data;
 }
 
-val run_row :
-  ?pool:Mcx_util.Pool.t ->
-  ?samples:int ->
-  ?defect_rate:float ->
-  seed:int ->
-  Mcx_benchmarks.Suite.t ->
-  row
-(** Monte Carlo for one circuit; [samples] defaults to 200 and
-    [defect_rate] to 0.10 (stuck-open only, as in §V). Trials are
-    distributed over [pool] (default {!Mcx_util.Pool.default}); success
-    columns are job-count independent, the timing columns are measured
-    per trial on whichever domain ran it. *)
-
 val run :
   ?pool:Mcx_util.Pool.t ->
   ?samples:int ->
@@ -46,6 +33,11 @@ val run :
   seed:int ->
   unit ->
   row list
+(** Monte Carlo per circuit; [samples] defaults to 200 and [defect_rate]
+    to 0.10 (stuck-open only, as in §V). Trials are distributed over
+    [pool] (default {!Mcx_util.Pool.default}); success columns are
+    job-count independent, the timing columns are measured per trial on
+    whichever domain ran it. *)
 
 val to_table : row list -> Mcx_util.Texttable.t
 val to_csv : row list -> string
