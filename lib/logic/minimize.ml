@@ -1,38 +1,47 @@
 let cost f = (Cover.size f, Cover.literal_count f)
 
+(* Try raising each literal of [c]; keep a raise when the grown cube is
+   still inside [inside]. Raising order: variable index — deterministic. *)
+let expand_cube inside c =
+  let current = ref c in
+  for var = 0 to Cube.arity c - 1 do
+    match Cube.get !current var with
+    | Literal.Absent -> ()
+    | Literal.Pos | Literal.Neg ->
+      let raised = Cube.set !current var Literal.Absent in
+      if Tautology.covers inside raised then current := raised
+  done;
+  !current
+
 let expand f =
   let n = Cover.arity f in
-  let expand_cube c =
-    (* Try raising each literal; keep a raise when the grown cube is still
-       inside the function. Raising order: variable index — deterministic. *)
-    let current = ref c in
-    for var = 0 to n - 1 do
-      match Cube.get !current var with
-      | Literal.Absent -> ()
-      | Literal.Pos | Literal.Neg ->
-        let raised = Cube.set !current var Literal.Absent in
-        if Tautology.cube_covered raised f then current := raised
-    done;
-    !current
-  in
+  let inside = Tautology.of_cubes ~arity:n (Cover.cubes f) in
   let by_fewest_minterms a b = Int.compare (Cube.num_literals b) (Cube.num_literals a) in
   let cubes = List.stable_sort by_fewest_minterms (Cover.cubes f) in
-  let expanded = List.map expand_cube cubes in
+  let expanded = List.map (expand_cube inside) cubes in
   Cover.single_cube_containment (Cover.create ~arity:n expanded)
+
+(* Visit [cubes] in order and drop each one the others still on cover;
+   [cubes] are the first cubes of [sweep], the rest stay on throughout. *)
+let drop_covered sweep cubes =
+  let rec visit i = function
+    | [] -> []
+    | c :: rest ->
+      Tautology.switch sweep i false;
+      if Tautology.covers sweep c then visit (i + 1) rest
+      else begin
+        Tautology.switch sweep i true;
+        c :: visit (i + 1) rest
+      end
+  in
+  visit 0 cubes
 
 let irredundant f =
   let n = Cover.arity f in
-  let rec sweep kept = function
-    | [] -> List.rev kept
-    | c :: rest ->
-      let others = Cover.create ~arity:n (List.rev_append kept rest) in
-      if Tautology.cube_covered c others then sweep kept rest
-      else sweep (c :: kept) rest
-  in
   (* Visiting large cubes last keeps the specific cubes only when needed. *)
   let by_most_minterms a b = Int.compare (Cube.num_literals a) (Cube.num_literals b) in
   let cubes = List.stable_sort by_most_minterms (Cover.cubes f) in
-  Cover.create ~arity:n (sweep [] cubes)
+  Cover.create ~arity:n (drop_covered (Tautology.of_cubes ~arity:n cubes) cubes)
 
 (* Cofactor a cover with respect to a cube: the cover's behaviour inside the
    cube's subspace, expressed over the free variables. Word-parallel. *)
@@ -93,28 +102,15 @@ let espresso_dc ~dc f =
   (* Expansion may grow into ON u DC; a cube is redundant when the other
      cubes plus the DC set cover it; cubes entirely inside DC go first. *)
   let expand_dc g =
-    let expand_cube c =
-      let current = ref c in
-      for var = 0 to n - 1 do
-        match Cube.get !current var with
-        | Literal.Absent -> ()
-        | Literal.Pos | Literal.Neg ->
-          let raised = Cube.set !current var Literal.Absent in
-          if Tautology.cube_covered raised freedom then current := raised
-      done;
-      !current
-    in
-    Cover.single_cube_containment (Cover.create ~arity:n (List.map expand_cube (Cover.cubes g)))
+    let inside = Tautology.of_cubes ~arity:n (Cover.cubes freedom) in
+    Cover.single_cube_containment
+      (Cover.create ~arity:n (List.map (expand_cube inside) (Cover.cubes g)))
   in
   let irredundant_dc g =
-    let rec sweep kept = function
-      | [] -> List.rev kept
-      | c :: rest ->
-        let others = Cover.union (Cover.create ~arity:n (List.rev_append kept rest)) dc in
-        if Tautology.cube_covered c others then sweep kept rest else sweep (c :: kept) rest
-    in
     let by_most_minterms a b = Int.compare (Cube.num_literals a) (Cube.num_literals b) in
-    Cover.create ~arity:n (sweep [] (List.stable_sort by_most_minterms (Cover.cubes g)))
+    let cubes = List.stable_sort by_most_minterms (Cover.cubes g) in
+    let sweep = Tautology.of_cubes ~arity:n (cubes @ Cover.cubes dc) in
+    Cover.create ~arity:n (drop_covered sweep cubes)
   in
   let rec loop current current_cost budget =
     if budget = 0 then current

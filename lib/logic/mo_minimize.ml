@@ -2,11 +2,14 @@
    are fixed once from the input cover, so every transformation is checked
    against the original semantics. *)
 
-let output_cover_of rows ~n_inputs k =
-  Cover.create ~arity:n_inputs
-    (List.filter_map
-       (fun (cube, mask) -> if Array.get mask k then Some cube else None)
-       rows)
+(* One sweep per output over all rows, a row switched on while its mask
+   drives that output. *)
+let output_sweeps ~n_inputs ~n_outputs rows =
+  let cubes = List.map fst rows in
+  Array.init n_outputs (fun k ->
+      let sweep = Tautology.of_cubes ~arity:n_inputs cubes in
+      List.iteri (fun i (_, mask) -> if not mask.(k) then Tautology.switch sweep i false) rows;
+      sweep)
 
 let row_obligations_covered mo ~cube ~output ~without =
   let others =
@@ -24,8 +27,11 @@ let minimize_joint ?(passes = 4) mo =
   let n_inputs = Mo_cover.n_inputs mo in
   let n_outputs = Mo_cover.n_outputs mo in
   (* reference functions, fixed *)
-  let reference = Array.init n_outputs (fun k -> Mo_cover.output_cover mo k) in
-  let covered_by_reference cube k = Tautology.cube_covered cube reference.(k) in
+  let reference =
+    Array.init n_outputs (fun k ->
+        Tautology.of_cubes ~arity:n_inputs (Cover.cubes (Mo_cover.output_cover mo k)))
+  in
+  let covered_by_reference cube k = Tautology.covers reference.(k) cube in
 
   let expand_outputs rows =
     List.map
@@ -65,20 +71,24 @@ let minimize_joint ?(passes = 4) mo =
         (fun (a, _) (b, _) -> Int.compare (Cube.num_literals b) (Cube.num_literals a))
         rows
     in
-    let rec sweep kept = function
-      | [] -> List.rev kept
-      | (cube, mask) :: rest ->
-        let remaining = kept @ rest in
-        let needed k =
-          mask.(k)
-          &&
-          let others = output_cover_of remaining ~n_inputs k in
-          not (Tautology.cube_covered cube others)
-        in
-        let any_needed = List.exists needed (List.init n_outputs Fun.id) in
-        if any_needed then sweep ((cube, mask) :: kept) rest else sweep kept rest
+    let sweeps = output_sweeps ~n_inputs ~n_outputs sorted in
+    let switch i mask on =
+      Array.iteri (fun k drives -> if drives then Tautology.switch sweeps.(k) i on) mask
     in
-    sweep [] sorted
+    (* A row is dropped when the kept rows and the rows not yet visited
+       cover it in every output it drives. *)
+    let rec visit i = function
+      | [] -> []
+      | ((cube, mask) as row) :: rest ->
+        switch i mask false;
+        let needed k = mask.(k) && not (Tautology.covers sweeps.(k) cube) in
+        if List.exists needed (List.init n_outputs Fun.id) then begin
+          switch i mask true;
+          row :: visit (i + 1) rest
+        end
+        else visit (i + 1) rest
+    in
+    visit 0 sorted
   in
 
   let to_mo rows =
@@ -92,25 +102,18 @@ let minimize_joint ?(passes = 4) mo =
      mapping — the output expansion above was only a vehicle for dropping
      rows, not an end state. *)
   let make_sparse rows =
-    let rows = Array.of_list rows in
-    for i = 0 to Array.length rows - 1 do
-      let cube, mask = rows.(i) in
-      for k = 0 to n_outputs - 1 do
-        if mask.(k) && Array.exists Fun.id mask then begin
-          let others =
-            Array.to_list rows
-            |> List.mapi (fun j (c, m) -> if j <> i && m.(k) then Some c else None)
-            |> List.filter_map Fun.id
-          in
-          if
-            Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask > 1
-            && Tautology.cube_covered cube (Cover.create ~arity:n_inputs others)
-          then mask.(k) <- false
-        end
-      done;
-      rows.(i) <- (cube, mask)
-    done;
-    Array.to_list rows
+    let sweeps = output_sweeps ~n_inputs ~n_outputs rows in
+    List.iteri
+      (fun i (cube, mask) ->
+        for k = 0 to n_outputs - 1 do
+          if mask.(k) && Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask > 1 then begin
+            Tautology.switch sweeps.(k) i false;
+            if Tautology.covers sweeps.(k) cube then mask.(k) <- false
+            else Tautology.switch sweeps.(k) i true
+          end
+        done)
+      rows;
+    rows
   in
 
   let rec loop rows budget =
