@@ -55,8 +55,26 @@ let complement t =
 
 let equal a b = a.arity = b.arity && Bytes.equal a.table b.table
 
+(* With at most [max_arity] variables a cube is one care and one polarity
+   word, and its points are its polarity word joined with every subset of
+   its free variables. *)
 let of_cover f =
-  create ~arity:(Cover.arity f) (fun v -> Cover.eval f v)
+  let arity = Cover.arity f in
+  check_arity arity;
+  let table = Bytes.make (1 lsl arity) '\000' in
+  let word get c = if Cube_packed.words c = 0 then 0 else get c 0 in
+  List.iter
+    (fun c ->
+      let pol = word Cube_packed.pol_word c in
+      let free = ((1 lsl arity) - 1) land lnot (word Cube_packed.care_word c) in
+      let sub = ref free in
+      Bytes.unsafe_set table pol '\001';
+      while !sub <> 0 do
+        Bytes.unsafe_set table (pol lor !sub) '\001';
+        sub := (!sub - 1) land free
+      done)
+    (Cover.cubes f);
+  { arity; table }
 
 let to_cover t =
   let ms = List.map (assignment_of_index ~arity:t.arity) (minterm_indices t) in

@@ -384,6 +384,140 @@ let test_qm_minimize_oracle () =
     done
   done
 
+(* --- Qm against its former implementation (test/qm_reference.ml) ---
+
+   The minimizer's cube order reaches function-matrix row order, and with
+   it HBA, tech mapping and the goldens, so the new cover must match the
+   old one cube for cube, in order. The old greedy cover rescans every
+   prime for each pick: a dense 10-variable table costs it about half a
+   second, a dense 12-variable one minutes, so dense tables stop at 10
+   variables and are rare there. *)
+
+let random_table seed =
+  let prng = Mcx_util.Prng.create seed in
+  let pick = Mcx_util.Prng.int prng 20 in
+  let arity, on_bias =
+    if pick < 12 then (Mcx_util.Prng.int prng 9, 0.2 +. (0.6 *. Mcx_util.Prng.float prng))
+    else if pick < 15 then (9, 0.2 +. (0.6 *. Mcx_util.Prng.float prng))
+    else if pick < 16 then (10, 0.2 +. (0.6 *. Mcx_util.Prng.float prng))
+    else (11 + Mcx_util.Prng.int prng 2, 0.005 +. (0.04 *. Mcx_util.Prng.float prng))
+  in
+  Truthtable.random prng ~arity ~on_bias
+
+let same_cubes a b = List.equal String.equal (List.map Cube.to_string a) (List.map Cube.to_string b)
+
+let prop_qm_matches_reference =
+  QCheck2.Test.make ~name:"Qm.minimize and Qm.primes match the reference" ~count:60
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let tt = random_table seed in
+      same_cubes (Cover.cubes (Qm.minimize tt)) (Cover.cubes (Qm_reference.minimize tt))
+      && same_cubes (Qm.primes tt) (Qm_reference.primes tt))
+
+let test_qm_suite_reference () =
+  let module Suite = Mcx_benchmarks.Suite in
+  List.iter
+    (fun (b : Suite.t) ->
+      match b.source with
+      | Suite.Arithmetic _ when b.inputs <= 12 ->
+        let cover = Suite.cover b in
+        for k = 0 to Mo_cover.n_outputs cover - 1 do
+          let tt = Truthtable.of_cover (Mo_cover.output_cover cover k) in
+          List.iter
+            (fun (what, tt) ->
+              if
+                not
+                  (same_cubes (Cover.cubes (Qm.minimize tt))
+                     (Cover.cubes (Qm_reference.minimize tt)))
+              then Alcotest.failf "%s output %d%s: Qm differs from the reference" b.name k what)
+            [ ("", tt); (" complement", Truthtable.complement tt) ]
+        done
+      | Suite.Arithmetic _ | Suite.Synthetic _ -> ())
+    Suite.all
+
+(* --- Tautology across the word boundary, against a truth table ---
+
+   Covers of 56 to 72 variables whose literals lie on at most ten
+   variables drawn near bit 63, so cubes span one or two words while the
+   truth table over those variables stays small. A random Shannon tree
+   gives a tautology; dropping a cube, narrowing one or adding random ones
+   gives near misses. *)
+
+let straddling_case seed =
+  let prng = Mcx_util.Prng.create seed in
+  let int = Mcx_util.Prng.int prng in
+  let arity = 56 + int 17 in
+  let lo = max 0 (arity - 16) in
+  let support =
+    Array.of_list (List.sort_uniq Int.compare (List.init (1 + int 10) (fun _ -> lo + int (arity - lo))))
+  in
+  let literal () = if int 2 = 0 then Literal.Pos else Literal.Neg in
+  let cube_of fixed =
+    let lits = Array.make arity Literal.Absent in
+    List.iter (fun (v, l) -> lits.(v) <- l) fixed;
+    lits
+  in
+  let random_cube () =
+    cube_of
+      (List.filter_map
+         (fun v -> if int 3 = 0 then Some (v, literal ()) else None)
+         (Array.to_list support))
+  in
+  let rec tree depth fixed =
+    let free = List.filter (fun v -> not (List.mem_assoc v fixed)) (Array.to_list support) in
+    if depth = 0 || free = [] || int 10 < 3 then [ cube_of fixed ]
+    else
+      let v = List.nth free (int (List.length free)) in
+      tree (depth - 1) ((v, Literal.Pos) :: fixed) @ tree (depth - 1) ((v, Literal.Neg) :: fixed)
+  in
+  let cubes = tree (1 + int 6) [] in
+  let cubes =
+    match int 4 with
+    | 0 ->
+      let drop = int (List.length cubes) in
+      List.filteri (fun i _ -> i <> drop) cubes
+    | 1 ->
+      let narrow = List.nth cubes (int (List.length cubes)) in
+      narrow.(support.(int (Array.length support))) <- literal ();
+      cubes
+    | _ -> cubes
+  in
+  let cubes = List.init (int 4) (fun _ -> random_cube ()) @ cubes in
+  (arity, support, List.map Cube.of_literals cubes, Cube.of_literals (random_cube ()))
+
+(* Every assignment of the support variables, the rest held at 0. *)
+let for_all_points ~arity support f =
+  let v = Array.make arity false in
+  let rec go idx =
+    idx = 1 lsl Array.length support
+    || begin
+         Array.iteri (fun i var -> v.(var) <- (idx lsr i) land 1 = 1) support;
+         f v && go (idx + 1)
+       end
+  in
+  go 0
+
+let prop_tautology_straddles_word =
+  QCheck2.Test.make ~name:"tautology and sweeps agree with a truth table across bit 63"
+    ~count:300 ~print:string_of_int
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let arity, support, cubes, query = straddling_case seed in
+      let covered_by on v = List.exists (fun c -> Cube.eval c v) on in
+      let taut = for_all_points ~arity support (covered_by cubes) in
+      (* A sweep with every third cube switched off. *)
+      let is_off i = i mod 3 = seed mod 3 in
+      let sweep = Tautology.of_cubes ~arity cubes in
+      List.iteri (fun i _ -> if is_off i then Tautology.switch sweep i false) cubes;
+      let on = List.filteri (fun i _ -> not (is_off i)) cubes in
+      let query_covered =
+        for_all_points ~arity support (fun v -> (not (Cube.eval query v)) || covered_by on v)
+      in
+      Bool.equal (Tautology.check (Cover.create ~arity cubes)) taut
+      && Bool.equal (Tautology.covers sweep query) query_covered
+      && Bool.equal (Tautology.cube_covered query (Cover.create ~arity on)) query_covered)
+
 let () =
   Alcotest.run "oracle"
     [
@@ -412,4 +546,9 @@ let () =
         ] );
       ( "truth-table oracle",
         [ Alcotest.test_case "Qm & Minimize equivalence" `Quick test_qm_minimize_oracle ] );
+      ( "exact outputs",
+        Alcotest.test_case "Qm on Suite arithmetic outputs and complements" `Quick
+          test_qm_suite_reference
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_qm_matches_reference; prop_tautology_straddles_word ] );
     ]
