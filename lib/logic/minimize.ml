@@ -1,15 +1,17 @@
 let cost f = (Cover.size f, Cover.literal_count f)
 
 (* Try raising each literal of [c]; keep a raise when the grown cube is
-   still inside [inside]. Raising order: variable index — deterministic. *)
+   still inside [inside]. Raising order: variable index — deterministic.
+   [c] lies inside [inside], so the grown cube does iff the half the raise
+   adds does: the cube with that literal complemented. *)
 let expand_cube inside c =
   let current = ref c in
   for var = 0 to Cube.arity c - 1 do
     match Cube.get !current var with
     | Literal.Absent -> ()
-    | Literal.Pos | Literal.Neg ->
-      let raised = Cube.set !current var Literal.Absent in
-      if Tautology.covers inside raised then current := raised
+    | (Literal.Pos | Literal.Neg) as l ->
+      if Tautology.covers inside (Cube.set !current var (Literal.complement l)) then
+        current := Cube.set !current var Literal.Absent
   done;
   !current
 

@@ -44,6 +44,9 @@ let minimize_joint ?(passes = 4) mo =
       rows
   in
 
+  (* A row's cube lies inside every output of its mask, so raising a
+     literal keeps it there iff the half the raise adds (the cube with
+     that literal complemented) lies there. *)
   let expand_inputs rows =
     List.map
       (fun (cube, mask) ->
@@ -51,13 +54,12 @@ let minimize_joint ?(passes = 4) mo =
         for var = 0 to n_inputs - 1 do
           match Cube.get !current var with
           | Literal.Absent -> ()
-          | Literal.Pos | Literal.Neg ->
-            let raised = Cube.set !current var Literal.Absent in
-            let ok = ref true in
-            for k = 0 to n_outputs - 1 do
-              if mask.(k) && not (covered_by_reference raised k) then ok := false
-            done;
-            if !ok then current := raised
+          | (Literal.Pos | Literal.Neg) as l ->
+            let added = Cube.set !current var (Literal.complement l) in
+            let rec inside k =
+              k = n_outputs || ((not mask.(k)) || covered_by_reference added k) && inside (k + 1)
+            in
+            if inside 0 then current := Cube.set !current var Literal.Absent
         done;
         (!current, mask))
       rows
