@@ -86,7 +86,7 @@ let generate p =
   let conns_per_row =
     distribute ~skew:p.skew ~total:conn_total ~n:p.n_products ~lo:1 ~hi:p.n_outputs
   in
-  let seen = Hashtbl.create (2 * p.n_products) in
+  let seen = Cube.Tbl.create (2 * p.n_products) in
   (* Polarity bias rises with the skew: real PLAs' big products cluster on
      overlapping literal-column supports (think parity blocks), and it is
      that competition for the same functional crossbar rows — not the row
@@ -104,10 +104,9 @@ let generate p =
   in
   let rec fresh_cube n_literals attempts =
     let c = random_cube n_literals in
-    let key = Cube.to_string c in
-    if Hashtbl.mem seen key && attempts < 100 then fresh_cube n_literals (attempts + 1)
+    if Cube.Tbl.mem seen c && attempts < 100 then fresh_cube n_literals (attempts + 1)
     else begin
-      Hashtbl.replace seen key ();
+      Cube.Tbl.replace seen c ();
       c
     end
   in

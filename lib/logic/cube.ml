@@ -21,6 +21,8 @@ let is_minterm = Cube_packed.is_minterm
 let equal = Cube_packed.equal
 let compare = Cube_packed.compare
 let hash = Cube_packed.hash
+
+module Tbl = Hashtbl.Make (Cube_packed)
 let eval = Cube_packed.eval
 let pack_assignment = Cube_packed.pack_assignment
 let eval_packed = Cube_packed.eval_packed

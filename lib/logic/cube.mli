@@ -48,6 +48,9 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Mixes the packed words directly — no per-call string allocation. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed on cubes through {!equal} and {!hash}. *)
+
 val eval : t -> bool array -> bool
 (** [eval c v] evaluates the conjunction on the assignment [v].
     @raise Invalid_argument on arity mismatch. *)

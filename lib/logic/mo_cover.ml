@@ -2,19 +2,17 @@ type row = { cube : Cube.t; outputs : bool array }
 
 type t = { n_inputs : int; n_outputs : int; rows : row list }
 
-module Cube_tbl = Hashtbl.Make (Cube)
-
 let merge_rows n_outputs rows =
-  let table = Cube_tbl.create (List.length rows * 2) in
+  let table = Cube.Tbl.create (List.length rows * 2) in
   let order = ref [] in
   List.iter
     (fun { cube; outputs } ->
-      match Cube_tbl.find_opt table cube with
+      match Cube.Tbl.find_opt table cube with
       | Some existing ->
         Array.iteri (fun k v -> if v then existing.outputs.(k) <- true) outputs
       | None ->
         let fresh = { cube; outputs = Array.copy outputs } in
-        Cube_tbl.replace table cube fresh;
+        Cube.Tbl.replace table cube fresh;
         order := fresh :: !order)
     rows;
   ignore n_outputs;

@@ -21,15 +21,13 @@ let random_cube prng ~n_inputs ~literal_probability =
   in
   Cube.of_literals (non_empty 0)
 
-module Cube_tbl = Hashtbl.Make (Cube)
-
 let random_cover prng { n_inputs; n_products; literal_probability } =
   if n_products < 0 then invalid_arg "Random_sop.random_cover: negative product count";
-  let seen = Cube_tbl.create (2 * n_products) in
+  let seen = Cube.Tbl.create (2 * n_products) in
   let rec fresh_cube attempts =
     let c = random_cube prng ~n_inputs ~literal_probability in
-    if (not (Cube_tbl.mem seen c)) || attempts > 100 then begin
-      Cube_tbl.replace seen c ();
+    if (not (Cube.Tbl.mem seen c)) || attempts > 100 then begin
+      Cube.Tbl.replace seen c ();
       c
     end
     else fresh_cube (attempts + 1)
