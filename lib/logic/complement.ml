@@ -1,31 +1,137 @@
 (* complement(f) about a branching variable x:
      f' = x . (f_x)'  +  x' . (f_x')'
    Leaves: empty cover -> universe; cover containing the universe cube ->
-   empty. Branch on the most binate variable to keep the recursion shallow. *)
+   empty. Branch on the most binate variable to keep the recursion shallow.
 
-let rec complement_rec f =
-  Mcx_util.Telemetry.count "complement.nodes";
-  let n = Cover.arity f in
-  if Cover.is_empty f then Cover.top n
-  else if List.exists (fun c -> Cube.num_literals c = 0) (Cover.cubes f) then Cover.empty n
+   Covers are flat care/polarity word arrays, [w] words per cube, the
+   layout of [Cube_packed]. Every result is free of contained cubes and
+   sorted by literal count, stably: a leaf trivially, and a node because
+   each branch is, the literal attached to a branch keeps its cubes'
+   containment as it was, and the two branches conflict on that literal.
+   So single-cube containment over a node's cubes deletes nothing, and its
+   stable sort by literal count is a merge of the two branches, the
+   positive one first on ties. *)
+
+open Mcx_util
+
+type flat = { count : int; care : int array; pol : int array }
+
+let universe ~w = { count = 1; care = Array.make w 0; pol = Array.make w 0 }
+let empty = { count = 0; care = [||]; pol = [||] }
+
+let literals ~w f i =
+  let n = ref 0 in
+  for k = 0 to w - 1 do
+    n := !n + Bits.popcount f.care.((i * w) + k)
+  done;
+  !n
+
+(* The first variable with the largest (min(pos, neg), pos + neg) over
+   its occurrence counts; -1 when no cube has a literal. *)
+let most_binate ~arity ~w f =
+  let pos = Array.make arity 0 and neg = Array.make arity 0 in
+  for i = 0 to f.count - 1 do
+    for k = 0 to w - 1 do
+      let m = ref f.care.((i * w) + k) and p = f.pol.((i * w) + k) in
+      while !m <> 0 do
+        let b = Bits.ctz !m in
+        let v = (k * Bits.word_bits) + b in
+        if (p lsr b) land 1 = 1 then pos.(v) <- pos.(v) + 1 else neg.(v) <- neg.(v) + 1;
+        m := !m land (!m - 1)
+      done
+    done
+  done;
+  let best = ref (-1) and best_min = ref (-1) and best_sum = ref 0 in
+  for v = 0 to arity - 1 do
+    let lo = min pos.(v) neg.(v) and sum = pos.(v) + neg.(v) in
+    if sum > 0 && (lo > !best_min || (lo = !best_min && sum > !best_sum)) then begin
+      best := v;
+      best_min := lo;
+      best_sum := sum
+    end
+  done;
+  !best
+
+(* The cubes where the variable [bit] of word [k] can take [value] ([bit]
+   for 1, [0] for 0), that variable freed, in order. *)
+let cofactor ~w f k bit value =
+  let keep i = f.care.((i * w) + k) land bit = 0 || f.pol.((i * w) + k) land bit = value in
+  let count = ref 0 in
+  for i = 0 to f.count - 1 do
+    if keep i then incr count
+  done;
+  let care = Array.make (!count * w) 0 and pol = Array.make (!count * w) 0 in
+  let j = ref 0 in
+  for i = 0 to f.count - 1 do
+    if keep i then begin
+      Array.blit f.care (i * w) care (!j * w) w;
+      Array.blit f.pol (i * w) pol (!j * w) w;
+      care.((!j * w) + k) <- care.((!j * w) + k) land lnot bit;
+      pol.((!j * w) + k) <- pol.((!j * w) + k) land lnot bit;
+      incr j
+    end
+  done;
+  { count = !count; care; pol }
+
+(* x . pos + x' . neg, stably sorted by literal count. *)
+let attach_merge ~w pos neg k bit =
+  let count = pos.count + neg.count in
+  let care = Array.make (count * w) 0 and pol = Array.make (count * w) 0 in
+  let put j src i value =
+    Array.blit src.care (i * w) care (j * w) w;
+    Array.blit src.pol (i * w) pol (j * w) w;
+    care.((j * w) + k) <- care.((j * w) + k) lor bit;
+    pol.((j * w) + k) <- pol.((j * w) + k) lor value
+  in
+  let i = ref 0 and l = ref 0 in
+  for j = 0 to count - 1 do
+    if !l = neg.count || (!i < pos.count && literals ~w pos !i <= literals ~w neg !l) then begin
+      put j pos !i bit;
+      incr i
+    end
+    else begin
+      put j neg !l 0;
+      incr l
+    end
+  done;
+  { count; care; pol }
+
+let rec complement_rec ~arity ~w f =
+  Telemetry.count "complement.nodes";
+  let has_universe = ref false in
+  for i = 0 to f.count - 1 do
+    if literals ~w f i = 0 then has_universe := true
+  done;
+  if f.count = 0 then universe ~w
+  else if !has_universe then empty
   else
-    match Cover.most_binate_var f with
-    | None -> Cover.empty n
-    | Some var ->
-      let pos_branch = complement_rec (Cover.cofactor f ~var ~value:true) in
-      let neg_branch = complement_rec (Cover.cofactor f ~var ~value:false) in
-      let attach value branch =
-        let lit = if value then Literal.Pos else Literal.Neg in
-        List.filter_map
-          (fun c ->
-            match Cube.get c var with
-            | Literal.Absent -> Some (Cube.set c var lit)
-            | Literal.Pos | Literal.Neg ->
-              (* Cofactors contain no literal of [var]; defensive. *)
-              None)
-          (Cover.cubes branch)
-      in
-      let cubes = attach true pos_branch @ attach false neg_branch in
-      Cover.single_cube_containment (Cover.create ~arity:n cubes)
+    let var = most_binate ~arity ~w f in
+    if var < 0 then empty
+    else begin
+      let k = Bits.word_of var and bit = 1 lsl Bits.bit_of var in
+      let pos = complement_rec ~arity ~w (cofactor ~w f k bit bit) in
+      let neg = complement_rec ~arity ~w (cofactor ~w f k bit 0) in
+      attach_merge ~w pos neg k bit
+    end
 
-let complement f = Mcx_util.Telemetry.span "logic.complement" (fun () -> complement_rec f)
+let complement f =
+  Telemetry.span "logic.complement" @@ fun () ->
+  let arity = Cover.arity f in
+  let w = Bits.words_for arity in
+  let cubes = Array.of_list (Cover.cubes f) in
+  let flat =
+    {
+      count = Array.length cubes;
+      care = Array.init (Array.length cubes * w) (fun x -> Cube_packed.care_word cubes.(x / w) (x mod w));
+      pol = Array.init (Array.length cubes * w) (fun x -> Cube_packed.pol_word cubes.(x / w) (x mod w));
+    }
+  in
+  let result = complement_rec ~arity ~w flat in
+  let literal i v =
+    let x = (i * w) + Bits.word_of v and b = Bits.bit_of v in
+    if (result.care.(x) lsr b) land 1 = 0 then Literal.Absent
+    else if (result.pol.(x) lsr b) land 1 = 1 then Literal.Pos
+    else Literal.Neg
+  in
+  Cover.create ~arity
+    (List.init result.count (fun i -> Cube_packed.make ~arity ~f:(literal i)))

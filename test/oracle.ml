@@ -518,6 +518,46 @@ let prop_tautology_straddles_word =
       && Bool.equal (Tautology.covers sweep query) query_covered
       && Bool.equal (Tautology.cube_covered query (Cover.create ~arity on)) query_covered)
 
+(* --- Complement against its former list implementation ---
+
+   [Minimize.complement_minimized] hands the complement's cube list to
+   espresso, so the flat-array version must return the same cubes in the
+   same order: Fig. 6's random SOPs up to 15 inputs, covers straddling
+   bit 63, and every output of the Suite circuits above 14 inputs. *)
+
+let prop_complement_matches_reference =
+  QCheck2.Test.make ~name:"Complement matches the reference" ~count:150 ~print:string_of_int
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let f =
+        if seed land 1 = 0 then
+          let prng = Mcx_util.Prng.create seed in
+          let n_inputs = 1 + Mcx_util.Prng.int prng 15 in
+          Random_sop.random_cover prng (Random_sop.paper_params prng ~n_inputs)
+        else
+          let arity, _, cubes, _ = straddling_case seed in
+          Cover.create ~arity cubes
+      in
+      same_cubes (Cover.cubes (Complement.complement f))
+        (Cover.cubes (Complement_reference.complement f)))
+
+let test_complement_suite_reference () =
+  let module Suite = Mcx_benchmarks.Suite in
+  List.iter
+    (fun (b : Suite.t) ->
+      if b.inputs > 14 then begin
+        let cover = Suite.cover b in
+        for k = 0 to Mo_cover.n_outputs cover - 1 do
+          let f = Mo_cover.output_cover cover k in
+          if
+            not
+              (same_cubes (Cover.cubes (Complement.complement f))
+                 (Cover.cubes (Complement_reference.complement f)))
+          then Alcotest.failf "%s output %d: Complement differs from the reference" b.name k
+        done
+      end)
+    Suite.all
+
 let () =
   Alcotest.run "oracle"
     [
@@ -547,8 +587,16 @@ let () =
       ( "truth-table oracle",
         [ Alcotest.test_case "Qm & Minimize equivalence" `Quick test_qm_minimize_oracle ] );
       ( "exact outputs",
-        Alcotest.test_case "Qm on Suite arithmetic outputs and complements" `Quick
-          test_qm_suite_reference
-        :: List.map QCheck_alcotest.to_alcotest
-             [ prop_qm_matches_reference; prop_tautology_straddles_word ] );
+        [
+          Alcotest.test_case "Qm on Suite arithmetic outputs and complements" `Quick
+            test_qm_suite_reference;
+          Alcotest.test_case "Complement on Suite outputs above 14 inputs" `Quick
+            test_complement_suite_reference;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_qm_matches_reference;
+              prop_tautology_straddles_word;
+              prop_complement_matches_reference;
+            ] );
     ]
