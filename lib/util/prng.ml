@@ -133,11 +133,15 @@ let choose t a =
 
 let sample_without_replacement t ~k ~n =
   if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";
-  (* Floyd's algorithm gives O(k) expected draws. *)
-  let chosen = Hashtbl.create (2 * k) in
+  (* Floyd's algorithm gives O(k) expected draws; membership is one byte
+     per index, and reading the bytes back yields the indices in order. *)
+  let chosen = Bytes.make n '\000' in
   for j = n - k to n - 1 do
     let r = int t (j + 1) in
-    if Hashtbl.mem chosen r then Hashtbl.replace chosen j ()
-    else Hashtbl.replace chosen r ()
+    Bytes.set chosen (if Bytes.get chosen r = '\000' then r else j) '\001'
   done;
-  Hashtbl.fold (fun i () acc -> i :: acc) chosen [] |> List.sort compare
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    if Bytes.get chosen i <> '\000' then acc := i :: !acc
+  done;
+  !acc
