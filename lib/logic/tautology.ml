@@ -186,12 +186,6 @@ let of_cubes ~arity cubes =
 
 let switch t i on = Bytes.set t.on i (if on then '\001' else '\000')
 
-let rec conflicts care pol base cc cp w k =
-  k < w
-  && (Array.unsafe_get care (base + k) land cc.(k) land (Array.unsafe_get pol (base + k) lxor cp.(k))
-      <> 0
-     || conflicts care pol base cc cp w (k + 1))
-
 (* The switched-on cubes cofactored with respect to [c] (conflicting cubes
    dropped, [c]'s variables freed) go to the bottom of the scratch; [c] is
    covered iff they form a tautology. *)
@@ -201,18 +195,30 @@ let covers t c =
   let w = s.w in
   let cc = Array.init w (Cube_packed.care_word c) and cp = Array.init w (Cube_packed.pol_word c) in
   reserve s ~top:0 t.count;
-  let dst_care = s.care and dst_pol = s.pol in
+  let src_care = t.care and src_pol = t.pol and dst_care = s.care and dst_pol = s.pol in
   let j = ref 0 in
   for i = 0 to t.count - 1 do
-    let base = i * w in
-    if Bytes.unsafe_get t.on i <> '\000' && not (conflicts t.care t.pol base cc cp w 0) then begin
-      let dst = !j * w in
-      for k = 0 to w - 1 do
-        let keep = lnot cc.(k) in
-        Array.unsafe_set dst_care (dst + k) (Array.unsafe_get t.care (base + k) land keep);
-        Array.unsafe_set dst_pol (dst + k) (Array.unsafe_get t.pol (base + k) land keep)
+    if Bytes.unsafe_get t.on i <> '\000' then begin
+      let base = i * w in
+      let k = ref 0 in
+      while
+        !k < w
+        && Array.unsafe_get src_care (base + !k)
+           land Array.unsafe_get cc !k
+           land (Array.unsafe_get src_pol (base + !k) lxor Array.unsafe_get cp !k)
+           = 0
+      do
+        incr k
       done;
-      incr j
+      if !k = w then begin
+        let dst = !j * w in
+        for k = 0 to w - 1 do
+          let keep = lnot (Array.unsafe_get cc k) in
+          Array.unsafe_set dst_care (dst + k) (Array.unsafe_get src_care (base + k) land keep);
+          Array.unsafe_set dst_pol (dst + k) (Array.unsafe_get src_pol (base + k) land keep)
+        done;
+        incr j
+      end
     end
   done;
   taut s 0 !j
