@@ -50,12 +50,6 @@ let of_minterms ~arity ms =
   in
   create ~arity (List.map cube_of_minterm ms)
 
-let cofactor t ~var ~value =
-  let keep c =
-    match Cube.cofactor c ~var ~value with Some c' -> Some c' | None -> None
-  in
-  { t with cubes = List.filter_map keep t.cubes }
-
 let single_cube_containment t =
   let rec keep acc = function
     | [] -> List.rev acc
@@ -101,30 +95,6 @@ let equal_semantics a b =
     end
   in
   go 0
-
-let var_occurrences t var =
-  let pos = ref 0 and neg = ref 0 in
-  List.iter
-    (fun c ->
-      match Cube.get c var with
-      | Literal.Pos -> incr pos
-      | Literal.Neg -> incr neg
-      | Literal.Absent -> ())
-    t.cubes;
-  (!pos, !neg)
-
-let most_binate_var t =
-  let best = ref None in
-  for var = 0 to t.arity - 1 do
-    let pos, neg = var_occurrences t var in
-    if pos + neg > 0 then begin
-      let key = (min pos neg, pos + neg) in
-      match !best with
-      | Some (_, best_key) when compare key best_key <= 0 -> ()
-      | Some _ | None -> best := Some (var, key)
-    end
-  done;
-  Option.map fst !best
 
 let pp ppf t =
   if is_empty t then Format.fprintf ppf "<empty/%d>" t.arity

@@ -41,9 +41,6 @@ val to_strings : t -> string list
 val of_minterms : arity:int -> bool array list -> t
 (** One cube per minterm. *)
 
-val cofactor : t -> var:int -> value:bool -> t
-(** Shannon cofactor: cofactor every cube, dropping empty ones. *)
-
 val single_cube_containment : t -> t
 (** Remove every cube covered by another single cube of the cover (keeps the
     first of equal cubes). A cheap but incomplete redundancy cleanup. *)
@@ -56,13 +53,5 @@ val sharp : t -> t -> t
 val equal_semantics : t -> t -> bool
 (** Exhaustive truth-table equality — exponential, for tests and small
     arities. @raise Invalid_argument on arity mismatch or arity > 22. *)
-
-val var_occurrences : t -> int -> int * int
-(** [(pos, neg)] literal occurrence counts of a variable, used to pick
-    branching variables (most binate first). *)
-
-val most_binate_var : t -> int option
-(** Variable maximizing [min(pos, neg)], tie-broken by total occurrences;
-    [None] when every cube is the universe cube or the cover is empty. *)
 
 val pp : Format.formatter -> t -> unit

@@ -125,7 +125,7 @@ let rec tautology ~arity (cubes : cube list) =
   if List.exists (fun c -> num_literals c = 0) cubes then true
   else if cubes = [] then false
   else begin
-    (* most binate variable, ties to the lowest index — as [Cover.most_binate_var] *)
+    (* most binate variable, ties to the lowest index — as [Complement]'s *)
     let best = ref None in
     for var = 0 to arity - 1 do
       let pos = ref 0 and neg = ref 0 in

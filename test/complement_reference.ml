@@ -5,6 +5,36 @@
 
 open Mcx_logic
 
+let cofactor f ~var ~value =
+  Cover.create ~arity:(Cover.arity f)
+    (List.filter_map (fun c -> Cube.cofactor c ~var ~value) (Cover.cubes f))
+
+let var_occurrences f var =
+  let pos = ref 0 and neg = ref 0 in
+  List.iter
+    (fun c ->
+      match Cube.get c var with
+      | Literal.Pos -> incr pos
+      | Literal.Neg -> incr neg
+      | Literal.Absent -> ())
+    (Cover.cubes f);
+  (!pos, !neg)
+
+(* The variable maximizing min(pos, neg), then pos + neg; the first on
+   ties; [None] when no cube has a literal. *)
+let most_binate_var f =
+  let best = ref None in
+  for var = 0 to Cover.arity f - 1 do
+    let pos, neg = var_occurrences f var in
+    if pos + neg > 0 then begin
+      let key = (min pos neg, pos + neg) in
+      match !best with
+      | Some (_, best_key) when compare key best_key <= 0 -> ()
+      | Some _ | None -> best := Some (var, key)
+    end
+  done;
+  Option.map fst !best
+
 (* complement(f) about a branching variable x:
      f' = x . (f_x)'  +  x' . (f_x')'
    Leaves: empty cover -> universe; cover containing the universe cube ->
@@ -15,11 +45,11 @@ let rec complement_rec f =
   if Cover.is_empty f then Cover.top n
   else if List.exists (fun c -> Cube.num_literals c = 0) (Cover.cubes f) then Cover.empty n
   else
-    match Cover.most_binate_var f with
+    match most_binate_var f with
     | None -> Cover.empty n
     | Some var ->
-      let pos_branch = complement_rec (Cover.cofactor f ~var ~value:true) in
-      let neg_branch = complement_rec (Cover.cofactor f ~var ~value:false) in
+      let pos_branch = complement_rec (cofactor f ~var ~value:true) in
+      let neg_branch = complement_rec (cofactor f ~var ~value:false) in
       let attach value branch =
         let lit = if value then Literal.Pos else Literal.Neg in
         List.filter_map

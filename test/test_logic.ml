@@ -135,12 +135,6 @@ let test_cover_scc () =
   Alcotest.(check int) "kept 2" 2 (Cover.size g);
   Alcotest.(check bool) "semantics preserved" true (Cover.equal_semantics f g)
 
-let test_cover_cofactor () =
-  let f = cover [ "11-"; "0-1" ] in
-  let fx = Cover.cofactor f ~var:0 ~value:true in
-  Alcotest.(check int) "one cube survives, one freed" 1 (Cover.size fx);
-  Alcotest.(check string) "cofactor cube" "-1-" (List.hd (Cover.to_strings fx))
-
 let test_cover_sharp () =
   let f = cover [ "---" ] and g = cover [ "11-"; "0-1" ] in
   let d = Cover.sharp f g in
@@ -164,10 +158,6 @@ let test_cover_misc () =
      with Invalid_argument _ -> true);
   Alcotest.(check string) "pp" "1-" (Fmt.str "%a" Cover.pp f);
   Alcotest.(check string) "pp empty" "<empty/2>" (Fmt.str "%a" Cover.pp (Cover.empty 2))
-
-let test_cover_binate () =
-  let f = cover [ "1--"; "0--"; "-1-" ] in
-  Alcotest.(check (option int)) "most binate is x0" (Some 0) (Cover.most_binate_var f)
 
 (* ------------------------------------------------------------------ *)
 (* Tautology                                                          *)
@@ -785,8 +775,6 @@ let () =
           Alcotest.test_case "eval" `Quick test_cover_eval;
           Alcotest.test_case "counts (paper fig3)" `Quick test_cover_counts;
           Alcotest.test_case "single-cube containment" `Quick test_cover_scc;
-          Alcotest.test_case "cofactor" `Quick test_cover_cofactor;
-          Alcotest.test_case "most binate var" `Quick test_cover_binate;
           Alcotest.test_case "misc" `Quick test_cover_misc;
           Alcotest.test_case "sharp" `Quick test_cover_sharp;
         ] );
