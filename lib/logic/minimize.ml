@@ -15,12 +15,23 @@ let expand_cube inside c =
   done;
   !current
 
+(* Each expanded cube takes its own cube's place in the sweep and switches
+   off the cubes it contains. The cubes switched on keep f's function, so
+   every containment answer is the one f itself gives, while later queries
+   meet fewer and larger cubes. *)
 let expand f =
   let n = Cover.arity f in
-  let inside = Tautology.of_cubes ~arity:n (Cover.cubes f) in
   let by_fewest_minterms a b = Int.compare (Cube.num_literals b) (Cube.num_literals a) in
   let cubes = List.stable_sort by_fewest_minterms (Cover.cubes f) in
-  let expanded = List.map (expand_cube inside) cubes in
+  let inside = Tautology.of_cubes ~arity:n cubes in
+  let expanded =
+    List.mapi
+      (fun i c ->
+        let e = expand_cube inside c in
+        Tautology.grow inside i e;
+        e)
+      cubes
+  in
   Cover.single_cube_containment (Cover.create ~arity:n expanded)
 
 (* Visit [cubes] in order and drop each one the others still on cover;

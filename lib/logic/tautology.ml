@@ -186,6 +186,28 @@ let of_cubes ~arity cubes =
 
 let switch t i on = Bytes.set t.on i (if on then '\001' else '\000')
 
+let grow t i e =
+  if Cube.arity e <> t.arity then invalid_arg "Tautology.grow: arity mismatch";
+  let w = t.scratch.w in
+  let ec = Array.init w (Cube_packed.care_word e) and ep = Array.init w (Cube_packed.pol_word e) in
+  Array.blit ec 0 t.care (i * w) w;
+  Array.blit ep 0 t.pol (i * w) w;
+  Bytes.set t.on i '\001';
+  for j = 0 to t.count - 1 do
+    if j <> i && Bytes.unsafe_get t.on j <> '\000' then begin
+      let base = j * w in
+      let k = ref 0 in
+      while
+        !k < w
+        && Array.unsafe_get ec !k land lnot (Array.unsafe_get t.care (base + !k)) = 0
+        && Array.unsafe_get ec !k land (Array.unsafe_get ep !k lxor Array.unsafe_get t.pol (base + !k)) = 0
+      do
+        incr k
+      done;
+      if !k = w then Bytes.unsafe_set t.on j '\000'
+    end
+  done
+
 (* The switched-on cubes cofactored with respect to [c] (conflicting cubes
    dropped, [c]'s variables freed) go to the bottom of the scratch; [c] is
    covered iff they form a tautology. *)
