@@ -15,10 +15,11 @@ let expand_cube inside c =
   done;
   !current
 
-(* Each expanded cube takes its own cube's place in the sweep and switches
-   off the cubes it contains. The cubes switched on keep f's function, so
-   every containment answer is the one f itself gives, while later queries
-   meet fewer and larger cubes. *)
+(* An expanded cube that contains other cubes of the sweep takes its own
+   cube's place there and switches them off. The cubes switched on keep
+   f's function, so every containment answer is the one f itself gives,
+   while later queries meet fewer cubes. An expansion that absorbs nothing
+   is left out: a cover of larger, overlapping cubes is slower to prove. *)
 let expand f =
   let n = Cover.arity f in
   let by_fewest_minterms a b = Int.compare (Cube.num_literals b) (Cube.num_literals a) in
@@ -28,7 +29,7 @@ let expand f =
     List.mapi
       (fun i c ->
         let e = expand_cube inside c in
-        Tautology.grow inside i e;
+        Tautology.absorb inside i e;
         e)
       cubes
   in

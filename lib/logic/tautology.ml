@@ -186,13 +186,11 @@ let of_cubes ~arity cubes =
 
 let switch t i on = Bytes.set t.on i (if on then '\001' else '\000')
 
-let grow t i e =
-  if Cube.arity e <> t.arity then invalid_arg "Tautology.grow: arity mismatch";
+let absorb t i e =
+  if Cube.arity e <> t.arity then invalid_arg "Tautology.absorb: arity mismatch";
   let w = t.scratch.w in
   let ec = Array.init w (Cube_packed.care_word e) and ep = Array.init w (Cube_packed.pol_word e) in
-  Array.blit ec 0 t.care (i * w) w;
-  Array.blit ep 0 t.pol (i * w) w;
-  Bytes.set t.on i '\001';
+  let absorbed = ref false in
   for j = 0 to t.count - 1 do
     if j <> i && Bytes.unsafe_get t.on j <> '\000' then begin
       let base = j * w in
@@ -204,9 +202,17 @@ let grow t i e =
       do
         incr k
       done;
-      if !k = w then Bytes.unsafe_set t.on j '\000'
+      if !k = w then begin
+        Bytes.unsafe_set t.on j '\000';
+        absorbed := true
+      end
     end
-  done
+  done;
+  if !absorbed then begin
+    Array.blit ec 0 t.care (i * w) w;
+    Array.blit ep 0 t.pol (i * w) w;
+    Bytes.set t.on i '\001'
+  end
 
 (* The switched-on cubes cofactored with respect to [c] (conflicting cubes
    dropped, [c]'s variables freed) go to the bottom of the scratch; [c] is

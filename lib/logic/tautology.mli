@@ -41,11 +41,12 @@ val of_cubes : arity:int -> Cube.t list -> cubes
 val switch : cubes -> int -> bool -> unit
 (** [switch t i on] switches cube [i] on or off. *)
 
-val grow : cubes -> int -> Cube.t -> unit
-(** [grow t i e] makes [e] cube [i], switched on, and switches off every
-    other cube [e] contains. When the old cube [i] lies in [e] and [e] lies
-    in the function of the cubes switched on, that function is unchanged
-    and so is every later answer of {!covers}. *)
+val absorb : cubes -> int -> Cube.t -> unit
+(** [absorb t i e]: when [e] contains some other cube switched on, those
+    cubes are switched off and [e] becomes cube [i], switched on; otherwise
+    nothing changes. When the old cube [i] lies in [e] and [e] lies in the
+    function of the cubes switched on, that function is unchanged and so
+    is every later answer of {!covers}. *)
 
 val covers : cubes -> Cube.t -> bool
 (** [covers t c]: the cubes switched on cover every minterm of [c].

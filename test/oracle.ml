@@ -515,8 +515,9 @@ let prop_tautology_straddles_word =
         for_all_points ~arity support (fun v -> (not (Cube.eval query v)) || covered_by on v)
       in
       let before = Tautology.covers sweep query in
-      (* Grow the first cube switched on as far as the sweep allows, as
-         expand does: the function, and so the answer, must not move. *)
+      (* Grow the first cube switched on as far as the sweep allows and let
+         it absorb what it contains, as expand does: the function, and so
+         the answer, must not move. *)
       (match List.find_index (fun i -> not (is_off i)) (List.init (List.length cubes) Fun.id) with
       | None -> ()
       | Some i ->
@@ -525,7 +526,7 @@ let prop_tautology_straddles_word =
           let raised = Cube.set !grown v Literal.Absent in
           if Tautology.covers sweep raised then grown := raised
         done;
-        Tautology.grow sweep i !grown);
+        Tautology.absorb sweep i !grown);
       Bool.equal (Tautology.check (Cover.create ~arity cubes)) taut
       && Bool.equal before query_covered
       && Bool.equal (Tautology.covers sweep query) query_covered
