@@ -14,22 +14,17 @@
 
 open Mcx_util
 
-type flat = { count : int; care : int array; pol : int array }
+(* [count] cubes, cube i at words [i*w, (i+1)*w) of [care] and [pol]
+   (the arrays may be longer), with its literal count in [lits.(i)]. *)
+type flat = { count : int; care : int array; pol : int array; lits : int array }
 
-let universe ~w = { count = 1; care = Array.make w 0; pol = Array.make w 0 }
-let empty = { count = 0; care = [||]; pol = [||] }
-
-let literals ~w f i =
-  let n = ref 0 in
-  for k = 0 to w - 1 do
-    n := !n + Bits.popcount f.care.((i * w) + k)
-  done;
-  !n
+let universe ~w = { count = 1; care = Array.make w 0; pol = Array.make w 0; lits = [| 0 |] }
+let empty = { count = 0; care = [||]; pol = [||]; lits = [||] }
 
 (* The first variable with the largest (min(pos, neg), pos + neg) over
-   its occurrence counts; -1 when no cube has a literal. *)
-let most_binate ~arity ~w f =
-  let pos = Array.make arity 0 and neg = Array.make arity 0 in
+   its occurrence counts; -1 when no cube has a literal. [pos] and [neg]
+   are zero on entry and on return. *)
+let most_binate ~arity ~w ~pos ~neg f =
   for i = 0 to f.count - 1 do
     for k = 0 to w - 1 do
       let m = ref f.care.((i * w) + k) and p = f.pol.((i * w) + k) in
@@ -48,44 +43,46 @@ let most_binate ~arity ~w f =
       best := v;
       best_min := lo;
       best_sum := sum
-    end
+    end;
+    pos.(v) <- 0;
+    neg.(v) <- 0
   done;
   !best
 
 (* The cubes where the variable [bit] of word [k] can take [value] ([bit]
    for 1, [0] for 0), that variable freed, in order. *)
 let cofactor ~w f k bit value =
-  let keep i = f.care.((i * w) + k) land bit = 0 || f.pol.((i * w) + k) land bit = value in
-  let count = ref 0 in
-  for i = 0 to f.count - 1 do
-    if keep i then incr count
-  done;
-  let care = Array.make (!count * w) 0 and pol = Array.make (!count * w) 0 in
+  let care = Array.make (f.count * w) 0 and pol = Array.make (f.count * w) 0 in
+  let lits = Array.make f.count 0 in
   let j = ref 0 in
   for i = 0 to f.count - 1 do
-    if keep i then begin
+    let c = f.care.((i * w) + k) in
+    if c land bit = 0 || f.pol.((i * w) + k) land bit = value then begin
       Array.blit f.care (i * w) care (!j * w) w;
       Array.blit f.pol (i * w) pol (!j * w) w;
-      care.((!j * w) + k) <- care.((!j * w) + k) land lnot bit;
+      care.((!j * w) + k) <- c land lnot bit;
       pol.((!j * w) + k) <- pol.((!j * w) + k) land lnot bit;
+      lits.(!j) <- (if c land bit = 0 then f.lits.(i) else f.lits.(i) - 1);
       incr j
     end
   done;
-  { count = !count; care; pol }
+  { count = !j; care; pol; lits }
 
 (* x . pos + x' . neg, stably sorted by literal count. *)
 let attach_merge ~w pos neg k bit =
   let count = pos.count + neg.count in
   let care = Array.make (count * w) 0 and pol = Array.make (count * w) 0 in
+  let lits = Array.make count 0 in
   let put j src i value =
     Array.blit src.care (i * w) care (j * w) w;
     Array.blit src.pol (i * w) pol (j * w) w;
     care.((j * w) + k) <- care.((j * w) + k) lor bit;
-    pol.((j * w) + k) <- pol.((j * w) + k) lor value
+    pol.((j * w) + k) <- pol.((j * w) + k) lor value;
+    lits.(j) <- src.lits.(i) + 1
   in
   let i = ref 0 and l = ref 0 in
   for j = 0 to count - 1 do
-    if !l = neg.count || (!i < pos.count && literals ~w pos !i <= literals ~w neg !l) then begin
+    if !l = neg.count || (!i < pos.count && pos.lits.(!i) <= neg.lits.(!l)) then begin
       put j pos !i bit;
       incr i
     end
@@ -94,24 +91,22 @@ let attach_merge ~w pos neg k bit =
       incr l
     end
   done;
-  { count; care; pol }
+  { count; care; pol; lits }
 
-let rec complement_rec ~arity ~w f =
+let rec has_universe f i = i < f.count && (f.lits.(i) = 0 || has_universe f (i + 1))
+
+let rec complement_rec ~arity ~w ~pos ~neg f =
   Telemetry.count "complement.nodes";
-  let has_universe = ref false in
-  for i = 0 to f.count - 1 do
-    if literals ~w f i = 0 then has_universe := true
-  done;
   if f.count = 0 then universe ~w
-  else if !has_universe then empty
+  else if has_universe f 0 then empty
   else
-    let var = most_binate ~arity ~w f in
+    let var = most_binate ~arity ~w ~pos ~neg f in
     if var < 0 then empty
     else begin
       let k = Bits.word_of var and bit = 1 lsl Bits.bit_of var in
-      let pos = complement_rec ~arity ~w (cofactor ~w f k bit bit) in
-      let neg = complement_rec ~arity ~w (cofactor ~w f k bit 0) in
-      attach_merge ~w pos neg k bit
+      let pos_branch = complement_rec ~arity ~w ~pos ~neg (cofactor ~w f k bit bit) in
+      let neg_branch = complement_rec ~arity ~w ~pos ~neg (cofactor ~w f k bit 0) in
+      attach_merge ~w pos_branch neg_branch k bit
     end
 
 let complement f =
@@ -124,9 +119,10 @@ let complement f =
       count = Array.length cubes;
       care = Array.init (Array.length cubes * w) (fun x -> Cube_packed.care_word cubes.(x / w) (x mod w));
       pol = Array.init (Array.length cubes * w) (fun x -> Cube_packed.pol_word cubes.(x / w) (x mod w));
+      lits = Array.map Cube.num_literals cubes;
     }
   in
-  let result = complement_rec ~arity ~w flat in
+  let result = complement_rec ~arity ~w ~pos:(Array.make arity 0) ~neg:(Array.make arity 0) flat in
   let literal i v =
     let x = (i * w) + Bits.word_of v and b = Bits.bit_of v in
     if (result.care.(x) lsr b) land 1 = 0 then Literal.Absent
