@@ -5,7 +5,8 @@
     "Negation of Circuit" columns. *)
 
 val complement : Cover.t -> Cover.t
-(** Recursive-Shannon complement (unate recursive paradigm). The result is
-    cleaned with single-cube containment but not fully minimized; feed it to
-    [Minimize.espresso] when cube count matters (see
+(** Recursive-Shannon complement (unate recursive paradigm) about the most
+    binate variable, on flat word arrays. No result cube contains another,
+    and the cubes come sorted stably by literal count, but the cover is not
+    minimized; feed it to [Minimize.espresso] when cube count matters (see
     [Minimize.complement_minimized]). *)
