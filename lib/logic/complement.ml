@@ -114,11 +114,12 @@ let complement f =
   let arity = Cover.arity f in
   let w = Bits.words_for arity in
   let cubes = Array.of_list (Cover.cubes f) in
+  let words get = Array.init (Array.length cubes * w) (fun x -> get cubes.(x / w) (x mod w)) in
   let flat =
     {
       count = Array.length cubes;
-      care = Array.init (Array.length cubes * w) (fun x -> Cube_packed.care_word cubes.(x / w) (x mod w));
-      pol = Array.init (Array.length cubes * w) (fun x -> Cube_packed.pol_word cubes.(x / w) (x mod w));
+      care = words Cube_packed.care_word;
+      pol = words Cube_packed.pol_word;
       lits = Array.map Cube.num_literals cubes;
     }
   in

@@ -7,6 +7,17 @@ open Mcx_util
 let bits_of ~arity code = code land ((1 lsl arity) - 1)
 let dashes_of ~arity code = code lsr arity
 
+(* [f] on each minterm of an implicant: its bits joined with every subset
+   of its dashes. *)
+let iter_minterms ~arity f code =
+  let bits = bits_of ~arity code and dashes = dashes_of ~arity code in
+  let sub = ref dashes in
+  f (bits lor !sub);
+  while !sub <> 0 do
+    sub := (!sub - 1) land dashes;
+    f (bits lor !sub)
+  done
+
 (* A growable int buffer. *)
 type buffer = { mutable data : int array; mutable len : int }
 
@@ -77,7 +88,8 @@ let cube_of_code ~arity code =
          else if (bits lsr i) land 1 = 1 then Literal.Pos
          else Literal.Neg))
 
-let primes tt = Array.to_list (Array.map (cube_of_code ~arity:(Truthtable.arity tt)) (prime_codes tt))
+let primes tt =
+  Array.to_list (Array.map (cube_of_code ~arity:(Truthtable.arity tt)) (prime_codes tt))
 
 (* The key of the essential-prime table. Its hash fixes the order in which
    the essentials are chosen, which is the order of the cover's last rows,
@@ -97,38 +109,21 @@ let minimize tt =
     let index = Array.make (1 lsl arity) (-1) in
     Array.iteri (fun i m -> index.(m) <- i) minterms;
     (* The primes covering each minterm, in prime order: minterm i's are
-       [covering.(first.(i))] to [covering.(first.(i + 1) - 1)]. A prime's
-       minterms are its bits joined with every subset of its dashes. *)
+       [covering.(first.(i))] to [covering.(first.(i + 1) - 1)]. *)
     let first = Array.make (n_minterms + 1) 0 in
     Array.iter
-      (fun code ->
-        let bits = bits_of ~arity code and dashes = dashes_of ~arity code in
-        let sub = ref dashes in
-        first.(index.(bits lor !sub) + 1) <- first.(index.(bits lor !sub) + 1) + 1;
-        while !sub <> 0 do
-          sub := (!sub - 1) land dashes;
-          first.(index.(bits lor !sub) + 1) <- first.(index.(bits lor !sub) + 1) + 1
-        done)
+      (iter_minterms ~arity (fun m -> first.(index.(m) + 1) <- first.(index.(m) + 1) + 1))
       primes;
     for i = 1 to n_minterms do
       first.(i) <- first.(i) + first.(i - 1)
     done;
     let covering = Array.make first.(n_minterms) 0 in
     let fill = Array.sub first 0 n_minterms in
-    let add p m =
-      let i = index.(m) in
-      covering.(fill.(i)) <- p;
-      fill.(i) <- fill.(i) + 1
-    in
     Array.iteri
-      (fun p code ->
-        let bits = bits_of ~arity code and dashes = dashes_of ~arity code in
-        let sub = ref dashes in
-        add p (bits lor !sub);
-        while !sub <> 0 do
-          sub := (!sub - 1) land dashes;
-          add p (bits lor !sub)
-        done)
+      (fun p ->
+        iter_minterms ~arity (fun m ->
+            covering.(fill.(index.(m))) <- p;
+            fill.(index.(m)) <- fill.(index.(m)) + 1))
       primes;
     (* A pick takes the prime with the most uncovered minterms, then the
        most dashes, then the earliest. [score] folds the first two into one
@@ -158,13 +153,7 @@ let minimize tt =
     let chosen = ref [] in
     let choose p =
       chosen := p :: !chosen;
-      let bits = bits_of ~arity primes.(p) and dashes = dashes_of ~arity primes.(p) in
-      let sub = ref dashes in
-      cover (bits lor !sub);
-      while !sub <> 0 do
-        sub := (!sub - 1) land dashes;
-        cover (bits lor !sub)
-      done
+      iter_minterms ~arity cover primes.(p)
     in
     (* Essential primes: minterms covered by exactly one prime, entered in
        ascending minterm order. *)

@@ -50,9 +50,6 @@ let reserve s ~top n =
    the sum never under-estimates and the bound stays sound at any arity. *)
 let whole = 1 lsl 61
 
-let rec touches care base mask w k =
-  k < w && (Array.unsafe_get care (base + k) land Array.unsafe_get mask k <> 0 || touches care base mask w (k + 1))
-
 (* Delete every cube with a literal of a unate variable: for such a
    variable, the cover is a tautology iff the cubes free of it are. *)
 let drop_unate s lo hi unate =
@@ -60,7 +57,11 @@ let drop_unate s lo hi unate =
   let j = ref lo in
   for i = lo to hi - 1 do
     let base = i * w in
-    if not (touches care base unate w 0) then begin
+    let k = ref 0 in
+    while !k < w && Array.unsafe_get care (base + !k) land Array.unsafe_get unate !k = 0 do
+      incr k
+    done;
+    if !k = w then begin
       if !j <> i then begin
         Array.blit care base care (!j * w) w;
         Array.blit pol base pol (!j * w) w
@@ -198,7 +199,9 @@ let absorb t i e =
       while
         !k < w
         && Array.unsafe_get ec !k land lnot (Array.unsafe_get t.care (base + !k)) = 0
-        && Array.unsafe_get ec !k land (Array.unsafe_get ep !k lxor Array.unsafe_get t.pol (base + !k)) = 0
+        && Array.unsafe_get ec !k
+           land (Array.unsafe_get ep !k lxor Array.unsafe_get t.pol (base + !k))
+           = 0
       do
         incr k
       done;
@@ -251,7 +254,8 @@ let covers t c =
   done;
   taut s 0 !j
 
-let check f = covers (of_cubes ~arity:(Cover.arity f) (Cover.cubes f)) (Cube.universe (Cover.arity f))
+let check f =
+  covers (of_cubes ~arity:(Cover.arity f) (Cover.cubes f)) (Cube.universe (Cover.arity f))
 
 let cube_covered c f =
   if Cube.arity c <> Cover.arity f then invalid_arg "Tautology.cube_covered: arity mismatch";

@@ -450,7 +450,8 @@ let straddling_case seed =
   let arity = 56 + int 17 in
   let lo = max 0 (arity - 16) in
   let support =
-    Array.of_list (List.sort_uniq Int.compare (List.init (1 + int 10) (fun _ -> lo + int (arity - lo))))
+    Array.of_list
+      (List.sort_uniq Int.compare (List.init (1 + int 10) (fun _ -> lo + int (arity - lo))))
   in
   let literal () = if int 2 = 0 then Literal.Pos else Literal.Neg in
   let cube_of fixed =
