@@ -519,7 +519,7 @@ let prop_tautology_straddles_word =
       (* Grow the first cube switched on as far as the sweep allows and let
          it absorb what it contains, as expand does: the function, and so
          the answer, must not move. *)
-      (match List.find_index (fun i -> not (is_off i)) (List.init (List.length cubes) Fun.id) with
+      (match List.find_opt (fun i -> not (is_off i)) (List.init (List.length cubes) Fun.id) with
       | None -> ()
       | Some i ->
         let grown = ref (List.nth cubes i) in
