@@ -1,6 +1,7 @@
-(* Hash-consed ROBDD with an ite cache. Nodes are integers indexing into
-   growable arrays (struct-of-arrays keeps the unique table compact);
-   node 0 = false, node 1 = true. *)
+(* Hash-consed ROBDD. Nodes are integers indexing growable arrays
+   (struct-of-arrays); node 0 = false, node 1 = true. The unique table and
+   the computed table are flat int arrays, so neither a lookup nor an
+   insertion allocates. *)
 
 type manager = {
   n_vars : int;
@@ -8,8 +9,18 @@ type manager = {
   mutable low_of : int array;  (* node -> else child *)
   mutable high_of : int array;  (* node -> then child *)
   mutable n_nodes : int;
-  unique : (int * int * int, int) Hashtbl.t;  (* (var, low, high) -> node *)
-  ite_cache : (int * int * int, int) Hashtbl.t;
+  mutable unique : int array;
+      (* open addressing with linear probing; a slot holds a node or 0,
+         which marks it empty since terminals are never entered. Twice as
+         many slots as the node arrays have room for, so at most half
+         full. *)
+  mutable cache_f : int array;
+  mutable cache_g : int array;
+  mutable cache_h : int array;
+  mutable cache_r : int array;
+      (* computed table: slot i records ite(cache_f.(i), cache_g.(i),
+         cache_h.(i)) = cache_r.(i), empty while cache_f.(i) = 0 (ite
+         never stores a terminal [f]) *)
 }
 
 type t = { manager : manager; root : int }
@@ -17,54 +28,106 @@ type t = { manager : manager; root : int }
 let false_node = 0
 let true_node = 1
 
-let manager ?(cache_size = 1 lsl 14) ~n_vars () =
+(* Nodes a fresh manager has room for. The unique table has twice as many
+   slots and the computed table half as many; all three double together.
+   A computed table that large measured faster than one with a slot per
+   unique-table slot: it loses more entries but touches less memory. *)
+let initial_capacity = 128
+
+let cache_slots capacity = capacity / 2
+
+let hash3 a b c =
+  let h = ((((a * 0x5bd1e995) + b) * 0x5bd1e995) + c) * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 29)
+
+let manager ~n_vars () =
   if n_vars < 0 then invalid_arg "Bdd.manager: negative n_vars";
-  let m =
-    {
-      n_vars;
-      var_of = Array.make 1024 max_int;
-      low_of = Array.make 1024 (-1);
-      high_of = Array.make 1024 (-1);
-      n_nodes = 2;
-      unique = Hashtbl.create cache_size;
-      ite_cache = Hashtbl.create cache_size;
-    }
-  in
-  (* Terminals sort after every real variable. *)
-  m.var_of.(false_node) <- max_int;
-  m.var_of.(true_node) <- max_int;
-  m
+  let slots = cache_slots initial_capacity in
+  {
+    n_vars;
+    (* Terminals sort after every real variable. *)
+    var_of = Array.make initial_capacity max_int;
+    low_of = Array.make initial_capacity 0;
+    high_of = Array.make initial_capacity 0;
+    n_nodes = 2;
+    unique = Array.make (2 * initial_capacity) 0;
+    cache_f = Array.make slots 0;
+    cache_g = Array.make slots 0;
+    cache_h = Array.make slots 0;
+    cache_r = Array.make slots 0;
+  }
 
 let n_vars m = m.n_vars
 
+(* The unique-table slot holding node (var, low, high), or else the empty
+   slot where it belongs. *)
+let find_slot m var low high =
+  let unique = m.unique in
+  let mask = Array.length unique - 1 in
+  let slot = ref (hash3 var low high land mask) in
+  let node = ref unique.(!slot) in
+  while
+    !node <> 0
+    && not (m.var_of.(!node) = var && m.low_of.(!node) = low && m.high_of.(!node) = high)
+  do
+    slot := (!slot + 1) land mask;
+    node := unique.(!slot)
+  done;
+  !slot
+
+let cache_store m f g h r =
+  let slot = hash3 f g h land (Array.length m.cache_f - 1) in
+  m.cache_f.(slot) <- f;
+  m.cache_g.(slot) <- g;
+  m.cache_h.(slot) <- h;
+  m.cache_r.(slot) <- r
+
+(* Double the node arrays and both tables. The computed table keeps what
+   survives the rehash; an entry lost to a collision is only recomputed. *)
 let grow m =
-  if m.n_nodes = Array.length m.var_of then begin
-    let n = 2 * m.n_nodes in
-    let grow_arr a fill =
-      let fresh = Array.make n fill in
-      Array.blit a 0 fresh 0 m.n_nodes;
-      fresh
-    in
-    m.var_of <- grow_arr m.var_of max_int;
-    m.low_of <- grow_arr m.low_of (-1);
-    m.high_of <- grow_arr m.high_of (-1)
-  end
+  let capacity = 2 * Array.length m.var_of in
+  let extend a fill =
+    let fresh = Array.make capacity fill in
+    Array.blit a 0 fresh 0 m.n_nodes;
+    fresh
+  in
+  m.var_of <- extend m.var_of max_int;
+  m.low_of <- extend m.low_of 0;
+  m.high_of <- extend m.high_of 0;
+  m.unique <- Array.make (2 * capacity) 0;
+  for node = 2 to m.n_nodes - 1 do
+    m.unique.(find_slot m m.var_of.(node) m.low_of.(node) m.high_of.(node)) <- node
+  done;
+  let f = m.cache_f and g = m.cache_g and h = m.cache_h and r = m.cache_r in
+  let slots = cache_slots capacity in
+  m.cache_f <- Array.make slots 0;
+  m.cache_g <- Array.make slots 0;
+  m.cache_h <- Array.make slots 0;
+  m.cache_r <- Array.make slots 0;
+  Array.iteri (fun i fi -> if fi <> 0 then cache_store m fi g.(i) h.(i) r.(i)) f
 
 let mk m var low high =
   if low = high then low
   else begin
-    let key = (var, low, high) in
-    match Hashtbl.find_opt m.unique key with
-    | Some node -> node
-    | None ->
-      grow m;
+    let slot = find_slot m var low high in
+    let found = m.unique.(slot) in
+    if found <> 0 then found
+    else begin
+      let slot =
+        if m.n_nodes < Array.length m.var_of then slot
+        else begin
+          grow m;
+          find_slot m var low high
+        end
+      in
       let node = m.n_nodes in
       m.n_nodes <- node + 1;
       m.var_of.(node) <- var;
       m.low_of.(node) <- low;
       m.high_of.(node) <- high;
-      Hashtbl.replace m.unique key node;
+      m.unique.(slot) <- node;
       node
+    end
   end
 
 (* Core ite(f, g, h) = f ? g : h with standard terminal cases. *)
@@ -74,20 +137,28 @@ let rec ite_node m f g h =
   else if g = h then g
   else if g = true_node && h = false_node then f
   else begin
-    let key = (f, g, h) in
-    match Hashtbl.find_opt m.ite_cache key with
-    | Some node -> node
-    | None ->
-      let top = min m.var_of.(f) (min m.var_of.(g) m.var_of.(h)) in
-      let cofactor node value =
-        if m.var_of.(node) = top then if value then m.high_of.(node) else m.low_of.(node)
-        else node
+    let slot = hash3 f g h land (Array.length m.cache_f - 1) in
+    if m.cache_f.(slot) = f && m.cache_g.(slot) = g && m.cache_h.(slot) = h then
+      m.cache_r.(slot)
+    else begin
+      let vf = m.var_of.(f) and vg = m.var_of.(g) and vh = m.var_of.(h) in
+      let top = Int.min vf (Int.min vg vh) in
+      let high =
+        ite_node m
+          (if vf = top then m.high_of.(f) else f)
+          (if vg = top then m.high_of.(g) else g)
+          (if vh = top then m.high_of.(h) else h)
       in
-      let high = ite_node m (cofactor f true) (cofactor g true) (cofactor h true) in
-      let low = ite_node m (cofactor f false) (cofactor g false) (cofactor h false) in
+      let low =
+        ite_node m
+          (if vf = top then m.low_of.(f) else f)
+          (if vg = top then m.low_of.(g) else g)
+          (if vh = top then m.low_of.(h) else h)
+      in
       let node = mk m top low high in
-      Hashtbl.replace m.ite_cache key node;
+      cache_store m f g h node;
       node
+    end
   end
 
 let bdd_true m = { manager = m; root = true_node }
@@ -132,8 +203,21 @@ let ite m f g h =
   check_same m h;
   { manager = m; root = ite_node m f.root g.root h.root }
 
-let and_list m = List.fold_left (and_ m) (bdd_true m)
-let or_list m = List.fold_left (or_ m) (bdd_false m)
+(* Combine neighbours pairwise, round after round: operands meet at
+   similar sizes, where a left fold would push every one of them into one
+   ever-growing accumulator. *)
+let rec balanced op unit = function
+  | [] -> unit
+  | [ x ] -> x
+  | xs ->
+    let rec pairs = function
+      | a :: b :: rest -> op a b :: pairs rest
+      | short -> short
+    in
+    balanced op unit (pairs xs)
+
+let and_list m = balanced (and_ m) (bdd_true m)
+let or_list m = balanced (or_ m) (bdd_false m)
 
 let equal a b = a.manager == b.manager && a.root = b.root
 let is_true t = t.root = true_node

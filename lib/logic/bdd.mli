@@ -3,19 +3,35 @@
     Exhaustive truth tables cap out around 20 inputs; the wider benchmarks
     (cordic's 23 inputs, and any user PLA) still need exact equivalence
     checking, tautology tests and model counting. This is a classic
-    hash-consed ROBDD package with an apply cache, using the natural
-    variable order x0 < x1 < … (inputs are already homogeneous here, so no
-    reordering is implemented). Canonicity makes semantic equality a
-    pointer comparison. *)
+    hash-consed ROBDD package, using the natural variable order
+    x0 < x1 < … (inputs are already homogeneous here, so no reordering is
+    implemented). Canonicity makes semantic equality a node comparison.
+
+    The tables follow Brace, Rudell and Bryant, "Efficient implementation
+    of a BDD package" (DAC 1990), and live in [int array]s, so no lookup
+    boxes a key:
+    - Nodes are integers indexing three arrays (variable, else child, then
+      child). The {e unique table} that makes them canonical is one
+      open-addressed array of node numbers, probed linearly, with twice as
+      many slots as the node arrays have room for.
+    - The {e computed table} memoizes [ite(f, g, h)] in four arrays (f, g,
+      h, result) indexed directly by a hash of the triple. A new entry
+      overwrites whatever held its slot. Losing an entry is safe: the
+      table only caches results, and a result recomputed later is the
+      same node, because the unique table hands out one node per
+      (variable, else, then) triple.
+    - A fresh manager has room for 128 nodes, a unique table of 256 slots
+      and a computed table of 64, a few KB in all. The node arrays and
+      both tables double together when the node arrays fill. *)
 
 type manager
-(** Owns the unique-table and the apply cache. Nodes from different
-    managers must not be mixed (checked). *)
+(** Owns the node arrays, the unique table and the computed table. Nodes
+    from different managers must not be mixed (checked). *)
 
 type t
 (** A BDD rooted at some node of a manager. *)
 
-val manager : ?cache_size:int -> n_vars:int -> unit -> manager
+val manager : n_vars:int -> unit -> manager
 (** @raise Invalid_argument if [n_vars < 0]. *)
 
 val n_vars : manager -> int

@@ -58,11 +58,9 @@ let single_cube_containment t =
       if List.exists covered_by acc || List.exists covered_by rest then keep acc rest
       else keep (c :: acc) rest
   in
-  (* Process larger cubes first so that among equal cubes exactly one
-     survives: a cube is dropped if covered by an earlier survivor or by a
-     later cube, and equal cubes cover each other, so only the last equal
-     copy survives the [rest] check. Use a stable pass instead: drop c when
-     some *kept* cube covers it, or some strictly-larger later cube does. *)
+  (* Larger cubes come first, so a later cube covers [c] only if it
+     equals [c]: of equal copies every one but the last is dropped by the
+     [rest] check, and the last is kept at its own place. *)
   let cubes =
     keep []
       (List.stable_sort (fun a b -> Int.compare (Cube.num_literals a) (Cube.num_literals b)) t.cubes)

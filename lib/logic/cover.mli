@@ -42,8 +42,10 @@ val of_minterms : arity:int -> bool array list -> t
 (** One cube per minterm. *)
 
 val single_cube_containment : t -> t
-(** Remove every cube covered by another single cube of the cover (keeps the
-    first of equal cubes). A cheap but incomplete redundancy cleanup. *)
+(** Remove every cube covered by another single cube of the cover. The
+    survivors come in literal-count order, fewest first, ties in input
+    order; of equal cubes the last copy survives, at that copy's place. A
+    cheap but incomplete redundancy cleanup. *)
 
 val sharp : t -> t -> t
 (** Cover difference [f # g]: a cover of exactly the minterms of [f] not

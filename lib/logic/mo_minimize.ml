@@ -22,7 +22,7 @@ let row_obligations_covered mo ~cube ~output ~without =
   in
   Tautology.cube_covered cube (Cover.create ~arity:(Mo_cover.n_inputs mo) others)
 
-let minimize_joint ?(passes = 4) mo =
+let minimize_joint mo =
   Mcx_util.Telemetry.span "mo_minimize.joint" @@ fun () ->
   let n_inputs = Mo_cover.n_inputs mo in
   let n_outputs = Mo_cover.n_outputs mo in
@@ -118,10 +118,11 @@ let minimize_joint ?(passes = 4) mo =
     rows
   in
 
-  let rec loop rows budget =
-    Mcx_util.Telemetry.count "mo_minimize.passes";
-    let next = irredundant (expand_inputs (expand_outputs rows)) in
-    if budget <= 1 || List.length next >= List.length rows then next else loop next (budget - 1)
-  in
+  (* One pass is a fixpoint. Afterwards cubes and masks have only grown:
+     a raise rejected during the pass stays rejected (the half it would
+     add has only grown), no mask can grow (a cube inside an output was
+     inside it before it grew, when its outputs were expanded) and every
+     kept row stays needed (the other rows are among those it was checked
+     against). *)
   let rows = List.map (fun r -> (r.Mo_cover.cube, Array.copy r.Mo_cover.outputs)) (Mo_cover.rows mo) in
-  to_mo (make_sparse (loop rows passes))
+  to_mo (make_sparse (irredundant (expand_inputs (expand_outputs rows))))

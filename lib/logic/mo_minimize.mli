@@ -3,8 +3,9 @@
     Per-output minimization ({!Mo_cover.minimize}) only shares products
     that happen to come out identical. The crossbar's P — its row count —
     rewards deliberate sharing: a slightly sub-optimal cube usable by two
-    outputs is cheaper than two optimal ones. This module runs an
-    espresso-style loop on the multi-output representation itself:
+    outputs is cheaper than two optimal ones. This module runs espresso's
+    steps on the multi-output representation itself, in one pass (a
+    second would change nothing):
 
     - {e output expansion}: add an output to a row's mask whenever the cube
       is contained in that output's function;
@@ -19,9 +20,7 @@
     benchmark family this pipeline reproduces the paper's espresso product
     counts exactly (rd53: 31, rd73: 127, rd84: 255). *)
 
-val minimize_joint : ?passes:int -> Mo_cover.t -> Mo_cover.t
-(** [passes] bounds the expand/irredundant iterations (default 4; the loop
-    stops early at a fixpoint of the row count). *)
+val minimize_joint : Mo_cover.t -> Mo_cover.t
 
 val row_obligations_covered :
   Mo_cover.t -> cube:Cube.t -> output:int -> without:Cube.t list -> bool

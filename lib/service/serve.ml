@@ -81,8 +81,9 @@ let compute (canonical : Canonical.t) =
     | None -> Unmappable
     | Some layout ->
       (* Symbolic verify works at any width, but above 16 inputs BDDs can
-         need exponential memory (36 inputs of x_i x_(i+18) take seconds and
-         hundreds of MB) and nothing bounds a request's work yet. *)
+         need exponential memory and nothing bounds a request's work yet:
+         on x_i x_(i+n/2), verify takes 0.06 s and 16 MB peak RSS at
+         n = 28, 0.3 s and 49 MB at n = 32, 1.5 s and 182 MB at n = 36. *)
       let verified =
         if
           config.Wire.verify

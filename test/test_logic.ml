@@ -133,7 +133,9 @@ let test_cover_scc () =
   let f = cover [ "1--"; "11-"; "1--"; "011" ] in
   let g = Cover.single_cube_containment f in
   Alcotest.(check int) "kept 2" 2 (Cover.size g);
-  Alcotest.(check bool) "semantics preserved" true (Cover.equal_semantics f g)
+  Alcotest.(check bool) "semantics preserved" true (Cover.equal_semantics f g);
+  Alcotest.(check (list string)) "last equal copy kept in place" [ "0-1"; "11-" ]
+    (Cover.to_strings (Cover.single_cube_containment (cover [ "11-"; "0-1"; "11-" ])))
 
 let test_cover_sharp () =
   let f = cover [ "---" ] and g = cover [ "11-"; "0-1" ] in
@@ -707,6 +709,134 @@ let prop_bdd_complement =
       let m = Bdd.manager ~n_vars:5 () in
       Bdd.equal (Bdd.of_cover m fc) (Bdd.not_ m (Bdd.of_cover m f)))
 
+(* Random Boolean expressions over covers of one arity, built in one
+   manager; each leaf and operator also has an equivalent rewrite (cubes
+   in reverse order, De Morgan, sum of products), so equal functions reach
+   [Bdd.equal] by different paths. *)
+type bexpr =
+  | Leaf of Cover.t
+  | Not of bexpr
+  | And of bexpr * bexpr
+  | Or of bexpr * bexpr
+  | Xor of bexpr * bexpr
+  | Ite of bexpr * bexpr * bexpr
+
+let gen_bexpr =
+  QCheck2.Gen.(
+    let* arity = int_range 10 14 in
+    let leaf = map (fun f -> Leaf f) (gen_cover ~arity ~max_products:24) in
+    let rec expr depth =
+      if depth = 0 then leaf
+      else
+        let sub = expr (depth - 1) in
+        frequency
+          [
+            (1, map (fun a -> Not a) sub);
+            (2, map2 (fun a b -> And (a, b)) sub sub);
+            (2, map2 (fun a b -> Or (a, b)) sub sub);
+            (2, map2 (fun a b -> Xor (a, b)) sub sub);
+            (2, map3 (fun f g h -> Ite (f, g, h)) sub sub sub);
+          ]
+    in
+    let+ e = expr 3 in
+    (arity, e))
+
+let print_bexpr (arity, e) =
+  let rec pp = function
+    | Leaf f -> "(" ^ String.concat " + " (Cover.to_strings f) ^ ")"
+    | Not a -> "!" ^ pp a
+    | And (a, b) -> "and[" ^ pp a ^ ", " ^ pp b ^ "]"
+    | Or (a, b) -> "or[" ^ pp a ^ ", " ^ pp b ^ "]"
+    | Xor (a, b) -> "xor[" ^ pp a ^ ", " ^ pp b ^ "]"
+    | Ite (f, g, h) -> "ite[" ^ pp f ^ ", " ^ pp g ^ ", " ^ pp h ^ "]"
+  in
+  Printf.sprintf "%d inputs: %s" arity (pp e)
+
+(* A fresh manager has room for 128 nodes (bdd.mli), so a manager holding a
+   result of more than 510 internal nodes has doubled its unique and
+   computed tables at least three times. At least a tenth of the cases
+   must get there. *)
+let test_bdd_random_ops_vs_truthtable () =
+  let cases = ref 0 and grown = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"BDD ops agree with truth tables" ~count:50 ~print:print_bexpr
+       gen_bexpr (fun (arity, e) ->
+         let m = Bdd.manager ~n_vars:arity () in
+         let results = ref [] in
+         let rec build e =
+           let b, rewritten, tt =
+             match e with
+             | Leaf f ->
+               ( Bdd.of_cover m f,
+                 Bdd.of_cover m (Cover.create ~arity (List.rev (Cover.cubes f))),
+                 Truthtable.of_cover f )
+             | Not a ->
+               let a, ta = build a in
+               ( Bdd.not_ m a,
+                 Bdd.xor m a (Bdd.bdd_true m),
+                 Truthtable.complement ta )
+             | And (a, b) ->
+               let a, ta = build a and b, tb = build b in
+               ( Bdd.and_ m a b,
+                 Bdd.not_ m (Bdd.or_ m (Bdd.not_ m a) (Bdd.not_ m b)),
+                 Truthtable.of_fun_int ~arity (fun i -> Truthtable.get ta i && Truthtable.get tb i) )
+             | Or (a, b) ->
+               let a, ta = build a and b, tb = build b in
+               ( Bdd.or_ m a b,
+                 Bdd.nand m (Bdd.not_ m a) (Bdd.not_ m b),
+                 Truthtable.of_fun_int ~arity (fun i -> Truthtable.get ta i || Truthtable.get tb i) )
+             | Xor (a, b) ->
+               let a, ta = build a and b, tb = build b in
+               ( Bdd.xor m a b,
+                 Bdd.or_ m (Bdd.and_ m a (Bdd.not_ m b)) (Bdd.and_ m (Bdd.not_ m a) b),
+                 Truthtable.of_fun_int ~arity (fun i -> Truthtable.get ta i <> Truthtable.get tb i) )
+             | Ite (f, g, h) ->
+               let f, tf = build f and g, tg = build g and h, th = build h in
+               ( Bdd.ite m f g h,
+                 Bdd.or_ m (Bdd.and_ m f g) (Bdd.and_ m (Bdd.not_ m f) h),
+                 Truthtable.of_fun_int ~arity (fun i ->
+                     if Truthtable.get tf i then Truthtable.get tg i else Truthtable.get th i) )
+           in
+           if not (Bdd.equal b rewritten) then QCheck2.Test.fail_report "rewrite built another node";
+           results := (b, tt) :: !results;
+           (b, tt)
+         in
+         ignore (build e);
+         incr cases;
+         if List.exists (fun (b, _) -> Bdd.size b > 510) !results then incr grown;
+         let agrees i =
+           let v = Truthtable.assignment_of_index ~arity i in
+           List.for_all (fun (b, tt) -> Bool.equal (Bdd.eval b v) (Truthtable.get tt i)) !results
+         in
+         let rec every_vector i = i = 1 lsl arity || (agrees i && every_vector (i + 1)) in
+         every_vector 0
+         && List.for_all
+              (fun (b, tt) ->
+                List.for_all
+                  (fun (b', tt') -> Bool.equal (Bdd.equal b b') (Truthtable.equal tt tt'))
+                  !results)
+              !results));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d cases grew the tables three times" !grown !cases)
+    true
+    (10 * !grown >= !cases)
+
+(* A fresh manager costs a few KB (bdd.mli). Words are counted from
+   [Gc.stat] (minor + major - promoted): [Gc.allocated_bytes] under-counts
+   words still in the minor heap (OCaml 5.1). *)
+let test_bdd_manager_small () =
+  let before = Gc.stat () in
+  let m = Bdd.manager ~n_vars:8 () in
+  let after = Gc.stat () in
+  ignore (Sys.opaque_identity m);
+  let words =
+    after.Gc.minor_words -. before.Gc.minor_words
+    +. (after.Gc.major_words -. before.Gc.major_words)
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  let bytes = words *. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool) (Printf.sprintf "%.0f bytes < 32 KB" bytes) true (bytes < 32768.)
+
 let prop_supercube_covers =
   QCheck2.Test.make ~name:"supercube covers both operands" ~count:200
     QCheck2.Gen.(
@@ -841,6 +971,8 @@ let () =
           Alcotest.test_case "count minterms" `Quick test_bdd_count_minterms;
           Alcotest.test_case "wide cover equality" `Quick test_bdd_cover_equal_wide;
           Alcotest.test_case "manager mixing" `Quick test_bdd_manager_mixing;
+          Alcotest.test_case "random ops vs truth tables" `Quick test_bdd_random_ops_vs_truthtable;
+          Alcotest.test_case "fresh manager is small" `Quick test_bdd_manager_small;
         ] );
       ( "random_sop",
         [
