@@ -1,32 +1,25 @@
-(* Alongside the byte-per-junction defect grid we maintain a bit-packed
-   mask of the stuck-closed cells, kept in sync by [set].  The row/column
-   kill checks of the mapping path (a stuck-closed junction poisons its
-   whole line) then run word-parallel instead of scanning bytes. *)
+(* The defects are two bit-planes, stuck-open and stuck-closed, with at
+   most one of the two bits set per junction. The mapping path reads them
+   a word at a time: the crossbar matrix is the complement of their union,
+   and line kills test the stuck-closed plane. Whole-map walks (digest,
+   counts, column permutations) visit only the set bits. *)
+
+module Bmatrix = Mcx_util.Bmatrix
 
 type t = {
   rows : int;
   cols : int;
-  data : Bytes.t;
-  closed : Mcx_util.Bmatrix.t;  (* bit set iff the junction is stuck-closed *)
+  open_ : Bmatrix.t;  (* bit set iff the junction is stuck-open *)
+  closed : Bmatrix.t;  (* bit set iff the junction is stuck-closed *)
 }
-
-let code = function
-  | Junction.Functional -> '\000'
-  | Junction.Stuck_open -> '\001'
-  | Junction.Stuck_closed -> '\002'
-
-let decode = function
-  | '\000' -> Junction.Functional
-  | '\001' -> Junction.Stuck_open
-  | _ -> Junction.Stuck_closed
 
 let create ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Defect_map.create: negative dimension";
   {
     rows;
     cols;
-    data = Bytes.make (rows * cols) '\000';
-    closed = Mcx_util.Bmatrix.create ~rows ~cols false;
+    open_ = Bmatrix.create ~rows ~cols false;
+    closed = Bmatrix.create ~rows ~cols false;
   }
 
 let rows t = t.rows
@@ -37,56 +30,63 @@ let check t i j name =
     invalid_arg (Printf.sprintf "Defect_map.%s: (%d,%d) out of %dx%d" name i j t.rows t.cols)
 
 let get t i j =
-  check t i j "get";
-  decode (Bytes.unsafe_get t.data ((i * t.cols) + j))
+  if i < 0 || i >= t.rows || j < 0 || j >= t.cols then check t i j "get";
+  if Bmatrix.get t.open_ i j then Junction.Stuck_open
+  else if Bmatrix.get t.closed i j then Junction.Stuck_closed
+  else Junction.Functional
 
 let set t i j d =
   check t i j "set";
   Mcx_util.Telemetry.count "defect_map.mask_updates";
-  Bytes.unsafe_set t.data ((i * t.cols) + j) (code d);
-  Mcx_util.Bmatrix.set t.closed i j (Junction.defect_equal d Junction.Stuck_closed)
+  Bmatrix.set t.open_ i j (Junction.defect_equal d Junction.Stuck_open);
+  Bmatrix.set t.closed i j (Junction.defect_equal d Junction.Stuck_closed)
 
 let random prng ~rows ~cols ~open_rate ~closed_rate =
   Mcx_util.Telemetry.span "defect_map.random" @@ fun () ->
-  if open_rate < 0. || closed_rate < 0. || open_rate +. closed_rate > 1. then
+  (* Stated positively so that a NaN rate fails it. *)
+  if not (open_rate >= 0. && closed_rate >= 0. && open_rate +. closed_rate <= 1.) then
     invalid_arg "Defect_map.random: bad rates";
   let t = create ~rows ~cols in
+  let either = open_rate +. closed_rate and defects = ref 0 in
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do
       let u = Mcx_util.Prng.float prng in
-      if u < open_rate then set t i j Junction.Stuck_open
-      else if u < open_rate +. closed_rate then set t i j Junction.Stuck_closed
+      if u < open_rate then begin
+        Bmatrix.set t.open_ i j true;
+        incr defects
+      end
+      else if u < either then begin
+        Bmatrix.set t.closed i j true;
+        incr defects
+      end
     done
   done;
+  if !defects > 0 then Mcx_util.Telemetry.count ~n:!defects "defect_map.mask_updates";
   t
 
-let count t d =
-  let target = code d in
-  let n = ref 0 in
-  Bytes.iter (fun c -> if c = target then incr n) t.data;
-  !n
+let count t = function
+  | Junction.Stuck_open -> Bmatrix.count t.open_
+  | Junction.Stuck_closed -> Bmatrix.count t.closed
+  | Junction.Functional -> (t.rows * t.cols) - Bmatrix.count t.open_ - Bmatrix.count t.closed
 
+let open_mask t = t.open_
 let closed_mask t = t.closed
 
-let row_has_closed t i =
-  if i < 0 || i >= t.rows then invalid_arg "Defect_map.row_has_closed";
-  Mcx_util.Bmatrix.row_nonzero t.closed i
-
-let col_has_closed t j =
-  if j < 0 || j >= t.cols then invalid_arg "Defect_map.col_has_closed";
-  Mcx_util.Bmatrix.count_col t.closed j > 0
-
-let usable_rows t =
-  List.filter (fun i -> not (row_has_closed t i)) (List.init t.rows Fun.id)
-
-let usable_cols t =
-  List.filter (fun j -> not (col_has_closed t j)) (List.init t.cols Fun.id)
-
-
 let digest t =
-  (* Dimensions are folded in explicitly: a 2x3 and a 3x2 grid with the
-     same byte string must not collide. *)
-  Digest.to_hex (Digest.string (Printf.sprintf "%dx%d:%s" t.rows t.cols (Bytes.to_string t.data)))
+  (* The byte grid of one code per junction (0 functional, 1 stuck-open,
+     2 stuck-closed), filled from the set bits. Dimensions are folded in
+     explicitly: a 2x3 and a 3x2 grid with the same bytes must not
+     collide. *)
+  let grid = Bytes.make (t.rows * t.cols) '\000' in
+  let mark plane code =
+    for i = 0 to t.rows - 1 do
+      Bmatrix.iter_row_set plane i (fun j -> Bytes.unsafe_set grid ((i * t.cols) + j) code)
+    done
+  in
+  mark t.open_ '\001';
+  mark t.closed '\002';
+  Digest.to_hex
+    (Digest.string (Printf.sprintf "%dx%d:%s" t.rows t.cols (Bytes.unsafe_to_string grid)))
 
 let pp ppf t =
   for i = 0 to t.rows - 1 do

@@ -2,7 +2,13 @@
 
     §V of the paper: "we generate defective crossbars with assigning an
     independent defect probability/rate to each crosspoint that shows a
-    uniform distribution". *)
+    uniform distribution".
+
+    A map is two bit-packed planes over the junctions, one for stuck-open
+    and one for stuck-closed defects; {!set} keeps at most one of the two
+    bits set per junction. {!get} reads a junction in O(1); the mapping
+    path reads the planes a word at a time ([Matching.cm_of_defects],
+    [Redundant]), and {!digest} and {!count} visit only the defects. *)
 
 type t
 
@@ -14,29 +20,30 @@ val cols : t -> int
 
 val get : t -> int -> int -> Junction.defect
 val set : t -> int -> int -> Junction.defect -> unit
+(** Counts [defect_map.mask_updates] once per call. *)
 
 val random :
   Mcx_util.Prng.t -> rows:int -> cols:int -> open_rate:float -> closed_rate:float -> t
 (** Each crosspoint is independently stuck-open with probability
-    [open_rate], stuck-closed with [closed_rate], otherwise functional.
-    @raise Invalid_argument if rates are negative or sum above 1. *)
+    [open_rate], stuck-closed with [closed_rate], otherwise functional:
+    one [Prng.float] per junction in row-major order, stuck-open below
+    [open_rate], stuck-closed below [open_rate +. closed_rate]. Counts
+    [defect_map.mask_updates] once per map, by the number of defects,
+    and not at all for a defect-free map.
+    @raise Invalid_argument unless both rates are numbers between 0 and 1
+    whose sum is at most 1 (a NaN rate is rejected). *)
 
 val count : t -> Junction.defect -> int
+(** Number of junctions with the given state (a popcount of the planes). *)
 
-val row_has_closed : t -> int -> bool
-(** A stuck-closed junction forces its whole horizontal line to evaluate to
-    logic 1 and poisons its vertical line, so these lines are unusable
-    (paper §IV.A). Word-parallel over the packed stuck-closed mask. *)
-
+val open_mask : t -> Mcx_util.Bmatrix.t
 val closed_mask : t -> Mcx_util.Bmatrix.t
-(** The bit-packed stuck-closed mask, maintained incrementally by {!set}.
-    One bit per junction; treat as read-only — mutating it desynchronizes
-    the map. Lets callers combine line-kill checks with their own masks
-    word-parallel (see [Redundant.restricted_cm]). *)
-
-val usable_rows : t -> int list
-val usable_cols : t -> int list
-(** Lines free of stuck-closed defects, ascending. *)
+(** The stuck-open and stuck-closed planes: one bit per junction, set iff
+    the junction has that defect. The map's own storage, so treat them as
+    read-only; mutating one desynchronizes the map. A stuck-closed
+    junction forces its whole horizontal line to logic 1 and poisons its
+    vertical line (paper §IV.A), so callers test line kills against the
+    stuck-closed plane word-parallel (see [Redundant]). *)
 
 val digest : t -> string
 (** Hex MD5 of the dimensions plus the per-junction defect grid — a

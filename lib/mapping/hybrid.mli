@@ -7,7 +7,18 @@
     Output rows — where a single defect might discard a whole output — are
     then assigned exactly over the remaining crossbar rows with
     {!Matching.assign}, which decides the paper's zero-cost Munkres
-    criterion. *)
+    criterion.
+
+    Every product row's fit set — the crossbar rows it fits — is built
+    once, as a bitset, by {!Matching.fit_sets}. The greedy pass takes the
+    lowest free fitting row by a word scan; backtracking walks the row's
+    fit set in ascending order. Both visit the crossbar rows in the order
+    of the paper's row-by-row scan: the lowest free fitting row is the
+    first the scan would accept, and a row that fits no free row has only
+    owned fitting rows, which the scan meets in ascending order. So the
+    assignments and the [backtracks]/[relocations] counts are the scan's;
+    only the cost per placement falls, from a row test per crossbar row
+    to a word operation per 63 of them. *)
 
 type stats = {
   backtracks : int;  (** products that needed the relocation step *)

@@ -1,19 +1,9 @@
 open Mcx_util
 
 let cm_of_defects defects =
-  let rows = Mcx_crossbar.Defect_map.rows defects in
-  let cols = Mcx_crossbar.Defect_map.cols defects in
-  let cm = Bmatrix.create ~rows ~cols false in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      if
-        Mcx_crossbar.Junction.defect_equal
-          (Mcx_crossbar.Defect_map.get defects i j)
-          Mcx_crossbar.Junction.Functional
-      then Bmatrix.set cm i j true
-    done
-  done;
-  cm
+  Bmatrix.nor
+    (Mcx_crossbar.Defect_map.open_mask defects)
+    (Mcx_crossbar.Defect_map.closed_mask defects)
 
 let row_matches ~fm ~fm_row ~cm ~cm_row =
   if Bmatrix.cols fm <> Bmatrix.cols cm then
@@ -22,49 +12,68 @@ let row_matches ~fm ~fm_row ~cm ~cm_row =
      the functional cells — one AND-NOT per word. *)
   Bmatrix.row_subset fm fm_row cm cm_row
 
+type fit_sets = { words : int; bits : int array }
+
+let fit_sets ~fm ~fm_rows ~cm ~cm_rows =
+  if Bmatrix.cols fm <> Bmatrix.cols cm then
+    invalid_arg "Matching.fit_sets: column count mismatch";
+  let m = Array.length cm_rows and cols = Bmatrix.cols cm in
+  let words = Bits.words_for m in
+  (* [functional]: per column j, at [j * words], the positions whose
+     column-j junction works; the clear cells of each CM row take their
+     position out. *)
+  let functional = Array.make (cols * words) (-1) in
+  Array.iteri
+    (fun k cm_row ->
+      let w = Bits.word_of k and bit = 1 lsl Bits.bit_of k in
+      Bmatrix.iter_row_clear cm cm_row (fun j ->
+          let x = (j * words) + w in
+          Array.unsafe_set functional x (Array.unsafe_get functional x land lnot bit)))
+    cm_rows;
+  (* An FM row fits the positions that work in every column it needs:
+     per word, the AND over those columns' bitsets. [required] holds the
+     current row's columns, each as the offset of its bitset. *)
+  let bits = Array.make (Array.length fm_rows * words) 0 in
+  let required = Array.make cols 0 and n_required = ref 0 in
+  Array.iteri
+    (fun i fm_row ->
+      n_required := 0;
+      Bmatrix.iter_row_set fm fm_row (fun j ->
+          required.(!n_required) <- j * words;
+          incr n_required);
+      for w = 0 to words - 1 do
+        let fit = ref (if w = words - 1 then Bits.tail_mask m else -1) in
+        for x = 0 to !n_required - 1 do
+          fit := !fit land Array.unsafe_get functional (Array.unsafe_get required x + w)
+        done;
+        bits.((i * words) + w) <- !fit
+      done)
+    fm_rows;
+  { words; bits }
+
+let first_fit { words; bits } i ~blocked =
+  let rec go w =
+    if w = words then -1
+    else
+      let open_ = bits.((i * words) + w) land lnot blocked.(w) in
+      if open_ = 0 then go (w + 1) else (w * Bits.word_bits) + Bits.ctz open_
+  in
+  go 0
+
 let assign ~fm ~fm_rows ~cm ~cm_rows =
   Telemetry.count "matching.solves";
   if Bmatrix.cols fm <> Bmatrix.cols cm then
     invalid_arg "Matching.assign: column count mismatch";
   let fm_rows = Array.of_list fm_rows and cm_rows = Array.of_list cm_rows in
-  let n = Array.length fm_rows and m = Array.length cm_rows and cols = Bmatrix.cols cm in
-  (* Bitsets over positions in [cm_rows], [words] ints each; entry [i] of
-     a table starts at [i * words]. [functional.(j)]: the positions whose
-     column-j junction works. [adj.(i)]: the positions FM row i fits, the
-     AND of [functional] over its required columns. *)
-  let words = Bits.words_for m in
-  let functional = Array.make (cols * words) 0 in
-  Array.iteri
-    (fun k cm_row ->
-      for j = 0 to cols - 1 do
-        if Bmatrix.get cm cm_row j then begin
-          let w = (j * words) + Bits.word_of k in
-          functional.(w) <- functional.(w) lor (1 lsl Bits.bit_of k)
-        end
-      done)
-    cm_rows;
-  let adj = Array.make (n * words) (-1) in
-  Array.iteri
-    (fun i fm_row ->
-      if words > 0 then adj.((i * words) + words - 1) <- Bits.tail_mask m;
-      for j = 0 to cols - 1 do
-        if Bmatrix.get fm fm_row j then
-          for w = 0 to words - 1 do
-            adj.((i * words) + w) <- adj.((i * words) + w) land functional.((j * words) + w)
-          done
-      done)
-    fm_rows;
+  let n = Array.length fm_rows and m = Array.length cm_rows in
+  let fits = fit_sets ~fm ~fm_rows ~cm ~cm_rows in
   (* The lowest position FM row [i] fits that is not in [blocked], added
      to [blocked] before it is returned; -1 when none is left. *)
-  let rec first i blocked w =
-    if w = words then -1
-    else
-      let open_ = adj.((i * words) + w) land lnot blocked.(w) in
-      if open_ = 0 then first i blocked (w + 1)
-      else begin
-        blocked.(w) <- blocked.(w) lor (open_ land -open_);
-        (w * Bits.word_bits) + Bits.ctz open_
-      end
+  let first i blocked =
+    let k = first_fit fits i ~blocked in
+    if k >= 0 then
+      blocked.(Bits.word_of k) <- blocked.(Bits.word_of k) lor (1 lsl Bits.bit_of k);
+    k
   in
   let owner = Array.make m (-1) and target = Array.make n (-1) in
   let take i k =
@@ -74,24 +83,24 @@ let assign ~fm ~fm_rows ~cm ~cm_rows =
   in
   (* Greedy pass: each FM row in turn takes its lowest free fitting
      position. *)
-  let taken = Array.make words 0 in
+  let taken = Array.make fits.words 0 in
   let leftover =
     List.filter
       (fun i ->
-        let k = first i taken 0 in
+        let k = first i taken in
         not (k >= 0 && take i k))
       (List.init n Fun.id)
   in
   (* One alternating-path search (Kuhn) per leftover row, in ascending
      position. When it fails, the FM rows it reached fit fewer positions
      than there are of them (Hall's condition), so no matching exists. *)
-  let visited = Array.make words 0 in
+  let visited = Array.make fits.words 0 in
   let rec augment i =
-    let k = first i visited 0 in
+    let k = first i visited in
     k >= 0 && if owner.(k) < 0 || augment owner.(k) then take i k else augment i
   in
   let placed i =
-    Array.fill visited 0 words 0;
+    Array.fill visited 0 fits.words 0;
     augment i
   in
   if List.for_all placed leftover then Some (Array.map (fun k -> cm_rows.(k)) target)

@@ -12,37 +12,48 @@ let restricted_cm defects chosen =
   Telemetry.count "redundant.cm_rebuilds";
   let rows = Defect_map.rows defects in
   let cols = Array.length chosen in
-  let cm = Bmatrix.create ~rows ~cols false in
-  (* Row kill check: a row is struck out when the packed stuck-closed mask
-     intersects the chosen-column mask — one AND per word per row. *)
+  let cm = Bmatrix.create ~rows ~cols true in
+  (* Row kill check: a row is struck out when the stuck-closed plane
+     intersects the chosen-column mask — one AND per word per row. A row
+     that survives has no stuck-closed junction in a chosen column, so
+     only its stuck-open junctions in chosen columns clear a cell
+     ([chosen] holds distinct columns). *)
   let chosen_mask = Bmatrix.create ~rows:1 ~cols:(Defect_map.cols defects) false in
-  Array.iter (fun c -> Bmatrix.set chosen_mask 0 c true) chosen;
-  let closed = Defect_map.closed_mask defects in
+  let target = Array.make (Defect_map.cols defects) (-1) in
+  Array.iteri
+    (fun j c ->
+      Bmatrix.set chosen_mask 0 c true;
+      target.(c) <- j)
+    chosen;
+  let closed = Defect_map.closed_mask defects and open_ = Defect_map.open_mask defects in
   for r = 0 to rows - 1 do
-    if not (Bmatrix.row_intersects closed r chosen_mask 0) then
-      Array.iteri
-        (fun j c ->
-          if Junction.defect_equal (Defect_map.get defects r c) Junction.Functional then
-            Bmatrix.set cm r j true)
-        chosen
+    if Bmatrix.row_intersects closed r chosen_mask 0 then
+      for j = 0 to cols - 1 do
+        Bmatrix.set cm r j false
+      done
+    else
+      Bmatrix.iter_row_set open_ r (fun c ->
+          if target.(c) >= 0 then Bmatrix.set cm r target.(c) false)
   done;
   cm
 
 (* Column scoring: closed defects make a column nearly unusable, open
-   defects reduce its matching freedom. *)
-let column_score defects c =
-  let score = ref 0 in
-  for r = 0 to Defect_map.rows defects - 1 do
-    match Defect_map.get defects r c with
-    | Junction.Stuck_closed -> score := !score + 1000
-    | Junction.Stuck_open -> score := !score + 1
-    | Junction.Functional -> ()
-  done;
-  !score
+   defects reduce its matching freedom. One walk over the defects scores
+   every column. *)
+let column_scores defects =
+  let score = Array.make (Defect_map.cols defects) 0 in
+  let add plane weight =
+    for r = 0 to Defect_map.rows defects - 1 do
+      Bmatrix.iter_row_set plane r (fun c -> score.(c) <- score.(c) + weight)
+    done
+  in
+  add (Defect_map.closed_mask defects) 1000;
+  add (Defect_map.open_mask defects) 1;
+  score
 
 let greedy_columns defects ~wanted =
-  let all = Array.init (Defect_map.cols defects) Fun.id in
-  let scored = Array.map (fun c -> (column_score defects c, c)) all in
+  let score = column_scores defects in
+  let scored = Array.mapi (fun c s -> (s, c)) score in
   Array.sort compare scored;
   (* Keep the chosen set in natural column order so that with zero spare
      columns the choice degenerates to the identity. *)

@@ -50,19 +50,22 @@ let permute_defect_columns geometry ~var_perm defects =
   else begin
     let rows = Defect_map.rows defects and cols = Defect_map.cols defects in
     let permuted = Defect_map.create ~rows ~cols in
-    for j = 0 to cols - 1 do
-      let j' =
-        match Geometry.column_role geometry j with
-        | Geometry.Input_pos v -> Geometry.column_of_role geometry (Geometry.Input_pos var_perm.(v))
-        | Geometry.Input_neg v -> Geometry.column_of_role geometry (Geometry.Input_neg var_perm.(v))
-        | Geometry.Output_main _ | Geometry.Output_comp _ -> j
-      in
+    let moved =
+      Array.init cols (fun j ->
+          match Geometry.column_role geometry j with
+          | Geometry.Input_pos v ->
+            Geometry.column_of_role geometry (Geometry.Input_pos var_perm.(v))
+          | Geometry.Input_neg v ->
+            Geometry.column_of_role geometry (Geometry.Input_neg var_perm.(v))
+          | Geometry.Output_main _ | Geometry.Output_comp _ -> j)
+    in
+    let copy plane defect =
       for i = 0 to rows - 1 do
-        match Defect_map.get defects i j with
-        | Mcx_crossbar.Junction.Functional -> ()
-        | defect -> Defect_map.set permuted i j' defect
+        Mcx_util.Bmatrix.iter_row_set plane i (fun j -> Defect_map.set permuted i moved.(j) defect)
       done
-    done;
+    in
+    copy (Defect_map.open_mask defects) Mcx_crossbar.Junction.Stuck_open;
+    copy (Defect_map.closed_mask defects) Mcx_crossbar.Junction.Stuck_closed;
     permuted
   end
 

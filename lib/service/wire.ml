@@ -59,6 +59,15 @@ let coordinate_list name json =
       (Ok []) pairs
     |> Result.map List.rev
 
+(* A defect rate: absent reads 0; anything outside [0, 1] is refused,
+   NaN included, which is how [null] reads. *)
+let rate name json =
+  let* r = field_opt name Json.to_float_opt json in
+  match r with
+  | None -> Ok 0.
+  | Some r when r >= 0. && r <= 1. -> Ok r
+  | Some _ -> Error (Printf.sprintf "field %S must be a number between 0 and 1" name)
+
 let parse_defects json =
   match Json.member "defects" json with
   | None -> Ok Pristine
@@ -66,15 +75,12 @@ let parse_defects json =
     let* seed = field_opt "seed" Json.to_int_opt d in
     match seed with
     | Some seed ->
-      let* open_rate = field_opt "open_rate" Json.to_float_opt d in
-      let* closed_rate = field_opt "closed_rate" Json.to_float_opt d in
-      Ok
-        (Seeded
-           {
-             seed;
-             open_rate = Option.value open_rate ~default:0.;
-             closed_rate = Option.value closed_rate ~default:0.;
-           })
+      let* open_rate = rate "open_rate" d in
+      let* closed_rate = rate "closed_rate" d in
+      if open_rate +. closed_rate > 1. then
+        Error
+          (Printf.sprintf "open_rate %g and closed_rate %g sum above 1" open_rate closed_rate)
+      else Ok (Seeded { seed; open_rate; closed_rate })
     | None -> (
       let* rows = field_opt "rows" Json.to_int_opt d in
       let* cols = field_opt "cols" Json.to_int_opt d in

@@ -22,7 +22,10 @@
     {!Mcx_mapping.Mapper.default} / no-verify / no-deadline defaults.
     Explicit defect coordinates must lie inside (and the [rows]/[cols]
     must equal) the cover's optimum geometry; seeded defects are
-    generated at that geometry from the seed alone.
+    generated at that geometry from the seed alone. A rate must be a
+    finite number between 0 and 1 (an absent rate reads 0, a [null] one
+    is refused) and the two rates may sum to at most 1; parsing refuses
+    anything else.
 
     {2 Response}
 

@@ -30,10 +30,13 @@ let check t i j name =
   if i < 0 || i >= t.rows || j < 0 || j >= t.cols then
     invalid_arg (Printf.sprintf "Bmatrix.%s: (%d,%d) out of %dx%d" name i j t.rows t.cols)
 
+(* [Sys.int_size] is [Bits.word_bits], named here so that the compiler
+   sees a constant and divides without a call; the bounds test is inline
+   for the same reason. [get] is the per-junction read of defect maps. *)
 let get t i j =
-  check t i j "get";
-  let w = (i * t.wpr) + Bits.word_of j in
-  (Array.unsafe_get t.data w lsr Bits.bit_of j) land 1 = 1
+  if i < 0 || i >= t.rows || j < 0 || j >= t.cols then check t i j "get";
+  let w = (i * t.wpr) + (j / Sys.int_size) in
+  (Array.unsafe_get t.data w lsr (j mod Sys.int_size)) land 1 = 1
 
 let set t i j v =
   check t i j "set";
@@ -96,6 +99,28 @@ let row_nonzero t i =
   let base = i * t.wpr in
   let rec go w = w < t.wpr && (Array.unsafe_get t.data (base + w) <> 0 || go (w + 1)) in
   go 0
+
+(* Visit the set bits of [word], lowest first, as cell indices of word [w]. *)
+let rec iter_word f w word =
+  if word <> 0 then begin
+    f ((w * Bits.word_bits) + Bits.ctz word);
+    iter_word f w (word land (word - 1))
+  end
+
+let iter_row_set t i f =
+  check_row t i "iter_row_set";
+  let base = i * t.wpr in
+  for w = 0 to t.wpr - 1 do
+    iter_word f w (Array.unsafe_get t.data (base + w))
+  done
+
+let iter_row_clear t i f =
+  check_row t i "iter_row_clear";
+  let base = i * t.wpr in
+  for w = 0 to t.wpr - 1 do
+    let valid = if w = t.wpr - 1 then Bits.tail_mask t.cols else -1 in
+    iter_word f w (lnot (Array.unsafe_get t.data (base + w)) land valid)
+  done
 
 let check_pair a i b j name =
   check_row a i name;
@@ -162,6 +187,19 @@ let is_submatrix sub sup =
     || Array.unsafe_get sub.data w land lnot (Array.unsafe_get sup.data w) = 0 && go (w + 1)
   in
   go 0
+
+let nor a b =
+  if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Bmatrix.nor: dimension mismatch";
+  let t = create ~rows:a.rows ~cols:a.cols false in
+  for i = 0 to t.rows - 1 do
+    for w = 0 to t.wpr - 1 do
+      let x = (i * t.wpr) + w in
+      let valid = if w = t.wpr - 1 then Bits.tail_mask t.cols else -1 in
+      Array.unsafe_set t.data x
+        (lnot (Array.unsafe_get a.data x lor Array.unsafe_get b.data x) land valid)
+    done
+  done;
+  t
 
 let equal a b =
   a.rows = b.rows && a.cols = b.cols

@@ -6,7 +6,10 @@
     Monte Carlo mapping loops live in — containment ([row_subset]),
     intersection, set-difference counting — run word-parallel: a handful of
     AND/NOT/popcount operations per {!Bits.word_bits} cells instead of a
-    per-cell loop. *)
+    per-cell loop. Row iteration ({!iter_row_set}, {!iter_row_clear})
+    visits only the cells asked for, one test per word and one
+    count-trailing-zeros per cell, so a sparse row costs little more than
+    its words; {!nor} builds a matrix from two others a word at a time. *)
 
 type t
 (** A mutable [rows] x [cols] boolean matrix. *)
@@ -49,6 +52,16 @@ val row_nonzero : t -> int -> bool
 (** [row_nonzero m i]: row [i] has at least one [true] entry (word-parallel).
     @raise Invalid_argument on a bad row index. *)
 
+val iter_row_set : t -> int -> (int -> unit) -> unit
+(** [iter_row_set m i f] calls [f j] for every [true] cell (i, j), in
+    ascending [j]; zero words cost one test each. Each word is read before
+    [f] sees its cells, so [f] may write the row.
+    @raise Invalid_argument on a bad row index. *)
+
+val iter_row_clear : t -> int -> (int -> unit) -> unit
+(** [iter_row_clear m i f] calls [f j] for every [false] cell (i, j), in
+    ascending [j], under the same rules as {!iter_row_set}. *)
+
 val row_subset : t -> int -> t -> int -> bool
 (** [row_subset a i b j]: every [true] cell of row [i] of [a] is also [true]
     in row [j] of [b] — the FM-row-fits-CM-row matching kernel.
@@ -71,6 +84,11 @@ val row_diff_count : t -> int -> t -> int -> int
 val is_submatrix : t -> t -> bool
 (** [is_submatrix sub sup]: same dimensions and every [true] cell of [sub]
     is [true] in [sup] (whole-matrix word-parallel subset test). *)
+
+val nor : t -> t -> t
+(** [nor a b] is a fresh matrix whose cell is [true] iff it is [false] in
+    both [a] and [b]: one complement-of-union per word.
+    @raise Invalid_argument when the dimensions differ. *)
 
 val equal : t -> t -> bool
 

@@ -309,6 +309,18 @@ let test_bmatrix () =
       (Mcx_util.Bmatrix.row_diff_count pa i pb j);
     Alcotest.(check bool) "is_submatrix" (Naive.is_submatrix a b)
       (Mcx_util.Bmatrix.is_submatrix pa pb);
+    let cells iter =
+      let seen = ref [] in
+      iter pa i (fun c -> seen := c :: !seen);
+      List.rev !seen
+    in
+    let where v = List.filter (fun c -> Bool.equal a.(i).(c) v) (List.init cols Fun.id) in
+    Alcotest.(check (list int)) "iter_row_set" (where true) (cells Mcx_util.Bmatrix.iter_row_set);
+    Alcotest.(check (list int)) "iter_row_clear" (where false)
+      (cells Mcx_util.Bmatrix.iter_row_clear);
+    Alcotest.(check bool) "nor" true
+      (Mcx_util.Bmatrix.equal (Mcx_util.Bmatrix.nor pa pb)
+         (Naive.of_bmatrix (Array.map2 (Array.map2 (fun x y -> not (x || y))) a b)));
     (* self-subset sanity and mutation round-trip *)
     Alcotest.(check bool) "self submatrix" true (Mcx_util.Bmatrix.is_submatrix pa pa);
     Mcx_util.Bmatrix.set pa i k (not a.(i).(k));

@@ -48,23 +48,76 @@ let test_defect_map_random_rates () =
   Alcotest.(check bool) "about 10% open" true (opens > 800 && opens < 1200);
   Alcotest.(check bool) "about 5% closed" true (closeds > 350 && closeds < 650)
 
-let test_defect_map_usable_lines () =
-  let d = Defect_map.create ~rows:3 ~cols:3 in
-  Defect_map.set d 1 2 Junction.Stuck_closed;
-  Alcotest.(check (list int)) "rows 0,2 usable" [ 0; 2 ] (Defect_map.usable_rows d);
-  Alcotest.(check (list int)) "cols 0,1 usable" [ 0; 1 ] (Defect_map.usable_cols d);
-  Alcotest.(check bool) "row flag" true (Defect_map.row_has_closed d 1);
-  Alcotest.(check bool) "open does not block line" true
-    (Defect_map.set d 0 0 Junction.Stuck_open;
-     not (Defect_map.row_has_closed d 0))
-
 let test_defect_map_bad_rates () =
   let prng = Mcx_util.Prng.create 7 in
-  Alcotest.(check bool) "rates > 1 rejected" true
-    (try
-       ignore (Defect_map.random prng ~rows:2 ~cols:2 ~open_rate:0.8 ~closed_rate:0.3);
-       false
-     with Invalid_argument _ -> true)
+  let rejected open_rate closed_rate =
+    try
+      ignore (Defect_map.random prng ~rows:2 ~cols:2 ~open_rate ~closed_rate);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "rates > 1 rejected" true (rejected 0.8 0.3);
+  Alcotest.(check bool) "negative rate rejected" true (rejected (-0.1) 0.);
+  Alcotest.(check bool) "NaN open rate rejected" true (rejected Float.nan 0.);
+  Alcotest.(check bool) "NaN closed rate rejected" true (rejected 0.1 Float.nan);
+  Alcotest.(check bool) "infinite rate rejected" true (rejected Float.infinity 0.);
+  Alcotest.(check bool) "rates summing to 1 accepted" false (rejected 0.5 0.5)
+
+(* The bit-plane map against the byte-grid reference: the same draw
+   junction for junction, the same digest, counts and crossbar matrix.
+   Dimensions cross the 63- and 126-bit edges of a plane's row words. *)
+let gen_defect_dims =
+  QCheck2.Gen.(
+    let* rows = oneof [ int_range 0 40; oneofl [ 1; 63; 64 ] ] in
+    let* cols = oneof [ int_range 0 140; oneofl [ 1; 62; 63; 64; 125; 126; 127 ] ] in
+    let* open_rate = oneofl [ 0.; 0.05; 0.1; 0.3; 0.6; 1. ] in
+    let* closed_rate = oneofl [ 0.; 0.; 0.02; 0.2; 0.4 ] in
+    let+ seed = int_bound 1_000_000 in
+    (rows, cols, open_rate, Float.min closed_rate (1. -. open_rate), seed))
+
+let same_as_reference d r =
+  let rows = Defect_map.rows d and cols = Defect_map.cols d in
+  let cells_agree =
+    List.for_all
+      (fun i ->
+        List.for_all
+          (fun j -> Junction.defect_equal (Defect_map.get d i j) (Defect_map_reference.get r i j))
+          (List.init cols Fun.id))
+      (List.init rows Fun.id)
+  in
+  rows = Defect_map_reference.rows r
+  && cols = Defect_map_reference.cols r
+  && cells_agree
+  && String.equal (Defect_map.digest d) (Defect_map_reference.digest r)
+  && List.for_all
+       (fun state -> Defect_map.count d state = Defect_map_reference.count r state)
+       [ Junction.Functional; Junction.Stuck_open; Junction.Stuck_closed ]
+  && Mcx_util.Bmatrix.equal (Mcx_mapping.Matching.cm_of_defects d) (Defect_map_reference.cm r)
+
+let prop_random_matches_reference =
+  QCheck2.Test.make ~name:"random = byte-grid reference" ~count:300 gen_defect_dims
+    (fun (rows, cols, open_rate, closed_rate, seed) ->
+      let draw random = random (Mcx_util.Prng.create seed) ~rows ~cols ~open_rate ~closed_rate in
+      same_as_reference (draw Defect_map.random) (draw Defect_map_reference.random))
+
+(* Writes in any order, overwrites included, leave both maps equal. *)
+let prop_set_matches_reference =
+  QCheck2.Test.make ~name:"set = byte-grid reference" ~count:300
+    QCheck2.Gen.(
+      let* rows = int_range 1 20 in
+      let* cols = int_range 1 140 in
+      let cell = triple (int_bound (rows - 1)) (int_bound (cols - 1))
+          (oneofl [ Junction.Functional; Junction.Stuck_open; Junction.Stuck_closed ]) in
+      let+ writes = list_size (int_range 0 60) cell in
+      (rows, cols, writes))
+    (fun (rows, cols, writes) ->
+      let d = Defect_map.create ~rows ~cols and r = Defect_map_reference.create ~rows ~cols in
+      List.iter
+        (fun (i, j, state) ->
+          Defect_map.set d i j state;
+          Defect_map_reference.set r i j state)
+        writes;
+      same_as_reference d r)
 
 (* ------------------------------------------------------------------ *)
 (* Geometry                                                           *)
@@ -729,8 +782,9 @@ let () =
       ( "defect_map",
         [
           Alcotest.test_case "random rates" `Quick test_defect_map_random_rates;
-          Alcotest.test_case "usable lines" `Quick test_defect_map_usable_lines;
           Alcotest.test_case "bad rates" `Quick test_defect_map_bad_rates;
+          QCheck_alcotest.to_alcotest prop_random_matches_reference;
+          QCheck_alcotest.to_alcotest prop_set_matches_reference;
         ] );
       ( "geometry",
         [

@@ -616,6 +616,161 @@ let prop_assign_agrees_with_munkres =
       | None, None -> true
       | Some _, None | None, Some _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the fit-set core against the per-cell references      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random FM/CM pairs for [assign] with 1-200 CM rows, so the position
+   bitsets cross the 63- and 126-bit word edges, and up to 70 columns,
+   so the matrices' own rows cross one. [fm_rows] and [cm_rows] come in
+   ascending or shuffled order, and [cm_rows] may leave rows out. *)
+let gen_assign_instance =
+  QCheck2.Gen.(
+    let* m = oneof [ int_range 1 200; oneofl [ 1; 62; 63; 64; 125; 126; 127; 189; 200 ] ] in
+    let* n = frequency [ (3, pure m); (3, int_range 0 m); (1, int_range m (m + 3)) ] in
+    let* spare = int_range 0 3 in
+    let* cols = int_range 1 70 in
+    let* required = float_range 0.02 0.3 in
+    let* open_rate = float_range 0. 0.4 in
+    let* shuffle = bool in
+    let+ seed = int_bound 1_000_000 in
+    (n, m, spare, cols, required, open_rate, shuffle, seed))
+
+let assign_instance (n, m, spare, cols, required, open_rate, shuffle, seed) =
+  let prng = Prng.create seed in
+  let random rows p =
+    let b = Bmatrix.create ~rows ~cols false in
+    for i = 0 to rows - 1 do
+      for j = 0 to cols - 1 do
+        if Prng.bernoulli prng p then Bmatrix.set b i j true
+      done
+    done;
+    b
+  in
+  let fm = random n required and cm = random (m + spare) (1. -. open_rate) in
+  let order rows =
+    let a = Array.of_list rows in
+    if shuffle then Prng.shuffle_in_place prng a;
+    Array.to_list a
+  in
+  let cm_rows =
+    List.filter (fun _ -> spare = 0 || Prng.bernoulli prng 0.9) (List.init (m + spare) Fun.id)
+  in
+  (fm, order (List.init n Fun.id), cm, order cm_rows)
+
+let test_assign_matches_reference () =
+  let feasible = ref 0 and cases = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"assign = per-cell reference" ~count:400 gen_assign_instance
+       (fun params ->
+         let fm, fm_rows, cm, cm_rows = assign_instance params in
+         let got = Matching.assign ~fm ~fm_rows ~cm ~cm_rows in
+         incr cases;
+         if Option.is_some got then incr feasible;
+         Option.equal ( = ) got (Mapping_reference.assign ~fm ~fm_rows ~cm ~cm_rows)));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d feasible: both answers common" !feasible !cases)
+    true
+    (!feasible * 5 >= !cases && (!cases - !feasible) * 5 >= !cases)
+
+(* Random two-level covers whose optimum crossbars, plus 0-4 spare rows,
+   have 3-200 rows, with dense products (each literal present with
+   probability 0.3-0.9) and 0-40% stuck-open junctions. *)
+let gen_hybrid_instance =
+  QCheck2.Gen.(
+    let* n_products =
+      oneof [ int_range 1 190; oneofl [ 58; 59; 60; 61; 62; 121; 122; 123; 124; 125; 190 ] ]
+    in
+    let* n_inputs = int_range 2 10 in
+    let* n_outputs = int_range 1 4 in
+    let* density = float_range 0.3 0.9 in
+    let* spare = int_range 0 4 in
+    let* open_rate = float_range 0. 0.4 in
+    let+ seed = int_bound 1_000_000 in
+    (n_products, n_inputs, n_outputs, density, spare, open_rate, seed))
+
+let hybrid_instance (n_products, n_inputs, n_outputs, density, spare, open_rate, seed) =
+  let prng = Prng.create seed in
+  let product _ =
+    let literal _ =
+      if not (Prng.bernoulli prng density) then Literal.Absent
+      else if Prng.bool prng then Literal.Pos
+      else Literal.Neg
+    in
+    let cube = Cube.of_literals (Array.init n_inputs literal) in
+    let k = Prng.int prng n_outputs in
+    { Mo_cover.cube; outputs = Array.init n_outputs (fun o -> o = k || Prng.bernoulli prng 0.3) }
+  in
+  let fm =
+    Function_matrix.build
+      (Mo_cover.create ~share:false ~n_inputs ~n_outputs (List.init n_products product))
+  in
+  let rows = Geometry.rows fm.Function_matrix.geometry + spare in
+  let cols = Geometry.cols fm.Function_matrix.geometry in
+  let cm = Bmatrix.create ~rows ~cols false in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      if not (Prng.bernoulli prng open_rate) then Bmatrix.set cm i j true
+    done
+  done;
+  (fm, cm)
+
+let test_hybrid_matches_reference () =
+  let cases = ref 0 and backtracked = ref 0 and relocated = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"hybrid = per-cell reference" ~count:300 gen_hybrid_instance
+       (fun params ->
+         let fm, cm = hybrid_instance params in
+         List.for_all
+           (fun order ->
+             let got, stats = Hybrid.map_with_stats ~order fm cm in
+             let want, want_stats = Mapping_reference.hybrid_map_with_stats ~order fm cm in
+             incr cases;
+             if stats.Hybrid.backtracks > 0 then incr backtracked;
+             if stats.Hybrid.relocations > 0 then incr relocated;
+             Option.equal ( = ) got want
+             && stats.Hybrid.backtracks = want_stats.Hybrid.backtracks
+             && stats.Hybrid.relocations = want_stats.Hybrid.relocations)
+           [ Hybrid.Top_down; Hybrid.Hardest_first ]));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d runs backtrack, %d relocate" !backtracked !cases !relocated)
+    true
+    (!backtracked * 3 >= !cases && !relocated * 4 >= !cases)
+
+(* Stuck-closed maps with spare lines: the restricted crossbar matrix
+   built from the planes gives the same placement as one restricted
+   junction by junction. *)
+let test_redundant_matches_reference () =
+  let cases = ref 0 and placed = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"redundant = per-cell restricted CM" ~count:200
+       QCheck2.Gen.(
+         let* spare_rows = int_range 0 3 in
+         let* spare_cols = int_range 0 4 in
+         let* closed_rate = float_range 0.005 0.08 in
+         let* open_rate = float_range 0. 0.15 in
+         let* algorithm = oneofl [ `Hybrid; `Exact ] in
+         let+ seed = int_bound 1_000_000 in
+         (spare_rows, spare_cols, closed_rate, open_rate, algorithm, seed))
+       (fun (spare_rows, spare_cols, closed_rate, open_rate, algorithm, seed) ->
+         let rows = 6 + spare_rows and cols = 10 + spare_cols in
+         let d = Defect_map.random (Prng.create seed) ~rows ~cols ~open_rate ~closed_rate in
+         let got = Redundant.map ~prng:(Prng.create (seed + 1)) ~algorithm fig7_fm d in
+         let want =
+           Mapping_reference.redundant_map ~prng:(Prng.create (seed + 1)) ~algorithm fig7_fm d
+         in
+         incr cases;
+         if Option.is_some got then incr placed;
+         Option.equal
+           (fun a b ->
+             a.Redundant.row_assignment = b.Redundant.row_assignment
+             && a.Redundant.col_assignment = b.Redundant.col_assignment)
+           got want));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d placed" !placed !cases)
+    true
+    (!placed * 4 >= !cases && (!cases - !placed) * 10 >= !cases)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -686,4 +841,11 @@ let () =
             test_redundant_open_only_matches_exact;
         ] );
       ("properties", qcheck_cases);
+      ( "differential",
+        [
+          Alcotest.test_case "assign = per-cell reference" `Quick test_assign_matches_reference;
+          Alcotest.test_case "hybrid = per-cell reference" `Quick test_hybrid_matches_reference;
+          Alcotest.test_case "redundant = per-cell restricted CM" `Quick
+            test_redundant_matches_reference;
+        ] );
     ]

@@ -97,7 +97,16 @@ let test_wire_rejects () =
   expect_parse_error {|{"schema":"mcx-request/1","id":"q"}|} "pla";
   expect_parse_error
     {|{"schema":"mcx-request/1","pla":"x","defects":{"rows":1}}|}
-    "defects"
+    "defects";
+  let seeded rates =
+    Printf.sprintf {|{"schema":"mcx-request/1","benchmark":"rd53","defects":{"seed":5,%s}}|} rates
+  in
+  expect_parse_error (seeded {|"open_rate":null|}) "open_rate";
+  expect_parse_error (seeded {|"open_rate":0.1,"closed_rate":null|}) "closed_rate";
+  expect_parse_error (seeded {|"open_rate":-0.1|}) "open_rate";
+  expect_parse_error (seeded {|"open_rate":1.5|}) "open_rate";
+  expect_parse_error (seeded {|"closed_rate":1e999|}) "closed_rate";
+  expect_parse_error (seeded {|"open_rate":0.7,"closed_rate":0.4|}) "sum above 1"
 
 let test_response_field_order () =
   let r =
