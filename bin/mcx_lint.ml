@@ -8,7 +8,7 @@
 let usage =
   "mcx-lint [--list-rules] [--only RULE[,RULE...]] [--format text|json|sarif]\n\
   \        [--out FILE] [--root DIR] [--allow-file FILE|none] [--check-allows]\n\n\
-   Lints lib/ bin/ bench/ test/ under the repo root (nearest dune-project).\n\
+   Lints lib/ bin/ test/ under the repo root (nearest dune-project).\n\
    Typed rules need a .cmt for every .ml: run `dune build @default @check` first.\n"
 
 let kind_tag = function

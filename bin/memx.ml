@@ -621,11 +621,9 @@ let write_csv (path, contents) =
   output_string oc contents;
   close_out oc
 
-let experiment_run () names samples force_resume seed =
-  if force_resume then set_flag_or_die "MCX_FORCE_RESUME" "1";
+let experiment_run () names samples seed =
   (* --samples is the flag spelling of MCX_SAMPLES: route it through the
-     registry so the journal's config snapshot records the override (and
-     a later resume at a different sample count refuses). *)
+     registry so the config snapshot records the override. *)
   Option.iter (fun n -> set_flag_or_die "MCX_SAMPLES" (string_of_int n)) samples;
   let samples = Mcx.Util.Config.samples () in
   List.iter
@@ -635,17 +633,14 @@ let experiment_run () names samples force_resume seed =
         List.iter write_csv csvs;
         print_string text;
         flush stdout
-      | exception (Mcx.Util.Checkpoint.Config_mismatch _ as e) ->
-        (* The registered printer spells out the recovery options
-           (--force-resume, memx config); exit 2 = "refused to start". *)
-        Printf.eprintf "memx: %s\n" (Printexc.to_string e);
-        exit 2)
-    (List.concat names);
-  (* Degradation protocol: the tables above are already printed (partial
-     where trials failed); persist the failed-trial manifest and report
-     the failure through the exit status. *)
-  let code = Mcx.Util.Checkpoint.finalize () in
-  if code <> 0 then exit code
+      | exception e ->
+        (* Trials are deterministic and in-process, so a raising one is a
+           bug: print no partial table, name the experiment and let the
+           exception fail the command (cmdliner prints it, exit 125). *)
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "memx: experiment %s failed\n%!" name;
+        Printexc.raise_with_backtrace e bt)
+    (List.concat names)
 
 let experiment_cmd =
   let names = Mcx.Experiments.Registry.names in
@@ -666,16 +661,6 @@ let experiment_cmd =
           ~doc:
             "Monte Carlo samples (default: paper-scale). Overrides $(b,MCX_SAMPLES).")
   in
-  let force_resume =
-    Arg.(
-      value & flag
-      & info [ "force-resume" ]
-          ~doc:
-            "Resume a checkpoint journal even when its recorded mcx-config/1 digest \
-             differs from the current knob state (equivalent to \
-             $(b,MCX_FORCE_RESUME=1)). Without it, a mismatched resume refuses with \
-             exit 2.")
-  in
   let seed =
     Arg.(value & opt int 2018 & info [ "seed" ] ~docv:"N" ~doc:"Monte Carlo seed.")
   in
@@ -685,7 +670,7 @@ let experiment_cmd =
          "Run the paper's experiments: print their tables and write their CSVs to the \
           current directory.")
     Term.(
-      const experiment_run $ verbosity $ experiment_names $ samples $ force_resume $ seed)
+      const experiment_run $ verbosity $ experiment_names $ samples $ seed)
 
 (* --- config --- *)
 
@@ -738,8 +723,8 @@ let config_cmd =
        ~doc:
          "Show the effective knob configuration: every registered MCX_* variable with \
           its type, layer, provenance (default/env/flag) and value, plus the \
-          mcx-config/1 digests embedded in journals, traces and metrics. Exits 2 when \
-          the environment carries a malformed or unknown MCX_* variable, naming each \
+          mcx-config/1 digests embedded in traces and metrics. Exits 2 when the \
+          environment carries a malformed or unknown MCX_* variable, naming each \
           offender.")
     Term.(const config_run $ json)
 

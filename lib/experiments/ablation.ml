@@ -19,7 +19,6 @@ type factoring_row = {
 let factoring ?pool ?(samples = 60) ?(input_sizes = [ 8; 10 ]) ~seed () =
   Telemetry.span "experiment.ablation_factoring" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"ablation" ~seed () in
   let row n_inputs =
     let key = Prng.Key.(int (string (root seed) "ablation-factoring") n_inputs) in
     let trial i =
@@ -35,13 +34,7 @@ let factoring ?pool ?(samples = 60) ?(input_sizes = [ 8; 10 ]) ~seed () =
         area Mcx_netlist.Tech_map.Quick,
         area Mcx_netlist.Tech_map.Kernel )
     in
-    let section = Printf.sprintf "factoring inputs=%d samples=%d" n_inputs samples in
-    let outcomes =
-      Checkpoint.map ckpt ~pool ~section ~n:samples
-        ~codec:Checkpoint.Codec.(quad int int int int)
-        trial
-    in
-    let results = List.filter_map Fun.id (Array.to_list outcomes) in
+    let results = Array.to_list (Pool.map pool samples trial) in
     let median f =
       match results with
       | [] -> Float.nan
@@ -100,7 +93,6 @@ let ordering ?pool ?(samples = 100) ?(defect_rate = 0.10)
     ?(benchmarks = [ "rd53"; "rd73"; "rd84"; "sao2"; "exp5" ]) ~seed () =
   Telemetry.span "experiment.ablation_ordering" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"ablation" ~seed () in
   let row benchmark =
     let bench = Suite.find benchmark in
     let cover = Suite.cover bench in
@@ -121,24 +113,16 @@ let ordering ?pool ?(samples = 100) ?(defect_rate = 0.10)
         Hybrid.map ~order:Hybrid.Hardest_first fm cm <> None,
         Exact.feasible fm cm )
     in
-    let section =
-      Printf.sprintf "ordering bench=%s rate=%s samples=%d" benchmark
-        (Json_out.float_repr defect_rate)
-        samples
-    in
-    let outcomes =
-      Checkpoint.map ckpt ~pool ~section ~n:samples
-        ~codec:Checkpoint.Codec.(triple bool bool bool)
-        trial
-    in
-    let (top, hardest, exact), completed =
-      Checkpoint.fold_completed outcomes ~init:(0, 0, 0)
-        ~f:(fun (t, h, e) (top, hardest, exact) ->
+    let top, hardest, exact =
+      Array.fold_left
+        (fun (t, h, e) (top, hardest, exact) ->
           ( (if top then t + 1 else t),
             (if hardest then h + 1 else h),
             if exact then e + 1 else e ))
+        (0, 0, 0)
+        (Pool.map pool samples trial)
     in
-    let pct c = 100. *. float_of_int c /. float_of_int (max 1 completed) in
+    let pct c = 100. *. float_of_int c /. float_of_int (max 1 samples) in
     {
       benchmark;
       top_down_psucc = pct top;
@@ -158,43 +142,27 @@ type fanin_row = {
 
 let fanin ?(fanin_limits = [ 2; 4; 0 ]) ?(benchmarks = [ "rd53"; "sqrt8"; "t481" ]) () =
   Telemetry.span "experiment.ablation_fanin" @@ fun () ->
-  (* Deterministic synthesis, but each (benchmark, limit) cell is still a
-     journaled unit of work: a resumed run skips re-synthesis. *)
-  let ckpt = Checkpoint.start ~experiment:"ablation" ~seed:0 () in
   let cells =
     Array.of_list
       (List.concat_map
          (fun benchmark -> List.map (fun limit -> (benchmark, limit)) fanin_limits)
          benchmarks)
   in
-  let section =
-    Printf.sprintf "fanin limits=%s benches=%s"
-      (String.concat "," (List.map string_of_int fanin_limits))
-      (String.concat "," benchmarks)
-  in
-  let outcomes =
-    Checkpoint.map ckpt ~pool:(Pool.default ()) ~section ~n:(Array.length cells)
-      ~codec:Checkpoint.Codec.(triple int int int)
-      (fun i ->
-        let benchmark, limit = cells.(i) in
-        let cover = Suite.cover (Suite.find benchmark) in
-        let mapped =
-          if limit = 0 then Mcx_netlist.Tech_map.map_mo cover
-          else Mcx_netlist.Tech_map.map_mo ~fanin_limit:(max 2 limit) cover
-        in
-        ( Mcx_netlist.Network.gate_count mapped.Mcx_netlist.Tech_map.network,
-          Cost.multi_level_area mapped,
-          Cost.multi_level_steps mapped ))
-  in
-  List.filter_map Fun.id
-    (List.mapi
-       (fun i outcome ->
-         Option.map
-           (fun (gates, area, steps) ->
-             let benchmark, fanin_limit = cells.(i) in
-             { benchmark; fanin_limit; gates; area; steps })
-           outcome)
-       (Array.to_list outcomes))
+  Array.to_list
+    (Pool.map (Pool.default ()) (Array.length cells) (fun i ->
+         let benchmark, fanin_limit = cells.(i) in
+         let cover = Suite.cover (Suite.find benchmark) in
+         let mapped =
+           if fanin_limit = 0 then Mcx_netlist.Tech_map.map_mo cover
+           else Mcx_netlist.Tech_map.map_mo ~fanin_limit:(max 2 fanin_limit) cover
+         in
+         {
+           benchmark;
+           fanin_limit;
+           gates = Mcx_netlist.Network.gate_count mapped.Mcx_netlist.Tech_map.network;
+           area = Cost.multi_level_area mapped;
+           steps = Cost.multi_level_steps mapped;
+         }))
 
 let fanin_table rows =
   let table =

@@ -23,7 +23,6 @@ type die = {
 let run ?pool ?(samples = 60) ?(max_faults = 200) ~seed ~benchmark () =
   Telemetry.span "experiment.aging" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"aging" ~seed () in
   let bench = Suite.find benchmark in
   let cover = Suite.cover bench in
   let fm_struct = Function_matrix.build cover in
@@ -73,25 +72,13 @@ let run ?pool ?(samples = 60) ?(max_faults = 200) ~seed ~benchmark () =
       die_verified = !verified;
     }
   in
-  let die_codec =
-    Checkpoint.Codec.(
-      conv
-        (fun d -> (d.faults_survived, d.die_touches, d.die_remap_moves, d.die_verified))
-        (fun (faults_survived, die_touches, die_remap_moves, die_verified) ->
-          { faults_survived; die_touches; die_remap_moves; die_verified })
-        (quad float (list float) (list float) bool))
-  in
-  let section =
-    Printf.sprintf "bench=%s samples=%d max_faults=%d" benchmark samples max_faults
-  in
-  let outcomes = Checkpoint.map ckpt ~pool ~section ~n:samples ~codec:die_codec die in
-  let dies = List.filter_map Fun.id (Array.to_list outcomes) in
+  let dies = Array.to_list (Pool.map pool samples die) in
   let survived = List.map (fun d -> d.faults_survived) dies in
   let touches = List.concat_map (fun d -> d.die_touches) dies in
   let remap_moves = List.concat_map (fun d -> d.die_remap_moves) dies in
   {
     benchmark;
-    samples = List.length dies;
+    samples;
     mean_faults_survived = (match survived with [] -> 0. | l -> Stats.mean l);
     mean_rows_touched_per_repair = (match touches with [] -> 0. | l -> Stats.mean l);
     remap_rows_baseline = (match remap_moves with [] -> 0. | l -> Stats.mean l);

@@ -31,24 +31,13 @@ let one_sample prng ~n_inputs =
     gates = Mcx_netlist.Network.gate_count mapped.Mcx_netlist.Tech_map.network;
   }
 
-let sample_codec =
-  Checkpoint.Codec.(
-    conv
-      (fun s -> (s.n_products, s.two_level_area, s.multi_level_area, s.gates))
-      (fun (n_products, two_level_area, multi_level_area, gates) ->
-        { n_products; two_level_area; multi_level_area; gates })
-      (quad int int int int))
-
 let run_panel ?pool ?(samples = 200) ~seed ~n_inputs () =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"fig6" ~seed () in
   let key = Prng.Key.(int (string (root seed) "fig6") n_inputs) in
-  let section = Printf.sprintf "inputs=%d samples=%d" n_inputs samples in
-  let outcomes =
-    Checkpoint.map ckpt ~pool ~section ~n:samples ~codec:sample_codec (fun i ->
-        one_sample (Prng.derive key i) ~n_inputs)
+  let raw =
+    Array.to_list
+      (Pool.map pool samples (fun i -> one_sample (Prng.derive key i) ~n_inputs))
   in
-  let raw = List.filter_map Fun.id (Array.to_list outcomes) in
   let sorted =
     List.stable_sort (fun a b -> Int.compare a.n_products b.n_products) raw
   in

@@ -28,32 +28,19 @@ let run ?(widths = [ 1; 8; 16; 32; 64; 128; 192; 256; 320 ]) ?benchmarks () =
     List.map (fun width -> { width; margin_volts = Analog.sense_margin ~width () }) widths
   in
   (* The analog curve is trivial; the per-benchmark rows need a cover
-     build each, so those are the journaled unit. *)
-  let ckpt = Mcx_util.Checkpoint.start ~experiment:"margin" ~seed:0 () in
+     build each, so those are spread over the pool. *)
   let benches = Array.of_list selected in
-  let section =
-    Printf.sprintf "benches=%s"
-      (String.concat "," (List.map (fun b -> b.Suite.name) selected))
-  in
-  let outcomes =
-    Mcx_util.Checkpoint.map ckpt
-      ~pool:(Mcx_util.Pool.default ())
-      ~section ~n:(Array.length benches)
-      ~codec:Mcx_util.Checkpoint.Codec.(triple int float bool)
-      (fun i ->
-        let cover = Suite.cover benches.(i) in
-        let columns = (Cost.two_level cover).Cost.cols in
-        (columns, Analog.sense_margin ~width:columns (), columns <= limit))
-  in
   let rows =
-    List.filter_map Fun.id
-      (List.mapi
-         (fun i outcome ->
-           Option.map
-             (fun (columns, margin_volts, reliable) ->
-               { name = benches.(i).Suite.name; columns; margin_volts; reliable })
-             outcome)
-         (Array.to_list outcomes))
+    Array.to_list
+      (Mcx_util.Pool.map (Mcx_util.Pool.default ()) (Array.length benches) (fun i ->
+           let cover = Suite.cover benches.(i) in
+           let columns = (Cost.two_level cover).Cost.cols in
+           {
+             name = benches.(i).Suite.name;
+             columns;
+             margin_volts = Analog.sense_margin ~width:columns ();
+             reliable = columns <= limit;
+           }))
   in
   { curve; benchmarks = rows; max_reliable_width = limit }
 

@@ -18,7 +18,6 @@ let run ?pool ?(samples = 100) ?(defect_rates = [ 0.02; 0.05; 0.10; 0.15 ])
     ?(spare_rows = 0) ~seed ~benchmark () =
   Telemetry.span "experiment.mldefect" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"mldefect" ~seed () in
   let bench = Suite.find benchmark in
   let cover = Suite.cover bench in
   let mapped = Mcx_netlist.Tech_map.map_mo cover in
@@ -48,24 +47,15 @@ let run ?pool ?(samples = 100) ?(defect_rates = [ 0.02; 0.05; 0.10; 0.15 ])
         (true, Multilevel.agrees_with_reference ~defects placed cover)
       | None -> (false, true)
     in
-    let section =
-      Printf.sprintf "bench=%s spare_rows=%d rate=%s samples=%d" benchmark spare_rows
-        (Json_out.float_repr defect_rate)
-        samples
-    in
-    let outcomes =
-      Checkpoint.map ckpt ~pool ~section ~n:samples
-        ~codec:Checkpoint.Codec.(pair bool bool)
-        trial
-    in
-    let (hits, all_ok), completed =
-      Checkpoint.fold_completed outcomes ~init:(0, true)
-        ~f:(fun (hits, ok) (hit, valid) ->
-          ((if hit then hits + 1 else hits), ok && valid))
+    let hits, all_ok =
+      Array.fold_left
+        (fun (hits, ok) (hit, valid) -> ((if hit then hits + 1 else hits), ok && valid))
+        (0, true)
+        (Pool.map pool samples trial)
     in
     {
       defect_rate;
-      psucc = 100. *. float_of_int hits /. float_of_int (max 1 completed);
+      psucc = 100. *. float_of_int hits /. float_of_int (max 1 samples);
       all_simulations_correct = all_ok;
     }
   in

@@ -7,7 +7,6 @@ type point = {
   defect_rate : float;
   hba_psucc : float;
   ea_psucc : float;
-  annealing_psucc : float;
 }
 
 type sweep = { benchmark : string; samples : int; points : point list }
@@ -16,7 +15,6 @@ let run ?pool ?(samples = 100)
     ?(defect_rates = [ 0.02; 0.05; 0.08; 0.10; 0.12; 0.15; 0.20 ]) ~seed ~benchmark () =
   Telemetry.span "experiment.ratesweep" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"ratesweep" ~seed () in
   let bench = Suite.find benchmark in
   let cover = Suite.cover bench in
   let fm = Function_matrix.build cover in
@@ -31,42 +29,22 @@ let run ?pool ?(samples = 100)
         Defect_map.random prng ~rows ~cols ~open_rate:defect_rate ~closed_rate:0.
       in
       let cm = Matching.cm_of_defects defects in
-      let hba = Hybrid.map fm cm <> None in
-      let ea = Exact.feasible fm cm in
-      let ann =
-        match Annealing.map ~prng fm cm with
-        | Some assignment ->
-          assert (Matching.check_assignment ~fm:fm.Function_matrix.matrix ~cm assignment);
-          true
-        | None -> false
-      in
-      (hba, ea, ann)
+      (Hybrid.map fm cm <> None, Exact.feasible fm cm)
     in
-    let section =
-      Printf.sprintf "bench=%s rate=%s samples=%d" benchmark
-        (Json_out.float_repr defect_rate)
-        samples
+    let hba, ea =
+      Array.fold_left
+        (fun (h, e) (hba, ea) -> ((if hba then h + 1 else h), if ea then e + 1 else e))
+        (0, 0)
+        (Pool.map pool samples trial)
     in
-    let outcomes =
-      Checkpoint.map ckpt ~pool ~section ~n:samples
-        ~codec:Checkpoint.Codec.(triple bool bool bool)
-        trial
-    in
-    let (hba, ea, ann), completed =
-      Checkpoint.fold_completed outcomes ~init:(0, 0, 0)
-        ~f:(fun (h, e, a) (hba, ea, ann) ->
-          ( (if hba then h + 1 else h),
-            (if ea then e + 1 else e),
-            if ann then a + 1 else a ))
-    in
-    let pct c = 100. *. float_of_int c /. float_of_int (max 1 completed) in
-    { defect_rate; hba_psucc = pct hba; ea_psucc = pct ea; annealing_psucc = pct ann }
+    let pct c = 100. *. float_of_int c /. float_of_int (max 1 samples) in
+    { defect_rate; hba_psucc = pct hba; ea_psucc = pct ea }
   in
   { benchmark; samples; points = List.map point defect_rates }
 
 let to_table sweep =
   let table =
-    Texttable.create [ "defect rate %"; "HBA Psucc"; "EA Psucc"; "annealing Psucc" ]
+    Texttable.create [ "defect rate %"; "HBA Psucc"; "EA Psucc" ]
   in
   List.iter
     (fun p ->
@@ -75,7 +53,6 @@ let to_table sweep =
           Printf.sprintf "%.0f" (100. *. p.defect_rate);
           Printf.sprintf "%.0f" p.hba_psucc;
           Printf.sprintf "%.0f" p.ea_psucc;
-          Printf.sprintf "%.0f" p.annealing_psucc;
         ])
     sweep.points;
   table

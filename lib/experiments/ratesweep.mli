@@ -1,5 +1,5 @@
-(** Defect-rate sweep: Psucc versus stuck-open rate for all three mapping
-    algorithms (hybrid, exact, annealing baseline).
+(** Defect-rate sweep: Psucc versus stuck-open rate for both mapping
+    algorithms (hybrid and exact).
 
     Table II fixes the rate at 10%; this sweep shows the whole degradation
     curve and where the hybrid heuristic starts paying for its speed — the
@@ -9,7 +9,6 @@ type point = {
   defect_rate : float;
   hba_psucc : float;
   ea_psucc : float;
-  annealing_psucc : float;
 }
 
 type sweep = { benchmark : string; samples : int; points : point list }

@@ -176,7 +176,7 @@ let mldefect ?pool buf ~samples ~seed =
 
 let ratesweep ?pool buf ~samples ~seed =
   let samples = Option.value samples ~default:100 in
-  heading buf "EXT-RATE - Psucc vs stuck-open rate: hybrid / exact / annealing baseline";
+  heading buf "EXT-RATE - Psucc vs stuck-open rate: hybrid / exact";
   List.iter
     (fun benchmark ->
       let sweep = Ratesweep.run ?pool ~samples ~seed ~benchmark () in

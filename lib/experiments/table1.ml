@@ -33,41 +33,12 @@ let run ?benchmarks () =
     | None -> Suite.table1
     | Some names -> List.map Suite.find names
   in
-  (* Deterministic, but each benchmark row costs a full synthesis of the
-     function and its dual — worth journaling so a resumed paper run
-     skips straight to the Monte Carlo tables. Only the four areas are
-     journaled; name and paper data re-derive from the suite. *)
-  let ckpt = Mcx_util.Checkpoint.start ~experiment:"table1" ~seed:0 () in
+  (* Each row costs a full synthesis of the function and its dual, so
+     the rows are spread over the pool. *)
   let benches = Array.of_list selected in
-  let section =
-    Printf.sprintf "benches=%s"
-      (String.concat "," (List.map (fun b -> b.Suite.name) selected))
-  in
-  let outcomes =
-    Mcx_util.Checkpoint.map ckpt
-      ~pool:(Mcx_util.Pool.default ())
-      ~section ~n:(Array.length benches)
-      ~codec:Mcx_util.Checkpoint.Codec.(quad int int int int)
-      (fun i ->
-        let r = run_row benches.(i) in
-        (r.orig_two_level, r.orig_multi_level, r.neg_two_level, r.neg_multi_level))
-  in
-  List.filter_map Fun.id
-    (List.mapi
-       (fun i outcome ->
-         Option.map
-           (fun (orig_two_level, orig_multi_level, neg_two_level, neg_multi_level) ->
-             let bench = benches.(i) in
-             {
-               name = bench.Suite.name;
-               orig_two_level;
-               orig_multi_level;
-               neg_two_level;
-               neg_multi_level;
-               paper = bench.Suite.paper.Suite.table1;
-             })
-           outcome)
-       (Array.to_list outcomes))
+  Array.to_list
+    (Mcx_util.Pool.map (Mcx_util.Pool.default ()) (Array.length benches) (fun i ->
+         run_row benches.(i)))
 
 let to_table rows =
   let table =

@@ -40,18 +40,8 @@ type trial = {
   ea_dt : float;
 }
 
-let trial_codec =
-  Checkpoint.Codec.(
-    conv
-      (fun t ->
-        ((t.hba_hit, t.hba_valid, t.hba_dt), (t.ea_hit, t.ea_valid, t.ea_dt)))
-      (fun ((hba_hit, hba_valid, hba_dt), (ea_hit, ea_valid, ea_dt)) ->
-        { hba_hit; hba_valid; hba_dt; ea_hit; ea_valid; ea_dt })
-      (pair (triple bool bool float) (triple bool bool float)))
-
 let run_row ?pool ?(samples = 200) ?(defect_rate = 0.10) ~seed bench =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"table2" ~seed () in
   let cover, dual_used = implementation_cover bench in
   let fm = Function_matrix.build cover in
   let report = Cost.two_level cover in
@@ -77,26 +67,20 @@ let run_row ?pool ?(samples = 200) ?(defect_rate = 0.10) ~seed bench =
     let ea_hit, ea_valid = outcome ea_result in
     { hba_hit; hba_valid; hba_dt; ea_hit; ea_valid; ea_dt }
   in
-  let section =
-    Printf.sprintf "bench=%s rate=%s samples=%d" bench.Suite.name
-      (Json_out.float_repr defect_rate)
-      samples
-  in
-  let outcomes =
-    Checkpoint.map ckpt ~pool ~section ~n:samples ~codec:trial_codec trial
-  in
-  let (hba_hits, ea_hits, hba_all_valid, ea_all_valid, hba_seconds, ea_seconds), completed =
-    Checkpoint.fold_completed outcomes ~init:(0, 0, true, true, 0., 0.)
-      ~f:(fun (hba, ea, hba_ok, ea_ok, hba_s, ea_s) t ->
+  let hba_hits, ea_hits, hba_all_valid, ea_all_valid, hba_seconds, ea_seconds =
+    Array.fold_left
+      (fun (hba, ea, hba_ok, ea_ok, hba_s, ea_s) t ->
         ( (if t.hba_hit then hba + 1 else hba),
           (if t.ea_hit then ea + 1 else ea),
           hba_ok && t.hba_valid,
           ea_ok && t.ea_valid,
           hba_s +. t.hba_dt,
           ea_s +. t.ea_dt ))
+      (0, 0, true, true, 0., 0.)
+      (Pool.map pool samples trial)
   in
-  let pct hits = 100. *. float_of_int hits /. float_of_int (max 1 completed) in
-  let mean seconds = if completed = 0 then 0. else seconds /. float_of_int completed in
+  let pct hits = 100. *. float_of_int hits /. float_of_int (max 1 samples) in
+  let mean seconds = if samples = 0 then 0. else seconds /. float_of_int samples in
   {
     name = bench.Suite.name;
     inputs = Mo_cover.n_inputs cover;

@@ -12,55 +12,24 @@ type row = {
   multi_writes : int;
 }
 
-let row_codec =
-  Mcx_util.Checkpoint.Codec.(
-    conv
-      (fun r ->
-        ( (r.two_area, r.multi_area, r.two_steps, r.multi_steps_serial),
-          (r.multi_steps_parallel, r.two_writes, r.multi_writes) ))
-      (fun ( (two_area, multi_area, two_steps, multi_steps_serial),
-             (multi_steps_parallel, two_writes, multi_writes) ) ->
-        {
-          benchmark = "";
-          two_area;
-          multi_area;
-          two_steps;
-          multi_steps_serial;
-          multi_steps_parallel;
-          two_writes;
-          multi_writes;
-        })
-      (pair (quad int int int int) (triple int int int)))
-
 let run ?(benchmarks = [ "rd53"; "squar5"; "sqrt8"; "inc"; "rd73"; "t481" ]) () =
   Mcx_util.Telemetry.span "experiment.tradeoff" @@ fun () ->
-  let ckpt = Mcx_util.Checkpoint.start ~experiment:"tradeoff" ~seed:0 () in
   let benches = Array.of_list benchmarks in
-  let section = Printf.sprintf "benches=%s" (String.concat "," benchmarks) in
-  let outcomes =
-    Mcx_util.Checkpoint.map ckpt
-      ~pool:(Mcx_util.Pool.default ())
-      ~section ~n:(Array.length benches) ~codec:row_codec
-      (fun i ->
-        let name = benches.(i) in
-        let cover = Suite.cover (Suite.find name) in
-        let mapped = Mcx_netlist.Tech_map.map_mo cover in
-        {
-          benchmark = name;
-          two_area = (Cost.two_level cover).Cost.area;
-          multi_area = Cost.multi_level_area mapped;
-          two_steps = Cost.two_level_steps;
-          multi_steps_serial = Cost.multi_level_steps mapped;
-          multi_steps_parallel = Cost.multi_level_steps ~level_parallel:true mapped;
-          two_writes = Cost.two_level_writes cover;
-          multi_writes = Cost.multi_level_writes mapped;
-        })
-  in
-  List.filter_map Fun.id
-    (List.mapi
-       (fun i outcome ->
-         Option.map (fun row -> { row with benchmark = benches.(i) }) outcome)
-       (Array.to_list outcomes))
+  Array.to_list
+    (Mcx_util.Pool.map (Mcx_util.Pool.default ()) (Array.length benches) (fun i ->
+         let name = benches.(i) in
+         let cover = Suite.cover (Suite.find name) in
+         let mapped = Mcx_netlist.Tech_map.map_mo cover in
+         {
+           benchmark = name;
+           two_area = (Cost.two_level cover).Cost.area;
+           multi_area = Cost.multi_level_area mapped;
+           two_steps = Cost.two_level_steps;
+           multi_steps_serial = Cost.multi_level_steps mapped;
+           multi_steps_parallel = Cost.multi_level_steps ~level_parallel:true mapped;
+           two_writes = Cost.two_level_writes cover;
+           multi_writes = Cost.multi_level_writes mapped;
+         }))
 
 let to_table rows =
   let table =

@@ -21,7 +21,6 @@ let run ?pool ?(evaluations = 300) ?(upset_rates = [ 1e-4; 3e-4; 1e-3; 3e-3 ]) ~
     ~benchmark () =
   Telemetry.span "experiment.transient" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"transient" ~seed () in
   let bench = Suite.find benchmark in
   let cover = Suite.cover bench in
   let n = Mo_cover.n_inputs cover in
@@ -41,22 +40,14 @@ let run ?pool ?(evaluations = 300) ?(upset_rates = [ 1e-4; 3e-4; 1e-3; 3e-3 ]) ~
       in
       (two_wrong, multi_wrong)
     in
-    let section =
-      Printf.sprintf "bench=%s upset=%s evals=%d" benchmark
-        (Json_out.float_repr upset_rate)
-        evaluations
-    in
-    let outcomes =
-      Checkpoint.map ckpt ~pool ~section ~n:evaluations
-        ~codec:Checkpoint.Codec.(pair bool bool)
-        trial
-    in
-    let (two_errors, multi_errors), completed =
-      Checkpoint.fold_completed outcomes ~init:(0, 0)
-        ~f:(fun (two, multi) (two_wrong, multi_wrong) ->
+    let two_errors, multi_errors =
+      Array.fold_left
+        (fun (two, multi) (two_wrong, multi_wrong) ->
           ((if two_wrong then two + 1 else two), if multi_wrong then multi + 1 else multi))
+        (0, 0)
+        (Pool.map pool evaluations trial)
     in
-    let pct c = 100. *. float_of_int c /. float_of_int (max 1 completed) in
+    let pct c = 100. *. float_of_int c /. float_of_int (max 1 evaluations) in
     {
       upset_rate;
       two_level_error_rate = pct two_errors;

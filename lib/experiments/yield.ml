@@ -23,7 +23,6 @@ let run ?pool ?(samples = 100) ?(spare_levels = [ 0; 1; 2; 3; 4 ]) ?(open_rate =
     ?(closed_rate = 0.01) ~seed ~benchmark () =
   Telemetry.span "experiment.yield" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let ckpt = Checkpoint.start ~experiment:"yield" ~seed () in
   let bench = Suite.find benchmark in
   let cover = Suite.cover bench in
   let fm = Function_matrix.build cover in
@@ -46,28 +45,18 @@ let run ?pool ?(samples = 100) ?(spare_levels = [ 0; 1; 2; 3; 4 ]) ?(open_rate =
       | Some placement -> (true, Redundant.verify fm defects placement)
       | None -> (false, true)
     in
-    let section =
-      Printf.sprintf "bench=%s open=%s closed=%s spares=%d samples=%d" benchmark
-        (Json_out.float_repr open_rate)
-        (Json_out.float_repr closed_rate)
-        spares samples
-    in
-    let outcomes =
-      Checkpoint.map ckpt ~pool ~section ~n:samples
-        ~codec:Checkpoint.Codec.(pair bool bool)
-        trial
-    in
-    let (hits, all_valid), completed =
-      Checkpoint.fold_completed outcomes ~init:(0, true)
-        ~f:(fun (hits, ok) (hit, valid) ->
-          ((if hit then hits + 1 else hits), ok && valid))
+    let hits, all_valid =
+      Array.fold_left
+        (fun (hits, ok) (hit, valid) -> ((if hit then hits + 1 else hits), ok && valid))
+        (0, true)
+        (Pool.map pool samples trial)
     in
     {
       spares;
       area = rows * cols;
       area_overhead =
         100. *. (float_of_int (rows * cols) /. float_of_int optimum_area -. 1.);
-      psucc = 100. *. float_of_int hits /. float_of_int (max 1 completed);
+      psucc = 100. *. float_of_int hits /. float_of_int (max 1 samples);
       all_valid;
     }
   in

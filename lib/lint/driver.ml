@@ -12,7 +12,7 @@ type config = {
 
 exception Missing_cmt of string list
 
-let default_paths = [ "lib"; "bin"; "bench"; "test" ]
+let default_paths = [ "lib"; "bin"; "test" ]
 
 let default_config ~root =
   { root; paths = default_paths; only = []; allow_file = Some "lint.allow" }

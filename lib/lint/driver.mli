@@ -14,7 +14,7 @@ exception Missing_cmt of string list
     incomplete. [dune build @default @check] writes every one. *)
 
 val default_paths : string list
-(** [lib bin bench test] *)
+(** [lib bin test] *)
 
 val default_config : root:string -> config
 

@@ -46,11 +46,11 @@ let owners =
 let dls_guarded = [ "lib/util/telemetry.ml"; "lib/util/prng.ml" ]
 
 (* Designated stderr summary/logging modules in the instrumented layers
-   (checkpoint resume/degradation notices; the telemetry exit summary).
+   (the telemetry exit summary).
    Everything else in lib/util and lib/service must surface diagnostics
    through structured channels — Access_log, Telemetry, return values —
    not ad-hoc prints that no tool can ingest. *)
-let stderr_owners = [ "lib/util/checkpoint.ml"; "lib/util/telemetry.ml" ]
+let stderr_owners = [ "lib/util/telemetry.ml" ]
 
 let in_instrumented rel =
   let p = effective_path rel in
@@ -107,8 +107,8 @@ let all : t list =
     {
       id = "output-print";
       synopsis =
-        "stdout printing in lib/ perturbs byte-comparable experiment output (and \
-         diverges on checkpoint replay); return a Texttable or string instead";
+        "stdout printing in lib/ perturbs byte-comparable experiment output; return a \
+         Texttable or string instead";
       kind = Typed;
     };
     {

@@ -194,9 +194,7 @@ let serve_batch t ~label lines =
           resolve_ns.(i) <- ns;
           Ready canonical
         | Pool.Done (Error msg, _) -> Malformed { id = id_of_line (); error = msg }
-        | Pool.Failed { error; _ } -> Malformed { id = id_of_line (); error }
-        | Pool.Skipped ->
-          Malformed { id = id_of_line (); error = "request cancelled" })
+        | Pool.Failed error -> Malformed { id = id_of_line (); error })
   in
   (* Stage 2: cache lookups in request order; coalesce equal digests. *)
   let cache_stats_before = Lru.stats t.cache in
@@ -238,8 +236,7 @@ let serve_batch t ~label lines =
       | Pool.Done (value, elapsed_ns) ->
         Lru.put t.cache digest value;
         Hashtbl.replace results digest (Ok value, elapsed_ns)
-      | Pool.Failed { error; _ } -> Hashtbl.replace results digest (Error error, 0L)
-      | Pool.Skipped -> Hashtbl.replace results digest (Error "request cancelled", 0L))
+      | Pool.Failed error -> Hashtbl.replace results digest (Error error, 0L))
     outcomes;
   let evictions =
     (Lru.stats t.cache).Lru.evictions - cache_stats_before.Lru.evictions

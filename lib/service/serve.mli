@@ -70,8 +70,7 @@ val error_count : t -> int
 
 val exit_code : t -> int
 (** 0 when every request succeeded, 4 ("completed with partial
-    results", matching the checkpoint degradation protocol) when any
-    request yielded an error response. *)
+    results") when any request yielded an error response. *)
 
 val stats_json : t -> Mcx_util.Json_out.t
 (** The [mcx-serve-stats/1] document: totals, cache counters with hit

@@ -166,19 +166,6 @@ let row_or_count a i b j =
   done;
   !n
 
-(* |row i of a \ row j of b| — the annealing conflict count. *)
-let row_diff_count a i b j =
-  check_pair a i b j "row_diff_count";
-  let ba = i * a.wpr and bb = j * b.wpr in
-  let n = ref 0 in
-  for w = 0 to a.wpr - 1 do
-    n :=
-      !n
-      + Bits.popcount
-          (Array.unsafe_get a.data (ba + w) land lnot (Array.unsafe_get b.data (bb + w)))
-  done;
-  !n
-
 let is_submatrix sub sup =
   sub.rows = sup.rows && sub.cols = sup.cols
   &&

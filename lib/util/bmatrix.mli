@@ -76,11 +76,6 @@ val row_and_count : t -> int -> t -> int -> int
 val row_or_count : t -> int -> t -> int -> int
 (** Popcount of the OR of two rows. *)
 
-val row_diff_count : t -> int -> t -> int -> int
-(** [row_diff_count a i b j] is [|row i of a \ row j of b|] — the number of
-    cells set in [a]'s row but clear in [b]'s (the annealing conflict
-    count). *)
-
 val is_submatrix : t -> t -> bool
 (** [is_submatrix sub sup]: same dimensions and every [true] cell of [sub]
     is [true] in [sup] (whole-matrix word-parallel subset test). *)

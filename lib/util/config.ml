@@ -34,11 +34,6 @@ let parse_int ~min s =
   | Some n when n >= min -> Some (Json_out.Int n)
   | Some _ | None -> None
 
-let parse_float_01 s =
-  match float_of_string_opt (String.trim s) with
-  | Some r when r >= 0. && r <= 1. -> Some (Json_out.Float r)
-  | Some _ | None -> None
-
 let parse_bool s =
   match String.lowercase_ascii (String.trim s) with
   | "1" | "true" -> Some (Json_out.Bool true)
@@ -58,26 +53,6 @@ let registry : spec list =
       s_default = Json_out.Null;
       s_parse = parse_int ~min:1;
       s_expected = "a positive integer (worker domains; clamped to 64)";
-    };
-    {
-      s_name = "MCX_CHECKPOINT";
-      s_ty = "path";
-      s_layer = "checkpoint";
-      s_semantic = false;
-      s_doc = "journal completed trials under this directory";
-      s_default = Json_out.Null;
-      s_parse = parse_path;
-      s_expected = "a directory path";
-    };
-    {
-      s_name = "MCX_FAULT_RATE";
-      s_ty = "float";
-      s_layer = "checkpoint";
-      s_semantic = true;
-      s_doc = "deterministic fault-injection probability per trial";
-      s_default = Json_out.Float 0.;
-      s_parse = parse_float_01;
-      s_expected = "a float in [0, 1]";
     };
     {
       s_name = "MCX_TRACE";
@@ -128,16 +103,6 @@ let registry : spec list =
       s_default = Json_out.Null;
       s_parse = parse_path;
       s_expected = "a directory path";
-    };
-    {
-      s_name = "MCX_FORCE_RESUME";
-      s_ty = "bool";
-      s_layer = "checkpoint";
-      s_semantic = false;
-      s_doc = "resume a journal whose recorded config digest mismatches the current one";
-      s_default = Json_out.Bool false;
-      s_parse = parse_bool;
-      s_expected = "0, 1, true or false";
     };
   ]
 
@@ -221,13 +186,6 @@ let jobs_resolved () =
   let n = match jobs () with Some n -> n | None -> Domain.recommended_domain_count () in
   max 1 (min 64 n)
 
-let checkpoint_dir () = path_opt "MCX_CHECKPOINT"
-
-let fault_rate () =
-  match parsed (find_spec "MCX_FAULT_RATE") with
-  | Json_out.Float r, _ -> r
-  | _ -> assert false
-
 let trace () = path_opt "MCX_TRACE"
 let trace_times () = bool_knob "MCX_TRACE_TIMES"
 
@@ -236,7 +194,6 @@ let cache_size () =
 
 let samples () = int_opt "MCX_SAMPLES"
 let golden_regen () = path_opt "MCX_GOLDEN_REGEN"
-let force_resume () = bool_knob "MCX_FORCE_RESUME"
 
 (* --- diagnostics ------------------------------------------------------ *)
 

@@ -2,21 +2,20 @@
     [MCX_*] knob.
 
     Every reproducibility guarantee in this repository (bit-identity at
-    any [MCX_JOBS], byte-identical checkpoint resume, cold-vs-warm serve
-    equality) is conditional on the knob state a run was produced under.
-    This module declares each knob once — name, type, default,
+    any [MCX_JOBS], cold-vs-warm serve equality) is conditional on the
+    knob state a run was produced under. This module declares each knob
+    once — name, type, default,
     validator, owning layer, whether it can change computed results —
     and is the {e only} sanctioned environment-read site outside this
     file (enforced by the [raw-env-read] lint rule). Reads go through
     typed accessors; command-line flags override the environment through
     {!set_flag}; and the whole state renders as a canonical
-    [mcx-config/1] snapshot that the run artifacts embed (checkpoint
-    journal header, trace metadata, metrics/stats documents, access-log
-    records).
+    [mcx-config/1] snapshot that the run artifacts embed (trace
+    metadata, metrics/stats documents, access-log records).
 
     {2 Validation}
 
-    A set but malformed knob ([MCX_JOBS=abc], [MCX_FAULT_RATE=1.5]) is a
+    A set but malformed knob ([MCX_JOBS=abc], [MCX_SAMPLES=0]) is a
     hard error: the accessor raises {!Invalid} naming the knob, the bad
     value and the expected form — never a silent fallback to the
     default. A set-but-empty (or whitespace-only) variable counts as
@@ -31,11 +30,11 @@
     {!digest} is the MD5 of the (name, value) pairs only — provenance is
     excluded, so a value set by flag and the same value set by env
     digest identically. [~semantic_only:true] restricts both to the
-    knobs that can change computed results ([MCX_FAULT_RATE],
-    [MCX_SAMPLES], [MCX_GOLDEN_REGEN]); the operational knobs (job
-    count, cache size, tracing, checkpoint placement) are excluded, so
-    the semantic digest is byte-identical at [MCX_JOBS=1] vs [4] — the
-    projection embedded in deterministic artifacts. *)
+    knobs that can change computed results ([MCX_SAMPLES],
+    [MCX_GOLDEN_REGEN]); the operational knobs (job count, cache size,
+    tracing) are excluded, so the semantic digest is byte-identical at
+    [MCX_JOBS=1] vs [4] — the projection embedded in deterministic
+    artifacts. *)
 
 type provenance =
   | Default  (** neither environment nor flag set the knob *)
@@ -73,15 +72,6 @@ val jobs_resolved : unit -> int
     render an unset [MCX_JOBS] as [null] (machine-independent digest)
     while the pool still sizes itself sensibly. *)
 
-val checkpoint_dir : unit -> string option
-(** [MCX_CHECKPOINT] — journal directory; [None] disables journaling.
-    Operational: swept results are journal-invariant. *)
-
-val fault_rate : unit -> float
-(** [MCX_FAULT_RATE] — deterministic fault-injection probability in
-    [\[0, 1\]] (default 0). Semantic: injected faults decide which
-    trials fail, which changes the printed tables. *)
-
 val trace : unit -> string option
 (** [MCX_TRACE] — Chrome-trace output path; [None] disables tracing. *)
 
@@ -103,11 +93,6 @@ val samples : unit -> int option
 val golden_regen : unit -> string option
 (** [MCX_GOLDEN_REGEN] — directory the golden-output tests regenerate
     into instead of checking; [None] (the default) checks. *)
-
-val force_resume : unit -> bool
-(** [MCX_FORCE_RESUME] — resume a checkpoint journal whose recorded
-    config digest disagrees with the current one (default [false]; the
-    [--force-resume] flag sets it). *)
 
 (** {1 Flag overrides} *)
 
@@ -139,8 +124,8 @@ val unknown : unit -> (string * string) list
 
 type info = {
   name : string;
-  ty : string;  (** ["int"], ["float"], ["bool"] or ["path"] *)
-  layer : string;  (** owning subsystem, e.g. ["pool"], ["checkpoint"] *)
+  ty : string;  (** ["int"], ["bool"] or ["path"] *)
+  layer : string;  (** owning subsystem, e.g. ["pool"], ["serve"] *)
   semantic : bool;  (** can the knob change computed results? *)
   doc : string;
   default : Json_out.t;

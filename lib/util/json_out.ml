@@ -85,13 +85,13 @@ let write_file path v =
   output_string oc (Buffer.contents buf);
   close_out oc
 
-(* --- parsing (checkpoint-journal replay) --------------------------- *)
+(* --- parsing ------------------------------------------------------- *)
 
 exception Parse_error of int * string
 
 (* Recursion in [parse_value] is bounded so that adversarially deep input
    ("[[[[...") returns [Error] instead of overflowing the OCaml stack.
-   512 is far above anything the emitter produces (the journal and trace
+   512 is far above anything the emitter produces (the trace and metrics
    schemas nest 3-4 levels) yet well inside the default stack budget. *)
 let max_depth = 512
 

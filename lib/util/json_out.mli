@@ -1,11 +1,12 @@
 (** Minimal JSON emission and parsing shared by the machine-readable
-    outputs ([BENCH_kernels.json], the telemetry Chrome-trace export) and
-    the checkpoint journal ({!Checkpoint}).
+    outputs (the telemetry Chrome-trace export, metrics, access logs,
+    serve responses) and their readers.
 
     The value type is a plain tree; rendering is deterministic (object
     fields are emitted in construction order, floats through
-    {!float_repr}). The reader ({!of_string}) exists for replaying the
-    checkpoint journal: it accepts exactly the compact subset this module
+    {!float_repr}). The reader ({!of_string}) parses serve's request
+    lines ([Mcx_service.Wire]) and the files [memx report] summarizes
+    ([Mcx_service.Report]): it accepts the compact subset this module
     emits plus insignificant whitespace, and round-trips every emitted
     value ([of_string (to_string v)] re-serializes to [to_string v]). *)
 
@@ -39,7 +40,7 @@ val to_string : t -> string
 val write_file : string -> t -> unit
 (** Write compact rendering plus a trailing newline. *)
 
-(** {2 Parsing (journal replay)} *)
+(** {2 Parsing} *)
 
 val max_depth : int
 (** Container-nesting limit enforced by {!of_string} (512): deeper input
@@ -61,8 +62,8 @@ val of_string : string -> (t, string) result
 
     [Int]/[Float] are interchangeable where a float is expected (the
     emitter prints [Float 100.] as [100], which parses as [Int 100]). All
-    return [None] on a type mismatch rather than raising, so a corrupted
-    journal line degrades to "re-run the trial". *)
+    return [None] on a type mismatch rather than raising, so a malformed
+    field is the caller's to report. *)
 
 val member : string -> t -> t option
 (** First binding of the field in an [Obj]; [None] otherwise. *)

@@ -161,26 +161,18 @@ let map pool n f =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-(* --- trial-level fault isolation ----------------------------------- *)
+(* --- request-level fault isolation --------------------------------- *)
 
-exception Cancelled
-
-type 'a outcome =
-  | Done of 'a
-  | Skipped
-  | Failed of { error : string; backtrace : string }
+type 'a outcome = Done of 'a | Failed of string
 
 let map_isolated pool n f =
   let isolated i =
     (* Not a swallow: the failure is captured as a [Failed] outcome the
-       caller must consume. Trials are deterministic, so one that raised
-       would raise again: it is not retried. *)
+       caller must consume. *)
     match f i with
     | v -> Done v
-    | exception Cancelled -> Skipped
     | exception e ->
-      let backtrace = Printexc.get_backtrace () in
       Telemetry.count "pool.trial.failed";
-      Failed { error = Printexc.to_string e; backtrace }
+      Failed (Printexc.to_string e)
   in
   map pool n isolated

@@ -46,24 +46,17 @@ val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent; the pool must not be
     used afterwards. *)
 
-(** {2 Trial-level fault isolation}
+(** {2 Request-level fault isolation}
 
-    {!map} tears the whole batch down on the first exception — correct for
-    programming errors in tests, but a long Monte Carlo campaign should
-    not lose every completed trial to one bad one. {!map_isolated}
-    confines a failure to its own index: the trial becomes a {!Failed}
-    outcome (message + backtrace) instead of an exception. Trials are
-    deterministic, so a failed one is not retried: it would raise again. *)
+    {!map} tears the whole batch down on the first exception — right for
+    Monte Carlo trials, which are deterministic and in-process, so a
+    raising trial is a bug that must fail the run. The request service
+    maps work that comes from outside the program: {!map_isolated}
+    confines a failure to its own index, so one bad request becomes a
+    {!Failed} outcome (the exception's message) instead of an exception
+    that loses its batch. *)
 
-exception Cancelled
-(** Raised {e by the trial function} to abandon an index without it
-    counting as a failure — the cooperative cancellation path
-    {!Checkpoint} uses after SIGINT/SIGTERM. *)
-
-type 'a outcome =
-  | Done of 'a
-  | Skipped  (** The trial raised {!Cancelled}. *)
-  | Failed of { error : string; backtrace : string }
+type 'a outcome = Done of 'a | Failed of string
 
 val map_isolated : t -> int -> (int -> 'a) -> 'a outcome array
 (** [map_isolated pool n f] is {!map} with per-index isolation: index [i]

@@ -2,7 +2,7 @@
    attribute on line 15 does not suppress it in lib code. *)
 let direct () = Sys.getenv "MCX_JOBS"
 
-let opt () = Sys.getenv_opt "MCX_CHECKPOINT"
+let opt () = Sys.getenv_opt "MCX_SAMPLES"
 
 let via_unix () = Unix.getenv "MCX_TRACE"
 

@@ -2,11 +2,12 @@
    kernels: one literal (or cell) at a time, no packing, written to be
    obviously correct rather than fast.
 
-   These are the differential-test oracle (test/oracle.ml pits the packed
-   kernels of [Cube_packed] and [Bmatrix] against them on randomized
-   inputs) and the baseline the kernel microbench (bench/kernels.ml)
-   measures its speedup against.  Do not "optimize" this module: its value
-   is its independence from the packed representation. *)
+   This is the differential-test oracle: oracle.ml pits the packed
+   kernels of [Cube_packed] and [Bmatrix] against it on randomized
+   inputs. Do not "optimize" this module: its value is its independence
+   from the packed representation. *)
+
+open Mcx_logic
 
 type cube = Literal.t array
 
@@ -102,8 +103,6 @@ let eval (c : cube) v =
 (* Covers as bare cube lists                                           *)
 (* ------------------------------------------------------------------ *)
 
-let cover_eval (cubes : cube list) v = List.exists (fun c -> eval c v) cubes
-
 (* Drop every cube covered by a kept earlier cube or by any later cube —
    mirrors [Cover.single_cube_containment]'s stable sweep over cubes
    sorted by ascending literal count. *)
@@ -186,13 +185,6 @@ let row_or_count (a : bmatrix) i (b : bmatrix) j =
   let n = ref 0 in
   for k = 0 to Array.length a.(i) - 1 do
     if a.(i).(k) || b.(j).(k) then incr n
-  done;
-  !n
-
-let row_diff_count (a : bmatrix) i (b : bmatrix) j =
-  let n = ref 0 in
-  for k = 0 to Array.length a.(i) - 1 do
-    if a.(i).(k) && not b.(j).(k) then incr n
   done;
   !n
 

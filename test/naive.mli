@@ -1,12 +1,13 @@
-(** Naive reference kernels — the differential-test oracle and the
-    microbench baseline for the packed representations.
+(** Naive reference kernels — the differential-test oracle for the
+    packed representations.
 
     Cube operations work on bare [Literal.t array]s, matrix operations on
-    [bool array array]s, one element at a time.  [test/oracle.ml] checks
-    {!Cube_packed} and {!Mcx_util.Bmatrix} against these on randomized
-    inputs; [bench/kernels.ml] reports speedup relative to them.  Keep this
-    module slow and obvious — its value is independence from the packed
-    representation. *)
+    [bool array array]s, one element at a time. [oracle.ml] checks
+    {!Mcx_logic.Cube_packed} and {!Mcx_util.Bmatrix} against these on
+    randomized inputs. Keep this module slow and obvious — its value is
+    independence from the packed representation. *)
+
+open Mcx_logic
 
 type cube = Literal.t array
 
@@ -22,8 +23,6 @@ val merge_adjacent : cube -> cube -> cube option
 val cofactor : cube -> var:int -> value:bool -> cube option
 val cofactor_wrt : cube -> cube -> cube option
 val eval : cube -> bool array -> bool
-
-val cover_eval : cube list -> bool array -> bool
 
 val single_cube_containment : cube list -> cube list
 (** Mirrors [Cover.single_cube_containment]'s stable ascending-literal
@@ -41,5 +40,4 @@ val row_intersects : bmatrix -> int -> bmatrix -> int -> bool
 val row_count : bmatrix -> int -> int
 val row_and_count : bmatrix -> int -> bmatrix -> int -> int
 val row_or_count : bmatrix -> int -> bmatrix -> int -> int
-val row_diff_count : bmatrix -> int -> bmatrix -> int -> int
 val is_submatrix : bmatrix -> bmatrix -> bool

@@ -1,6 +1,6 @@
 (* Differential test oracle: the packed kernels (Cube_packed via Cube,
    bit-packed Bmatrix) against the naive reference implementations in
-   Mcx.Logic.Naive, on seeded randomized inputs.
+   naive.ml, on seeded randomized inputs.
 
    Arities are drawn from 1..80 so every suite crosses the packed-word
    boundary (63 variables per native word) as well as the one-word fast
@@ -305,8 +305,6 @@ let test_bmatrix () =
       (Mcx_util.Bmatrix.row_and_count pa i pb j);
     Alcotest.(check int) "row_or_count" (Naive.row_or_count a i b j)
       (Mcx_util.Bmatrix.row_or_count pa i pb j);
-    Alcotest.(check int) "row_diff_count" (Naive.row_diff_count a i b j)
-      (Mcx_util.Bmatrix.row_diff_count pa i pb j);
     Alcotest.(check bool) "is_submatrix" (Naive.is_submatrix a b)
       (Mcx_util.Bmatrix.is_submatrix pa pb);
     let cells iter =

@@ -1,9 +1,8 @@
 (* Config registry tests: typed accessors with provenance, eager flag
    validation, malformed-knob errors, the canonical mcx-config/1
    snapshot (field order, digest stability, the semantic-only
-   projection's job-count invariance), the checkpoint journal's
-   config-digest resume refusal with its --force-resume escape hatch, and
-   [memx config] / [memx experiment] driven end to end.
+   projection's job-count invariance), and [memx config] /
+   [memx experiment] driven end to end.
 
    Knobs are process-global, so every test restores the environment it
    touched: [Unix.putenv name ""] clears a knob (empty-is-unset) and
@@ -30,12 +29,9 @@ let prov_of name =
 
 let test_defaults () =
   Alcotest.(check (option int)) "jobs unset" None (Config.jobs ());
-  Alcotest.(check (option string)) "checkpoint unset" None (Config.checkpoint_dir ());
-  Alcotest.(check (float 0.)) "fault rate default" 0. (Config.fault_rate ());
   Alcotest.(check bool) "times default" true (Config.trace_times ());
   Alcotest.(check int) "cache default" 512 (Config.cache_size ());
   Alcotest.(check (option int)) "samples unset" None (Config.samples ());
-  Alcotest.(check bool) "force-resume default" false (Config.force_resume ());
   Alcotest.(check string) "provenance default" "default" (prov_of "MCX_JOBS")
 
 let test_env_provenance () =
@@ -77,21 +73,20 @@ let test_malformed_values () =
       check_invalid "MCX_JOBS" "abc" Config.jobs;
       check_invalid "MCX_JOBS" "abc (snapshot)" (fun () -> Config.snapshot ()));
   with_env "MCX_JOBS" "0" (fun () -> check_invalid "MCX_JOBS" "0" Config.jobs);
-  with_env "MCX_FAULT_RATE" "1.5" (fun () ->
-      check_invalid "MCX_FAULT_RATE" "1.5" Config.fault_rate);
+  with_env "MCX_SAMPLES" "0" (fun () -> check_invalid "MCX_SAMPLES" "0" Config.samples);
   with_env "MCX_CACHE_SIZE" "-3" (fun () ->
       check_invalid "MCX_CACHE_SIZE" "-3" Config.cache_size);
   with_env "MCX_TRACE_TIMES" "maybe" (fun () ->
       check_invalid "MCX_TRACE_TIMES" "maybe" Config.trace_times)
 
 let test_invalid_message () =
-  with_env "MCX_FAULT_RATE" "1.5" (fun () ->
-      match Config.fault_rate () with
+  with_env "MCX_SAMPLES" "0" (fun () ->
+      match Config.samples () with
       | _ -> Alcotest.fail "expected Invalid"
       | exception (Config.Invalid _ as e) ->
         Alcotest.(check string)
           "printer names knob, value and expected form"
-          "invalid MCX_FAULT_RATE=\"1.5\" (expected a float in [0, 1])"
+          "invalid MCX_SAMPLES=\"0\" (expected a positive integer (Monte Carlo samples))"
           (Printexc.to_string e))
 
 (* Every entry point refuses to start on a malformed knob, not just
@@ -108,9 +103,7 @@ let test_memx_refuses_malformed () =
           Alcotest.(check bool) ("stderr names " ^ needle) true (Memx_run.contains err needle))
         needles)
     [
-      ( [ "MCX_FAULT_RATE=1.5" ],
-        [ "experiment"; "yield" ],
-        [ "invalid MCX_FAULT_RATE=\"1.5\"" ] );
+      ( [ "MCX_SAMPLES=0" ], [ "experiment"; "yield" ], [ "invalid MCX_SAMPLES=\"0\"" ] );
       ( [ "MCX_TYPO_KNOB=1"; "MCX_JOBS=abc" ],
         [ "config"; "--json" ],
         [ "invalid MCX_JOBS=\"abc\""; "unknown MCX_TYPO_KNOB" ] );
@@ -124,12 +117,12 @@ let test_set_flag_validates_eagerly () =
 
 let test_errors_sweep () =
   with_env "MCX_JOBS" "abc" (fun () ->
-      with_env "MCX_FAULT_RATE" "1.5" (fun () ->
+      with_env "MCX_SAMPLES" "0" (fun () ->
           with_env "MCX_CACHE_SIZE" "-3" (fun () ->
               let errs = Config.errors () in
               Alcotest.(check (list string))
                 "every malformed knob reported, in declaration order"
-                [ "MCX_JOBS"; "MCX_FAULT_RATE"; "MCX_CACHE_SIZE" ]
+                [ "MCX_JOBS"; "MCX_CACHE_SIZE"; "MCX_SAMPLES" ]
                 (List.map (fun e -> e.Config.knob) errs);
               Alcotest.(check string) "value carried" "abc"
                 (List.nth errs 0).Config.value)));
@@ -160,7 +153,7 @@ let test_snapshot_shape () =
   let json = Config.snapshot () in
   (match Json_out.member "knobs" json with
   | Some (Json_out.List knobs) ->
-    Alcotest.(check int) "all knobs present" 9 (List.length knobs);
+    Alcotest.(check int) "all knobs present" 6 (List.length knobs);
     let names =
       List.map
         (fun k ->
@@ -172,8 +165,8 @@ let test_snapshot_shape () =
     Alcotest.(check (list string))
       "declaration order is the document order"
       [
-        "MCX_JOBS"; "MCX_CHECKPOINT"; "MCX_FAULT_RATE"; "MCX_TRACE"; "MCX_TRACE_TIMES";
-        "MCX_CACHE_SIZE"; "MCX_SAMPLES"; "MCX_GOLDEN_REGEN"; "MCX_FORCE_RESUME";
+        "MCX_JOBS"; "MCX_TRACE"; "MCX_TRACE_TIMES"; "MCX_CACHE_SIZE"; "MCX_SAMPLES";
+        "MCX_GOLDEN_REGEN";
       ]
       names
   | _ -> Alcotest.fail "snapshot has no knobs list");
@@ -206,91 +199,13 @@ let test_semantic_projection_job_invariant () =
   | Ok json -> (
     match Json_out.member "knobs" json with
     | Some (Json_out.List knobs) ->
-      Alcotest.(check int) "semantic projection keeps 3 knobs" 3 (List.length knobs)
+      Alcotest.(check int) "semantic projection keeps 2 knobs" 2 (List.length knobs)
     | _ -> Alcotest.fail "semantic snapshot has no knobs list")
   | Error e -> Alcotest.failf "semantic snapshot does not parse: %s" e)
 
-(* --- journal resume refusal -------------------------------------------- *)
+(* --- the memx binary ------------------------------------------------------ *)
 
 let fresh_dir () = Filename.temp_dir "mcx-config-test-" ""
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* Copy a journal into a directory the (per-process, per-dir memoized)
-   registry has never seen — the moral equivalent of a process restart. *)
-let copied_journal src_dir =
-  let dst = fresh_dir () in
-  let oc = open_out_bin (Filename.concat dst "journal.jsonl") in
-  output_string oc (read_file (Filename.concat src_dir "journal.jsonl"));
-  close_out oc;
-  dst
-
-let run_sweep ~dir ~calls =
-  let ckpt = Checkpoint.start ~dir ~experiment:"cfg" ~seed:3 () in
-  Checkpoint.map ckpt
-    ~pool:(Pool.create ~jobs:1 ())
-    ~section:"s n=4" ~n:4 ~codec:Checkpoint.Codec.int
-    (fun i ->
-      incr calls;
-      i * 3)
-
-let test_resume_refuses_on_digest_mismatch () =
-  Checkpoint.reset ();
-  let dir = fresh_dir () in
-  let calls = ref 0 in
-  let r1 = run_sweep ~dir ~calls in
-  Alcotest.(check int) "first run computes" 4 !calls;
-  (* Same config: the copied journal replays without complaint. *)
-  let calls2 = ref 0 in
-  let r2 = run_sweep ~dir:(copied_journal dir) ~calls:calls2 in
-  Alcotest.(check int) "matched config replays" 0 !calls2;
-  Alcotest.(check (array (option int))) "replay identical" r1 r2;
-  (* A different semantic knob (MCX_SAMPLES is not read by the sweep, so
-     nothing but the digest changes): resume must refuse. *)
-  with_env "MCX_SAMPLES" "7" (fun () ->
-      let dir2 = copied_journal dir in
-      match run_sweep ~dir:dir2 ~calls:(ref 0) with
-      | _ -> Alcotest.fail "expected Config_mismatch"
-      | exception Checkpoint.Config_mismatch { path; journal_digest; current_digest } ->
-        Alcotest.(check bool) "cites the journal path" true
-          (path = Filename.concat dir2 "journal.jsonl");
-        Alcotest.(check bool) "digests differ" true (journal_digest <> current_digest);
-        Alcotest.(check string) "current digest is ours" (Config.digest ())
-          current_digest)
-
-let test_force_resume_overrides_mismatch () =
-  Checkpoint.reset ();
-  let dir = fresh_dir () in
-  let calls = ref 0 in
-  let r1 = run_sweep ~dir ~calls in
-  with_env "MCX_SAMPLES" "7" (fun () ->
-      with_env "MCX_FORCE_RESUME" "1" (fun () ->
-          let calls2 = ref 0 in
-          let r2 = run_sweep ~dir:(copied_journal dir) ~calls:calls2 in
-          Alcotest.(check int) "forced resume replays everything" 0 !calls2;
-          Alcotest.(check (array (option int))) "forced replay identical" r1 r2))
-
-let test_mismatch_printer () =
-  let e =
-    Checkpoint.Config_mismatch
-      { path = "d/journal.jsonl"; journal_digest = "aaa"; current_digest = "bbb" }
-  in
-  let s = Printexc.to_string e in
-  let contains needle =
-    let n = String.length needle and h = String.length s in
-    let rec go i = i + n <= h && (String.sub s i n = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun needle -> Alcotest.(check bool) ("mentions " ^ needle) true (contains needle))
-    [ "d/journal.jsonl"; "aaa"; "bbb"; "--force-resume"; "memx config" ]
-
-(* --- the memx binary ------------------------------------------------------ *)
 
 (* [memx config] renders the registry as a table and as an mcx-config/1
    document naming every knob with its type, layer and provenance. *)
@@ -312,7 +227,7 @@ let test_memx_config () =
     Alcotest.(check bool) "has a digest" true (Option.is_some (Json_out.member "digest" json));
     match Json_out.member "knobs" json with
     | Some (Json_out.List knobs) ->
-      Alcotest.(check bool) "at least 9 knobs" true (List.length knobs >= 9);
+      Alcotest.(check bool) "at least 6 knobs" true (List.length knobs >= 6);
       List.iter
         (fun k ->
           List.iter
@@ -323,30 +238,6 @@ let test_memx_config () =
         knobs
     | _ -> Alcotest.fail "no knobs list")
 
-(* Through the binary: a journal written at MCX_JOBS=4 refuses to resume
-   at MCX_JOBS=1 (exit 2, naming the digest and the escape hatch), and
-   --force-resume replays it to the same tables. *)
-let test_memx_resume_refusal () =
-  let dir = fresh_dir () and out = fresh_dir () in
-  let file name = Filename.concat out name in
-  let yield ?(status = 0) ?(extra = []) ~jobs name =
-    Memx_run.run_memx ~status
-      ~env:[ "MCX_CHECKPOINT=" ^ dir; "MCX_JOBS=" ^ string_of_int jobs ]
-      ~stdout_path:(file (name ^ ".out")) ~stderr_path:(file (name ^ ".err"))
-      ([ "experiment"; "yield"; "--samples"; "4" ] @ extra)
-  in
-  yield ~jobs:4 "run4";
-  yield ~status:2 ~jobs:1 "refused";
-  let err = Memx_run.read_file (file "refused.err") in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("refusal names " ^ needle) true (Memx_run.contains err needle))
-    [ "config digest"; "force-resume" ];
-  yield ~extra:[ "--force-resume" ] ~jobs:1 "forced";
-  Alcotest.(check string) "forced resume prints the same tables"
-    (Memx_run.read_file (file "run4.out"))
-    (Memx_run.read_file (file "forced.out"))
-
 (* --- property: snapshot round-trips through Json_out ------------------- *)
 
 let knob_value_gen =
@@ -354,7 +245,6 @@ let knob_value_gen =
     oneof
       [
         map (fun n -> ("MCX_JOBS", string_of_int n)) (int_range 1 100);
-        map (fun r -> ("MCX_FAULT_RATE", Printf.sprintf "%.3f" r)) (float_bound_inclusive 1.);
         map (fun b -> ("MCX_TRACE_TIMES", if b then "true" else "0")) bool;
         map (fun n -> ("MCX_CACHE_SIZE", string_of_int n)) (int_range 0 10_000);
         map (fun n -> ("MCX_SAMPLES", string_of_int n)) (int_range 1 100_000);
@@ -380,7 +270,7 @@ let prop_snapshot_round_trip =
                | None -> false)
             &&
             match Json_out.member "knobs" json with
-            | Some (Json_out.List knobs) -> List.length knobs = 9
+            | Some (Json_out.List knobs) -> List.length knobs = 6
             | _ -> false))
 
 let () =
@@ -411,14 +301,5 @@ let () =
             test_semantic_projection_job_invariant;
           QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
           Alcotest.test_case "memx config" `Quick test_memx_config;
-        ] );
-      ( "journal",
-        [
-          Alcotest.test_case "resume refuses on mismatch" `Quick
-            test_resume_refuses_on_digest_mismatch;
-          Alcotest.test_case "force-resume overrides" `Quick
-            test_force_resume_overrides_mismatch;
-          Alcotest.test_case "mismatch printer" `Quick test_mismatch_printer;
-          Alcotest.test_case "memx resume refusal" `Quick test_memx_resume_refusal;
         ] );
     ]

@@ -170,14 +170,10 @@ let test_rule_scoping () =
     (applies "domain-toplevel-state" "lib/util/telemetry.ml");
   Alcotest.(check bool) "toplevel state banned in tests" true
     (applies "domain-toplevel-state" "test/test_config.ml");
-  Alcotest.(check bool) "toplevel state banned in bench" true
-    (applies "domain-toplevel-state" "bench/kernels.ml");
   Alcotest.(check bool) "stderr banned in service" true
     (applies "output-stderr-print" "lib/service/serve.ml");
   Alcotest.(check bool) "stderr banned in util" true
     (applies "output-stderr-print" "lib/util/lru.ml");
-  Alcotest.(check bool) "stderr ok in checkpoint" false
-    (applies "output-stderr-print" "lib/util/checkpoint.ml");
   Alcotest.(check bool) "stderr ok in telemetry" false
     (applies "output-stderr-print" "lib/util/telemetry.ml");
   Alcotest.(check bool) "stderr ok outside instrumented layers" false

@@ -403,40 +403,6 @@ let test_redundant_open_only_matches_exact () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Annealing                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_annealing_clean () =
-  let prng = Prng.create 3 in
-  match Annealing.map ~prng fig7_fm (clean_cm 6 10) with
-  | Some a ->
-    Alcotest.(check bool) "valid" true
-      (Matching.check_assignment ~fm:fig7_fm.Function_matrix.matrix ~cm:(clean_cm 6 10) a)
-  | None -> Alcotest.fail "annealing must map a clean crossbar"
-
-let test_annealing_defective () =
-  let prng = Prng.create 9 in
-  let found = ref 0 in
-  for seed = 1 to 30 do
-    let p = Prng.create seed in
-    let d = Defect_map.random p ~rows:6 ~cols:10 ~open_rate:0.1 ~closed_rate:0. in
-    let cm = Matching.cm_of_defects d in
-    match Annealing.map ~prng fig7_fm cm with
-    | Some a ->
-      incr found;
-      Alcotest.(check bool) "annealed assignment valid" true
-        (Matching.check_assignment ~fm:fig7_fm.Function_matrix.matrix ~cm a)
-    | None -> ()
-  done;
-  Alcotest.(check bool) "anneals most dies" true (!found > 15)
-
-let test_annealing_cost () =
-  let fm = Bmatrix.of_int_lists [ [ 1; 0 ]; [ 0; 1 ] ] in
-  let cm = Bmatrix.of_int_lists [ [ 0; 1 ]; [ 1; 1 ] ] in
-  Alcotest.(check int) "identity cost: row0 broken" 1 (Annealing.cost ~fm ~cm [| 0; 1 |]);
-  Alcotest.(check int) "swapped cost 0" 0 (Annealing.cost ~fm ~cm [| 1; 0 |])
-
-(* ------------------------------------------------------------------ *)
 (* Hybrid ordering                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -819,12 +785,6 @@ let () =
         ] );
       ( "integration",
         [ Alcotest.test_case "mapping feeds simulation" `Quick test_mapping_to_simulation ] );
-      ( "annealing",
-        [
-          Alcotest.test_case "clean crossbar" `Quick test_annealing_clean;
-          Alcotest.test_case "defective crossbars" `Quick test_annealing_defective;
-          Alcotest.test_case "cost function" `Quick test_annealing_cost;
-        ] );
       ( "ordering",
         [ Alcotest.test_case "hardest-first sound" `Quick test_hardest_first_sound ] );
       ( "repair",
