@@ -41,23 +41,37 @@ let set t i j d =
   Bmatrix.set t.open_ i j (Junction.defect_equal d Junction.Stuck_open);
   Bmatrix.set t.closed i j (Junction.defect_equal d Junction.Stuck_closed)
 
+(* [Prng.float] is [k *. 0x1.0p-53] for the draw's top 53 bits [k], and
+   scaling by 2^53 is exact, so [Prng.float < p] iff [k < ⌈p·2^53⌉]: the
+   float test of the reference, on integers. Each row's draws fill one
+   array; each plane word is built in a local, one junction per bit, and
+   written once if nonzero. [k - threshold] is negative iff [k] is below
+   it, and its sign bit is the junction's bit. [Sys.int_size] is
+   [Bits.word_bits], named so that the compiler sees a constant. *)
 let random prng ~rows ~cols ~open_rate ~closed_rate =
   Mcx_util.Telemetry.span "defect_map.random" @@ fun () ->
   (* Stated positively so that a NaN rate fails it. *)
   if not (open_rate >= 0. && closed_rate >= 0. && open_rate +. closed_rate <= 1.) then
     invalid_arg "Defect_map.random: bad rates";
   let t = create ~rows ~cols in
-  let either = open_rate +. closed_rate and defects = ref 0 in
+  let threshold p = int_of_float (Float.ceil (Float.ldexp p 53)) in
+  let t_open = threshold open_rate and t_either = threshold (open_rate +. closed_rate) in
+  let draws = Array.make cols 0 and defects = ref 0 and sign = Sys.int_size - 1 in
   for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      let u = Mcx_util.Prng.float prng in
-      if u < open_rate then begin
-        Bmatrix.set t.open_ i j true;
-        incr defects
-      end
-      else if u < either then begin
-        Bmatrix.set t.closed i j true;
-        incr defects
+    Mcx_util.Prng.fill_bits53 prng draws;
+    for w = 0 to Mcx_util.Bits.words_for cols - 1 do
+      let first = w * Sys.int_size in
+      let open_word = ref 0 and either_word = ref 0 in
+      for b = 0 to min Sys.int_size (cols - first) - 1 do
+        let k = Array.unsafe_get draws (first + b) in
+        open_word := !open_word lor (((k - t_open) lsr sign) lsl b);
+        either_word := !either_word lor (((k - t_either) lsr sign) lsl b)
+      done;
+      if !either_word <> 0 then begin
+        if !open_word <> 0 then Bmatrix.set_word t.open_ i w !open_word;
+        if !either_word <> !open_word then
+          Bmatrix.set_word t.closed i w (!either_word lxor !open_word);
+        defects := !defects + Mcx_util.Bits.popcount !either_word
       end
     done
   done;

@@ -25,9 +25,15 @@ val set : t -> int -> int -> Junction.defect -> unit
 val random :
   Mcx_util.Prng.t -> rows:int -> cols:int -> open_rate:float -> closed_rate:float -> t
 (** Each crosspoint is independently stuck-open with probability
-    [open_rate], stuck-closed with [closed_rate], otherwise functional:
-    one [Prng.float] per junction in row-major order, stuck-open below
-    [open_rate], stuck-closed below [open_rate +. closed_rate]. Counts
+    [open_rate], stuck-closed with [closed_rate], otherwise functional.
+    Exactly [rows * cols] draws, one per junction in row-major order and
+    at any rates (0 included), each the top 53 bits [k] of the next
+    output ({!Mcx_util.Prng.fill_bits53}). The junction is stuck-open if
+    [k < ⌈open_rate·2^53⌉] and otherwise stuck-closed if
+    [k < ⌈(open_rate +. closed_rate)·2^53⌉], the second threshold taken
+    from the float sum. Since [Prng.float] is [k·2^-53] and scaling by
+    2^53 is exact, this is the test [Prng.float < open_rate], then
+    [< open_rate +. closed_rate], on the same stream. Counts
     [defect_map.mask_updates] once per map, by the number of defects,
     and not at all for a defect-free map.
     @raise Invalid_argument unless both rates are numbers between 0 and 1

@@ -45,6 +45,15 @@ let set t i j v =
   let word = Array.unsafe_get t.data w in
   Array.unsafe_set t.data w (if v then word lor bit else word land lnot bit)
 
+let check_row t i name = if i < 0 || i >= t.rows then invalid_arg ("Bmatrix." ^ name)
+
+let set_word t i w bits =
+  check_row t i "set_word";
+  if w < 0 || w >= t.wpr then invalid_arg "Bmatrix.set_word: word index";
+  if w = t.wpr - 1 && bits land lnot (Bits.tail_mask t.cols) <> 0 then
+    invalid_arg "Bmatrix.set_word: padding bit set";
+  Array.unsafe_set t.data ((i * t.wpr) + w) bits
+
 let copy t = { t with data = Array.copy t.data }
 
 let of_lists = function
@@ -74,8 +83,6 @@ let count t =
   done;
   !n
 
-let check_row t i name = if i < 0 || i >= t.rows then invalid_arg ("Bmatrix." ^ name)
-
 let count_row t i =
   check_row t i "count_row";
   let base = i * t.wpr in
@@ -84,21 +91,6 @@ let count_row t i =
     n := !n + Bits.popcount (Array.unsafe_get t.data (base + w))
   done;
   !n
-
-let count_col t j =
-  if j < 0 || j >= t.cols then invalid_arg "Bmatrix.count_col";
-  let w = Bits.word_of j and b = Bits.bit_of j in
-  let n = ref 0 in
-  for i = 0 to t.rows - 1 do
-    n := !n + ((Array.unsafe_get t.data ((i * t.wpr) + w) lsr b) land 1)
-  done;
-  !n
-
-let row_nonzero t i =
-  check_row t i "row_nonzero";
-  let base = i * t.wpr in
-  let rec go w = w < t.wpr && (Array.unsafe_get t.data (base + w) <> 0 || go (w + 1)) in
-  go 0
 
 (* Visit the set bits of [word], lowest first, as cell indices of word [w]. *)
 let rec iter_word f w word =
@@ -145,33 +137,6 @@ let row_intersects a i b j =
     w < a.wpr
     && (Array.unsafe_get a.data (ba + w) land Array.unsafe_get b.data (bb + w) <> 0
         || go (w + 1))
-  in
-  go 0
-
-let row_and_count a i b j =
-  check_pair a i b j "row_and_count";
-  let ba = i * a.wpr and bb = j * b.wpr in
-  let n = ref 0 in
-  for w = 0 to a.wpr - 1 do
-    n := !n + Bits.popcount (Array.unsafe_get a.data (ba + w) land Array.unsafe_get b.data (bb + w))
-  done;
-  !n
-
-let row_or_count a i b j =
-  check_pair a i b j "row_or_count";
-  let ba = i * a.wpr and bb = j * b.wpr in
-  let n = ref 0 in
-  for w = 0 to a.wpr - 1 do
-    n := !n + Bits.popcount (Array.unsafe_get a.data (ba + w) lor Array.unsafe_get b.data (bb + w))
-  done;
-  !n
-
-let is_submatrix sub sup =
-  sub.rows = sup.rows && sub.cols = sup.cols
-  &&
-  let rec go w =
-    w = Array.length sub.data
-    || Array.unsafe_get sub.data w land lnot (Array.unsafe_get sup.data w) = 0 && go (w + 1)
   in
   go 0
 

@@ -4,12 +4,13 @@
     function matrix (FM), the crossbar matrix (CM) and the matching matrix.
     Rows are packed into native machine words so the row-level predicates the
     Monte Carlo mapping loops live in — containment ([row_subset]),
-    intersection, set-difference counting — run word-parallel: a handful of
+    intersection, counting — run word-parallel: a handful of
     AND/NOT/popcount operations per {!Bits.word_bits} cells instead of a
     per-cell loop. Row iteration ({!iter_row_set}, {!iter_row_clear})
     visits only the cells asked for, one test per word and one
     count-trailing-zeros per cell, so a sparse row costs little more than
-    its words; {!nor} builds a matrix from two others a word at a time. *)
+    its words; {!nor} builds a matrix from two others a word at a time,
+    and {!set_word} writes a row word built elsewhere. *)
 
 type t
 (** A mutable [rows] x [cols] boolean matrix. *)
@@ -26,6 +27,15 @@ val get : t -> int -> int -> bool
 
 val set : t -> int -> int -> bool -> unit
 (** [set m i j v] writes entry (i, j). @raise Invalid_argument out of bounds. *)
+
+val set_word : t -> int -> int -> int -> unit
+(** [set_word m i w bits] overwrites word [w] of row [i]: cell
+    [(i, w * Bits.word_bits + b)] becomes bit [b] of [bits], for every [b]
+    below {!Bits.word_bits}. The writer of whole rows built a word at a
+    time (defect-map draws).
+    @raise Invalid_argument on a bad row or word index, or when [bits]
+    sets a padding bit, one past the last column of the row's last word:
+    padding stays zero, which the word-parallel predicates rely on. *)
 
 val copy : t -> t
 
@@ -45,13 +55,6 @@ val count : t -> int
 val count_row : t -> int -> int
 (** Number of [true] entries in row [i]. *)
 
-val count_col : t -> int -> int
-(** Number of [true] entries in column [j]. *)
-
-val row_nonzero : t -> int -> bool
-(** [row_nonzero m i]: row [i] has at least one [true] entry (word-parallel).
-    @raise Invalid_argument on a bad row index. *)
-
 val iter_row_set : t -> int -> (int -> unit) -> unit
 (** [iter_row_set m i f] calls [f j] for every [true] cell (i, j), in
     ascending [j]; zero words cost one test each. Each word is read before
@@ -69,16 +72,6 @@ val row_subset : t -> int -> t -> int -> bool
 
 val row_intersects : t -> int -> t -> int -> bool
 (** [row_intersects a i b j]: the two rows share at least one [true] cell. *)
-
-val row_and_count : t -> int -> t -> int -> int
-(** Popcount of the AND of two rows. *)
-
-val row_or_count : t -> int -> t -> int -> int
-(** Popcount of the OR of two rows. *)
-
-val is_submatrix : t -> t -> bool
-(** [is_submatrix sub sup]: same dimensions and every [true] cell of [sub]
-    is [true] in [sup] (whole-matrix word-parallel subset test). *)
 
 val nor : t -> t -> t
 (** [nor a b] is a fresh matrix whose cell is [true] iff it is [false] in

@@ -19,21 +19,11 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** [escape s] is the JSON string-body encoding of [s] (no surrounding
-    quotes): double quotes and backslashes are backslash-escaped, the control characters
-    [\b \t \n \f \r] use their short forms, all other bytes below 0x20 are
-    emitted as [\u00XX]. Bytes >= 0x80 pass through untouched (the input
-    is assumed UTF-8). *)
-
 val float_repr : float -> string
 (** Shortest of [%.15g]/[%.16g]/[%.17g] that round-trips through
     [float_of_string] — parsing the output recovers the exact double.
     NaN and the infinities have no JSON number form; they render as
     [null] (the emitter's documented policy, exercised by tests). *)
-
-val to_buffer : Buffer.t -> t -> unit
-(** Compact rendering (no whitespace) into a buffer. *)
 
 val to_string : t -> string
 

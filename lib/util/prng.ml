@@ -70,7 +70,9 @@ let copy = Bytes.copy
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* Inlined at every use inside this module, so that a draw that keeps
+   only some of the 64 bits ([float], [int], [bool]) never boxes them. *)
+let[@inline] bits64 t =
   let open Int64 in
   let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
   let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
@@ -94,23 +96,47 @@ let split t =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the top bits to avoid modulo bias. *)
+  (* Rejection sampling on the top bits to avoid modulo bias, in a loop
+     over unboxed locals so that a draw allocates nothing. *)
   let bound64 = Int64.of_int bound in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem raw bound64 in
-    (* [raw - v] is the start of raw's residue group. Accept iff the whole
-       group [start, start + bound) fits below 2^63, i.e. iff
-       start <= max_int - bound + 1; rejecting more over-discards complete
-       groups, rejecting less would re-admit the truncated top group. *)
-    if Int64.sub raw v > Int64.add (Int64.sub Int64.max_int bound64) 1L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  (* [raw - v] is the start of raw's residue group. Accept iff the whole
+     group [start, start + bound) fits below 2^63, i.e. iff
+     start <= max_int - bound + 1; rejecting more over-discards complete
+     groups, rejecting less would re-admit the truncated top group. *)
+  let limit = Int64.add (Int64.sub Int64.max_int bound64) 1L in
+  let raw = ref (Int64.shift_right_logical (bits64 t) 1) in
+  while Int64.sub !raw (Int64.rem !raw bound64) > limit do
+    raw := Int64.shift_right_logical (bits64 t) 1
+  done;
+  Int64.to_int (Int64.rem !raw bound64)
 
-let float t =
+let[@inline] float t =
   let raw = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float raw *. 0x1.0p-53
+
+(* xoshiro256++'s step, as in [bits64], with the state in unboxed locals
+   for the whole array: loaded once and stored back once. It lives here
+   because dev builds compile with -opaque, so no caller in another
+   module could inline [bits64]. *)
+let fill_bits53 t draws =
+  let s0 = ref (Bytes.get_int64_le t 0) and s1 = ref (Bytes.get_int64_le t 8) in
+  let s2 = ref (Bytes.get_int64_le t 16) and s3 = ref (Bytes.get_int64_le t 24) in
+  for k = 0 to Array.length draws - 1 do
+    let open Int64 in
+    let result = add (rotl (add !s0 !s3) 23) !s0 in
+    let tmp = shift_left !s1 17 in
+    let x2 = logxor !s2 !s0 in
+    let x3 = logxor !s3 !s1 in
+    s1 := logxor !s1 x2;
+    s0 := logxor !s0 x3;
+    s2 := logxor x2 tmp;
+    s3 := rotl x3 45;
+    Array.unsafe_set draws k (to_int (shift_right_logical result 11))
+  done;
+  Bytes.set_int64_le t 0 !s0;
+  Bytes.set_int64_le t 8 !s1;
+  Bytes.set_int64_le t 16 !s2;
+  Bytes.set_int64_le t 24 !s3
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t < p

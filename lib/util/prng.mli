@@ -60,6 +60,15 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val fill_bits53 : t -> int array -> unit
+(** [fill_bits53 t a] fills [a] with the next [Array.length a] outputs,
+    each cut to its top 53 bits: the same outputs in the same order as
+    that many {!bits64} calls, [a.(k)] being
+    [Int64.to_int (Int64.shift_right_logical (bits64 t) 11)], and [t] left
+    in the same state. {!float} is that value times [2^-53], so
+    [float t < p] iff the value is below [⌈p·2^53⌉], for any [p] in
+    [\[0, 1\]]. Allocates nothing. Needs 63-bit native ints. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. *)
@@ -71,7 +80,8 @@ val bool : t -> bool
 (** Fair coin. *)
 
 val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
+(** [bernoulli t p] is [float t < p]: [true] with probability [p], always
+    for [p >= 1], never for [p <= 0] or NaN. One draw either way. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
 (** Uniform in the inclusive range [\[lo, hi\]]. @raise Invalid_argument if

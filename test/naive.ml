@@ -173,27 +173,3 @@ let row_intersects (a : bmatrix) i (b : bmatrix) j =
 
 let row_count (a : bmatrix) i =
   Array.fold_left (fun n v -> if v then n + 1 else n) 0 a.(i)
-
-let row_and_count (a : bmatrix) i (b : bmatrix) j =
-  let n = ref 0 in
-  for k = 0 to Array.length a.(i) - 1 do
-    if a.(i).(k) && b.(j).(k) then incr n
-  done;
-  !n
-
-let row_or_count (a : bmatrix) i (b : bmatrix) j =
-  let n = ref 0 in
-  for k = 0 to Array.length a.(i) - 1 do
-    if a.(i).(k) || b.(j).(k) then incr n
-  done;
-  !n
-
-let is_submatrix (sub : bmatrix) (sup : bmatrix) =
-  Array.length sub = Array.length sup
-  && (Array.length sub = 0 || Array.length sub.(0) = Array.length sup.(0))
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i row -> Array.iteri (fun j v -> if v && not sup.(i).(j) then ok := false) row)
-    sub;
-  !ok

