@@ -9,7 +9,7 @@
      show       render the programmed crossbar as ASCII art
      bench      list the built-in benchmark suite
      serve      answer a JSONL stream of mapping requests (cached, batched)
-     report     analyze serving observability files (access/metrics/trace)
+     report     summarize an access log or a trace file
      experiment regenerate the paper's tables and figures and the extension
                 studies (Mcx_experiments.Registry)
      config     show the effective MCX_* knob state (and validate it) *)
@@ -46,7 +46,11 @@ let setup_logs verbosity trace =
   | Some path when path <> "" -> set_flag_or_die "MCX_TRACE" path
   | Some _ | None -> ());
   config_or_die ();
-  Mcx.Util.Telemetry.install_from_env ()
+  match Mcx.Util.Telemetry.install_from_env () with
+  | () -> ()
+  | exception Sys_error msg ->
+    Printf.eprintf "memx: cannot write the trace: %s\n" msg;
+    exit 2
 
 let trace_arg =
   let doc =
@@ -324,15 +328,11 @@ let read_batch ic limit =
   in
   loop [] 0
 
-let serve_run () inputs output stats_path cache_size batch_size access_log metrics_text
-    metrics_json =
+let serve_run () inputs output cache_size batch_size access_log =
   if batch_size <= 0 then begin
     Printf.eprintf "memx: --batch must be positive\n";
     exit 1
   end;
-  let want_metrics = metrics_text <> None || metrics_json <> None in
-  (* --trace already enabled the store (with trace events). *)
-  if want_metrics && not (Mcx.Util.Telemetry.enabled ()) then Mcx.Util.Telemetry.enable ();
   Option.iter (fun n -> set_flag_or_die "MCX_CACHE_SIZE" (string_of_int n)) cache_size;
   let times = Mcx.Util.Config.trace_times () in
   (* Deterministic projection (times = false) embeds the semantic-only
@@ -397,30 +397,6 @@ let serve_run () inputs output stats_path cache_size batch_size access_log metri
       files);
   close_output ();
   Option.iter close_out access_out;
-  (match stats_path with
-  | None -> ()
-  | Some path ->
-    Mcx.Util.Json_out.write_file path (Mcx_service.Serve.stats_json server);
-    output_string Stdlib.stderr (Mcx.Util.Texttable.render (Mcx_service.Serve.summary_table server));
-    output_char Stdlib.stderr '\n';
-    flush Stdlib.stderr);
-  if want_metrics then begin
-    Mcx_service.Serve.record_metrics server;
-    let snapshot = Mcx.Util.Telemetry.snapshot () in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Mcx.Util.Telemetry.Snapshot.to_openmetrics ~times snapshot);
-        close_out oc)
-      metrics_text;
-    Option.iter
-      (fun path ->
-        Mcx.Util.Json_out.write_file path
-          (Mcx.Util.Telemetry.Snapshot.to_json ~times
-             ~config:(Mcx.Util.Config.snapshot ~semantic_only:(not times) ())
-             snapshot))
-      metrics_json
-  end;
   exit (Mcx_service.Serve.exit_code server)
 
 let serve_cmd =
@@ -438,15 +414,6 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Response file (default: stdout).")
-  in
-  let stats =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats" ] ~docv:"FILE"
-          ~doc:
-            "Write the mcx-serve-stats/1 JSON summary (requests, cache hit rate, per-batch \
-             p50/p95 latency) to $(docv) and print the per-batch table to stderr.")
   in
   let cache_size =
     Arg.(
@@ -473,93 +440,36 @@ let serve_cmd =
              durations. MCX_TRACE_TIMES=0 omits the durations, leaving the \
              deterministic projection.")
   in
-  let metrics_text =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Export the telemetry store (request/cache/stage families, cache and pool \
-             state, span and counter totals) as OpenMetrics/Prometheus text to $(docv) at \
-             exit.")
-  in
-  let metrics_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE"
-          ~doc:"Export the same metrics snapshot as an mcx-metrics/1 JSON document.")
-  in
   Cmd.v
     (Cmd.info "serve" ~doc:"Serve defect-tolerant mapping requests from a JSONL stream.")
     Term.(
-      const serve_run $ verbosity $ inputs $ output $ stats $ cache_size $ batch
-      $ access_log $ metrics_text $ metrics_json)
+      const serve_run $ verbosity $ inputs $ output $ cache_size $ batch $ access_log)
 
 (* --- report --- *)
 
-let report_run () access_files metrics_file trace_file diff_pair threshold min_total_ms =
+let report_run () access_files trace_file =
   let module Report = Mcx_service.Report in
-  let print_table table =
-    print_string (Mcx.Util.Texttable.render table);
-    print_newline ()
-  in
-  let failed = ref false in
-  let regressed = ref false in
-  let or_warn = function
-    | Ok v -> Some v
-    | Error msg ->
-      Printf.eprintf "memx report: %s\n" msg;
-      failed := true;
-      None
-  in
-  if access_files = [] && metrics_file = None && trace_file = None && diff_pair = None
-  then begin
-    Printf.eprintf
-      "memx report: nothing to report (pass --access, --metrics, --trace or --diff)\n";
+  if access_files = [] && trace_file = None then begin
+    Printf.eprintf "memx report: nothing to report (pass --access or --trace-file)\n";
     exit 1
   end;
-  List.iter
-    (fun path ->
-      match or_warn (Report.load_access path) with
-      | None -> ()
-      | Some summary ->
-        Printf.printf "== %s ==\n" path;
-        List.iter print_table (Report.access_tables summary))
-    access_files;
-  Option.iter
-    (fun path ->
-      match or_warn (Report.load_metrics path) with
-      | None -> ()
-      | Some table ->
-        Printf.printf "== %s ==\n" path;
-        print_table table)
-    metrics_file;
-  Option.iter
-    (fun path ->
-      match or_warn (Report.load_trace path) with
-      | None -> ()
-      | Some table ->
-        Printf.printf "== %s ==\n" path;
-        print_table table)
-    trace_file;
-  Option.iter
-    (fun (old_path, new_path) ->
-      match
-        (or_warn (Report.load_access old_path), or_warn (Report.load_access new_path))
-      with
-      | Some old_run, Some new_run ->
-        let min_total_ns = Int64.of_float (min_total_ms *. 1e6) in
-        let findings = Report.diff ~threshold ~min_total_ns old_run new_run in
-        Printf.printf "== diff %s -> %s ==\n" old_path new_path;
-        if findings = [] then print_endline "no mismatches, no regressions"
-        else begin
-          print_table (Report.diff_table findings);
-          regressed := true
-        end
-      | _ -> ())
-    diff_pair;
-  if !failed then exit 1 else if !regressed then exit 3
+  let failed = ref false in
+  let render load show path =
+    match load path with
+    | Error msg ->
+      Printf.eprintf "memx report: %s\n" msg;
+      failed := true
+    | Ok v ->
+      Printf.printf "== %s ==\n" path;
+      List.iter
+        (fun table ->
+          print_string (Mcx.Util.Texttable.render table);
+          print_newline ())
+        (show v)
+  in
+  List.iter (render Report.load_access Report.access_tables) access_files;
+  Option.iter (render Report.load_trace (fun table -> [ table ])) trace_file;
+  if !failed then exit 1
 
 let report_cmd =
   let access =
@@ -567,12 +477,6 @@ let report_cmd =
       value & opt_all string []
       & info [ "access"; "a" ] ~docv:"FILE"
           ~doc:"Summarize an mcx-access/1 access log (repeatable).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics"; "m" ] ~docv:"FILE" ~doc:"Render an mcx-metrics/1 JSON snapshot.")
   in
   let trace =
     Arg.(
@@ -583,36 +487,9 @@ let report_cmd =
             "Aggregate an mcx-trace/1 Chrome trace by span name ($(b,--trace) is the \
              global record-a-trace flag).")
   in
-  let diff =
-    Arg.(
-      value
-      & opt (some (pair ~sep:',' string string)) None
-      & info [ "diff" ] ~docv:"OLD,NEW"
-          ~doc:
-            "Compare two access logs: deterministic fields (request count, status and \
-             cache breakdowns) must match exactly; stage mean latencies may grow at most \
-             $(b,--threshold)-fold. Exits 3 on any finding — the CI regression gate.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 1.5
-      & info [ "threshold" ] ~docv:"X"
-          ~doc:"Latency regression factor for $(b,--diff) (new mean vs old mean).")
-  in
-  let min_total_ms =
-    Arg.(
-      value & opt float 50.
-      & info [ "min-total-ms" ] ~docv:"MS"
-          ~doc:
-            "Ignore latency regressions in stages whose new total time is below $(docv) \
-             (noise floor).")
-  in
   Cmd.v
-    (Cmd.info "report"
-       ~doc:"Analyze serving observability files: access logs, metrics, traces.")
-    Term.(
-      const report_run $ verbosity $ access $ metrics $ trace $ diff $ threshold
-      $ min_total_ms)
+    (Cmd.info "report" ~doc:"Summarize observability files: access logs and traces.")
+    Term.(const report_run $ verbosity $ access $ trace)
 
 (* --- experiment --- *)
 
@@ -723,7 +600,7 @@ let config_cmd =
        ~doc:
          "Show the effective knob configuration: every registered MCX_* variable with \
           its type, layer, provenance (default/env/flag) and value, plus the \
-          mcx-config/1 digests embedded in traces and metrics. Exits 2 when the \
+          mcx-config/1 digests embedded in traces and access logs. Exits 2 when the \
           environment carries a malformed or unknown MCX_* variable, naming each \
           offender.")
     Term.(const config_run $ json)

@@ -39,6 +39,9 @@ let clip () =
 
 let inc () = of_word_function ~n_inputs:7 ~n_outputs:9 (fun x -> (3 * x) + 1)
 
+(* The minimal SOP of the (odd or even) parity of [vars]: one full
+   product per satisfying polarity pattern — the canonical exponential
+   two-level form whose multi-level implementation is tiny. *)
 let parity_cover ~arity ~vars ~even =
   let vars = Array.of_list vars in
   let k = Array.length vars in

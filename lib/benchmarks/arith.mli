@@ -33,11 +33,6 @@ val inc : unit -> Mcx_logic.Mo_cover.t
 (** 7 inputs, 9 outputs: the affine arithmetic 3x + 1 (stand-in definition
     for the undocumented MCNC "inc"; same I/O signature). *)
 
-val parity_cover : arity:int -> vars:int list -> even:bool -> Mcx_logic.Cover.t
-(** The minimal SOP of the (odd or even) parity of the given variables:
-    one full product per satisfying polarity pattern — the canonical
-    exponential two-level form whose multi-level implementation is tiny. *)
-
 val t481 : unit -> Mcx_logic.Mo_cover.t
 (** 16 inputs, 1 output: the conjunction of 8 pairwise XORs — a structured
     stand-in for the MCNC t481 with the same I/O and the same Table I

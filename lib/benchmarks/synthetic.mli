@@ -32,7 +32,3 @@ val generate : params -> Mcx_logic.Mo_cover.t
     [n_products >= 1]), and every cube carries at least one literal.
     @raise Invalid_argument when the parameters are not satisfiable
     (e.g. IR requiring more literals than 2I per row). *)
-
-val planned_switches : params -> int
-(** The switch budget the generator aims for:
-    [round (IR/100 x (P+O) x (2I+2O))]. *)

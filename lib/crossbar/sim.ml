@@ -1,6 +1,7 @@
 open Mcx_logic
 open Mcx_util
 
+(* The seven states of Fig. 2(b), in the order one computation runs them. *)
 type step = INA | RI | CFM | EVM | EVR | INR | SO
 
 let step_sequence = [ INA; RI; CFM; EVM; EVR; INR; SO ]

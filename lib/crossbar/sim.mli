@@ -12,11 +12,6 @@
     ({!agrees_with_reference}), on the junction store {!Multilevel} shares;
     the defect semantics sit in the store's write path only. *)
 
-type step = INA | RI | CFM | EVM | EVR | INR | SO
-
-val step_sequence : step list
-(** The fixed state order of one computation. *)
-
 val run : ?defects:Defect_map.t -> Layout.t -> bool array -> bool array
 (** Compute all outputs for one input assignment. [defects] defaults to an
     all-functional map. @raise Invalid_argument on arity or dimension

@@ -216,7 +216,6 @@ let rec balanced op unit = function
     in
     balanced op unit (pairs xs)
 
-let and_list m = balanced (and_ m) (bdd_true m)
 let or_list m = balanced (or_ m) (bdd_false m)
 
 let equal a b = a.manager == b.manager && a.root = b.root

@@ -53,9 +53,6 @@ val nand : manager -> t -> t -> t
 val ite : manager -> t -> t -> t -> t
 (** If-then-else; all operators are memoized. *)
 
-val and_list : manager -> t list -> t
-val or_list : manager -> t list -> t
-
 val equal : t -> t -> bool
 (** Semantic equality (canonical-node identity). *)
 

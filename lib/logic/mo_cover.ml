@@ -100,10 +100,6 @@ let complement t =
 let minimize t =
   rebuild_from_covers t (List.init t.n_outputs (fun k -> Minimize.espresso (output_cover t k)))
 
-let map_cubes t ~f =
-  create ~n_inputs:t.n_inputs ~n_outputs:t.n_outputs
-    (List.map (fun r -> { r with cube = f r.cube }) t.rows)
-
 let permute_vars t ~perm =
   let n = t.n_inputs in
   if Array.length perm <> n then invalid_arg "Mo_cover.permute_vars: length mismatch";

@@ -1,4 +1,6 @@
-(** Structured per-request access records ([mcx-access/1]).
+(** Structured per-request access records ([mcx-access/1]): the one
+    record the serving stack keeps per request, read back by
+    [memx report --access] ({!Report.load_access}).
 
     [memx serve --access-log <path>] writes one JSONL record per served
     request, in request-index order:

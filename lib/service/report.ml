@@ -138,70 +138,10 @@ let access_tables summary =
     [ overview; stages ]
   end
 
-(* --- mcx-metrics/1 --------------------------------------------------- *)
-
-let render_labels labels =
-  match labels with
-  | [] -> ""
-  | labels ->
-    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels)
-
-let metrics_table json =
-  let str field j = Option.bind (Json.member field j) Json.to_string_opt in
-  match str "schema" json with
-  | Some "mcx-metrics/1" -> (
-    match Option.bind (Json.member "metrics" json) Json.to_list_opt with
-    | None -> Error "mcx-metrics/1: missing metrics list"
-    | Some metrics ->
-      let table = Texttable.create [ "metric"; "type"; "labels"; "value"; "mean us" ] in
-      List.iter
-        (fun family ->
-          let name = Option.value (str "name" family) ~default:"?" in
-          let kind = Option.value (str "type" family) ~default:"?" in
-          let series =
-            Option.value
-              (Option.bind (Json.member "series" family) Json.to_list_opt)
-              ~default:[]
-          in
-          List.iter
-            (fun s ->
-              let labels =
-                match Json.member "labels" s with
-                | Some (Json.Obj fields) ->
-                  List.filter_map
-                    (fun (k, v) -> Option.map (fun v -> (k, v)) (Json.to_string_opt v))
-                    fields
-                | _ -> []
-              in
-              let value, mean =
-                match
-                  ( Option.bind (Json.member "value" s) Json.to_float_opt,
-                    Option.bind (Json.member "count" s) Json.to_int_opt,
-                    Option.bind (Json.member "sum_ns" s) Json.to_int_opt )
-                with
-                | Some v, _, _ ->
-                  ((if Float.is_integer v then Printf.sprintf "%.0f" v
-                    else Json.float_repr v),
-                    "")
-                | None, Some count, Some sum when count > 0 ->
-                  ( string_of_int count,
-                    us (Int64.div (Int64.of_int sum) (Int64.of_int count)) )
-                | None, Some count, _ -> (string_of_int count, "")
-                | None, None, _ -> ("?", "")
-              in
-              Texttable.add_row table [ name; kind; render_labels labels; value; mean ])
-            series)
-        metrics;
-      Ok table)
-  | Some s -> Error (Printf.sprintf "unexpected schema %S (want mcx-metrics/1)" s)
-  | None -> Error "not an mcx-metrics/1 document (no schema field)"
-
 let load_json path =
   match read_lines path with
   | exception Sys_error msg -> Error msg
   | lines -> Json.of_string (String.concat "\n" lines)
-
-let load_metrics path = Result.bind (load_json path) metrics_table
 
 (* --- mcx-trace/1 ----------------------------------------------------- *)
 
@@ -252,85 +192,3 @@ let trace_table json =
     Ok table
 
 let load_trace path = Result.bind (load_json path) trace_table
-
-(* --- A/B diff -------------------------------------------------------- *)
-
-type finding = {
-  severity : [ `Mismatch | `Regression ];
-  what : string;
-  detail : string;
-}
-
-let tally_diffs ~what old_tally new_tally =
-  let keys =
-    List.sort_uniq String.compare (List.map fst old_tally @ List.map fst new_tally)
-  in
-  List.filter_map
-    (fun key ->
-      let get t = Option.value (List.assoc_opt key t) ~default:0 in
-      let o = get old_tally and n = get new_tally in
-      if o = n then None
-      else
-        Some
-          {
-            severity = `Mismatch;
-            what = Printf.sprintf "%s %s" what key;
-            detail = Printf.sprintf "%d -> %d" o n;
-          })
-    keys
-
-let diff ?(threshold = 1.5) ?(min_total_ns = 50_000_000L) old_ new_ =
-  let mismatches =
-    (if old_.records = new_.records then []
-     else
-       [
-         {
-           severity = `Mismatch;
-           what = "request count";
-           detail = Printf.sprintf "%d -> %d" old_.records new_.records;
-         };
-       ])
-    @ tally_diffs ~what:"status" old_.by_status new_.by_status
-    @ tally_diffs ~what:"cache" old_.by_cache new_.by_cache
-  in
-  let regressions =
-    if not (old_.has_times && new_.has_times) then []
-    else
-      List.filter_map
-        (fun (ns : stage_stat) ->
-          match List.find_opt (fun o -> String.equal o.stage ns.stage) old_.stages with
-          | None -> None
-          | Some os ->
-            if
-              Int64.compare ns.total_ns min_total_ns >= 0
-              && os.count > 0
-              && Int64.compare os.mean_ns 0L > 0
-              && Int64.to_float ns.mean_ns > threshold *. Int64.to_float os.mean_ns
-            then
-              Some
-                {
-                  severity = `Regression;
-                  what = Printf.sprintf "stage %s mean" ns.stage;
-                  detail =
-                    Printf.sprintf "%s us -> %s us (%.2fx > %.2fx threshold)"
-                      (us os.mean_ns) (us ns.mean_ns)
-                      (Int64.to_float ns.mean_ns /. Int64.to_float os.mean_ns)
-                      threshold;
-                }
-            else None)
-        new_.stages
-  in
-  mismatches @ regressions
-
-let diff_table findings =
-  let table = Texttable.create [ "severity"; "what"; "old -> new" ] in
-  List.iter
-    (fun f ->
-      Texttable.add_row table
-        [
-          (match f.severity with `Mismatch -> "mismatch" | `Regression -> "regression");
-          f.what;
-          f.detail;
-        ])
-    findings;
-  table

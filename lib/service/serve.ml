@@ -7,7 +7,6 @@ module Pool = Mcx_util.Pool
 module Lru = Mcx_util.Lru
 module Telemetry = Mcx_util.Telemetry
 module Timing = Mcx_util.Timing
-module Json = Mcx_util.Json_out
 module Mapper = Mcx_mapping.Mapper
 
 type batch_stats = {
@@ -19,9 +18,6 @@ type batch_stats = {
   errors : int;
   infeasible : int;
   evictions : int;
-  elapsed_ns : int64;
-  p50_ns : int64;
-  p95_ns : int64;
 }
 
 type result_value =
@@ -32,29 +28,19 @@ type t = {
   pool : Pool.t;
   cache : result_value Lru.t;
   on_access : (Access_log.record -> unit) option;
-  mutable batches_rev : batch_stats list;
   mutable errors_total : int;
-  mutable requests_total : int;
 }
-
-(* MCX_CACHE_SIZE sizes the mapping cache; responses are cache-invariant
-   ("warm = cold" test), only latency changes. Read (validated) through
-   the Config registry, the sanctioned env boundary. *)
-let default_cache_capacity () = Mcx_util.Config.cache_size ()
 
 let create ?pool ?cache_capacity ?on_access () =
   let pool = match pool with Some p -> p | None -> Pool.default () in
+  (* MCX_CACHE_SIZE sizes the mapping cache; responses are
+     cache-invariant ("warm = cold" test), only latency changes. Read
+     (validated) through the Config registry, the sanctioned env
+     boundary. *)
   let capacity =
-    match cache_capacity with Some c -> c | None -> default_cache_capacity ()
+    match cache_capacity with Some c -> c | None -> Mcx_util.Config.cache_size ()
   in
-  {
-    pool;
-    cache = Lru.create ~name:"serve.cache" ~capacity ();
-    on_access;
-    batches_rev = [];
-    errors_total = 0;
-    requests_total = 0;
-  }
+  { pool; cache = Lru.create ~name:"serve.cache" ~capacity (); on_access; errors_total = 0 }
 
 (* Per-request disposition after the resolve stage, in line order. *)
 type disposition =
@@ -120,46 +106,11 @@ let response_of_result (canonical : Canonical.t) result ~elapsed_ns =
           verified;
         })
 
-let declare_metrics () =
-  if Telemetry.enabled () then begin
-    Telemetry.declare ~help:"requests served, by response status" Telemetry.Counter
-      "mcx_serve_requests_total";
-    Telemetry.declare ~help:"requests served, by cache outcome" Telemetry.Counter
-      "mcx_serve_cache_total";
-    Telemetry.declare ~help:"per-request stage durations" Telemetry.Histogram
-      "mcx_serve_stage_ns"
-  end
-
-let observe_access (record : Access_log.record) =
-  if Telemetry.enabled () then begin
-    Telemetry.inc
-      ~labels:[ ("status", record.Access_log.status) ]
-      "mcx_serve_requests_total";
-    Telemetry.inc
-      ~labels:
-        [ ("outcome", Access_log.cache_outcome_to_string record.Access_log.cache) ]
-      "mcx_serve_cache_total";
-    List.iter
-      (fun stage ->
-        Telemetry.observe
-          ~labels:[ ("stage", stage) ]
-          "mcx_serve_stage_ns"
-          (Access_log.stage_ns record stage))
-      Access_log.stage_names
-  end
-
-(* Order statistic of raw nanosecond durations; 0 for none. *)
-let percentile_ns durations p =
-  match durations with [] -> 0L | _ -> Int64.of_float (Mcx_util.Stats.percentile durations p)
-
 let serve_batch t ~label lines =
   Telemetry.span "serve.batch" @@ fun () ->
-  let batch_t0 = Timing.monotonic_ns () in
   let lines = Array.of_list lines in
   let n = Array.length lines in
-  t.requests_total <- t.requests_total + n;
   Telemetry.count ~n "serve.requests";
-  declare_metrics ();
   let parse_ns = Array.make n 0L in
   let resolve_ns = Array.make n 0L in
   (* Stage 1: parse + canonicalize, isolated per request. *)
@@ -242,12 +193,7 @@ let serve_batch t ~label lines =
     (Lru.stats t.cache).Lru.evictions - cache_stats_before.Lru.evictions
   in
   (* Stage 4: responses in request order + latency accounting. *)
-  let latencies = ref [] in
   let errors = ref 0 and infeasible = ref 0 in
-  let observe ns =
-    latencies := Int64.to_float ns :: !latencies;
-    Telemetry.observe_ns "serve.request" ns
-  in
   let rendered =
     Telemetry.span "serve.render" @@ fun () ->
     Array.mapi
@@ -270,7 +216,7 @@ let serve_batch t ~label lines =
                 | None -> (Error "internal: result missing", 0L, 0L))
               | None -> (Error "internal: no source", 0L, 0L)
             in
-            observe elapsed_ns;
+            Telemetry.observe_ns "serve.request" elapsed_ns;
             (response_of_result canonical result ~elapsed_ns, compute_ns)
         in
         (match response.Wire.status with
@@ -314,11 +260,7 @@ let serve_batch t ~label lines =
   in
   (* Access records strictly in request-index order, after the whole
      batch rendered: the sink sees the same sequence at any MCX_JOBS. *)
-  Array.iter
-    (fun (_, record) ->
-      observe_access record;
-      match t.on_access with Some sink -> sink record | None -> ())
-    rendered;
+  Option.iter (fun sink -> Array.iter (fun (_, record) -> sink record) rendered) t.on_access;
   let responses = Array.to_list (Array.map fst rendered) in
   t.errors_total <- t.errors_total + !errors;
   let stats =
@@ -331,95 +273,9 @@ let serve_batch t ~label lines =
       errors = !errors;
       infeasible = !infeasible;
       evictions;
-      elapsed_ns = Int64.sub (Timing.monotonic_ns ()) batch_t0;
-      p50_ns = percentile_ns !latencies 50.;
-      p95_ns = percentile_ns !latencies 95.;
     }
   in
-  t.batches_rev <- stats :: t.batches_rev;
   (responses, stats)
 
-let batches t = List.rev t.batches_rev
 let error_count t = t.errors_total
 let exit_code t = if t.errors_total > 0 then 4 else 0
-
-let hit_rate ~hits ~misses =
-  let lookups = hits + misses in
-  if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups
-
-let stats_json t =
-  let cache = Lru.stats t.cache in
-  let batch_json (b : batch_stats) =
-    Json.Obj
-      [
-        ("label", Json.Str b.label);
-        ("requests", Json.Int b.requests);
-        ("hits", Json.Int b.hits);
-        ("misses", Json.Int b.misses);
-        ("coalesced", Json.Int b.coalesced);
-        ("errors", Json.Int b.errors);
-        ("infeasible", Json.Int b.infeasible);
-        ("evictions", Json.Int b.evictions);
-        ("hit_rate", Json.Float (hit_rate ~hits:b.hits ~misses:b.misses));
-        ("elapsed_ns", Json.Int (Int64.to_int b.elapsed_ns));
-        ("p50_ns", Json.Int (Int64.to_int b.p50_ns));
-        ("p95_ns", Json.Int (Int64.to_int b.p95_ns));
-      ]
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "mcx-serve-stats/1");
-      (* Full config snapshot: stats carry wall-clock fields already, so
-         they are never byte-diffed across job counts. *)
-      ("config", Mcx_util.Config.snapshot ());
-      ("requests", Json.Int t.requests_total);
-      ("errors", Json.Int t.errors_total);
-      ( "cache",
-        Json.Obj
-          [
-            ("capacity", Json.Int (Lru.capacity t.cache));
-            ("size", Json.Int (Lru.length t.cache));
-            ("hits", Json.Int cache.Lru.hits);
-            ("misses", Json.Int cache.Lru.misses);
-            ("insertions", Json.Int cache.Lru.insertions);
-            ("evictions", Json.Int cache.Lru.evictions);
-            ( "hit_rate",
-              Json.Float (hit_rate ~hits:cache.Lru.hits ~misses:cache.Lru.misses) );
-          ] );
-      ("batches", Json.List (List.map batch_json (batches t)));
-    ]
-
-let summary_table t =
-  let table =
-    Mcx_util.Texttable.create
-      [
-        "batch"; "requests"; "hits"; "misses"; "coalesced"; "errors"; "hit%";
-        "elapsed ms"; "p50 us"; "p95 us";
-      ]
-  in
-  List.iter
-    (fun (b : batch_stats) ->
-      Mcx_util.Texttable.add_row table
-        [
-          b.label;
-          string_of_int b.requests;
-          string_of_int b.hits;
-          string_of_int b.misses;
-          string_of_int b.coalesced;
-          string_of_int b.errors;
-          Printf.sprintf "%.1f" (100. *. hit_rate ~hits:b.hits ~misses:b.misses);
-          Printf.sprintf "%.2f" (Int64.to_float b.elapsed_ns /. 1e6);
-          Printf.sprintf "%.1f" (Int64.to_float b.p50_ns /. 1e3);
-          Printf.sprintf "%.1f" (Int64.to_float b.p95_ns /. 1e3);
-        ])
-    (batches t);
-  table
-
-let record_metrics t =
-  if Telemetry.enabled () then begin
-    Lru.record_metrics t.cache;
-    Pool.record_metrics t.pool;
-    Telemetry.declare ~help:"batches served" Telemetry.Counter "mcx_serve_batches_total";
-    let batches = List.length t.batches_rev in
-    if batches > 0 then Telemetry.inc ~n:batches "mcx_serve_batches_total"
-  end

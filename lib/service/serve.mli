@@ -22,9 +22,11 @@
     that set [deadline_ms] are the one documented exception: their
     status depends on measured wall time.
 
-    Latency is recorded per request (and under the [serve.request]
-    telemetry span name when telemetry is on); batch p50/p95 are order
-    statistics of those raw durations ({!Mcx_util.Stats.percentile}). *)
+    Each served request yields exactly one {!Access_log.record} — its
+    cache outcome, status and stage durations — for the [on_access]
+    sink; that record is the per-request observability artifact. With
+    telemetry on, the batch stages are also spans of the trace and each
+    request's latency is recorded under the [serve.request] name. *)
 
 type batch_stats = {
   label : string;
@@ -35,15 +37,9 @@ type batch_stats = {
   errors : int;  (** parse, resolve or compute failures *)
   infeasible : int;  (** well-formed requests with no valid mapping *)
   evictions : int;  (** cache evictions caused by this batch *)
-  elapsed_ns : int64;  (** batch wall time *)
-  p50_ns : int64;
-  p95_ns : int64;  (** per-request latency percentiles (never above the max) *)
 }
 
 type t
-
-val default_cache_capacity : unit -> int
-(** [MCX_CACHE_SIZE] when set to a non-negative integer, else 512. *)
 
 val create :
   ?pool:Mcx_util.Pool.t ->
@@ -52,7 +48,7 @@ val create :
   unit ->
   t
 (** [pool] defaults to {!Mcx_util.Pool.default} (honoring [MCX_JOBS]);
-    [cache_capacity] to {!default_cache_capacity}. [on_access] receives
+    [cache_capacity] to [MCX_CACHE_SIZE] (default 512). [on_access] receives
     one {!Access_log.record} per served request, strictly in
     request-index order after the batch finishes (never from a pool
     worker) — the [--access-log] sink. *)
@@ -62,28 +58,9 @@ val serve_batch : t -> label:string -> string list -> string list * batch_stats
     request line (same order, no trailing newlines) plus the batch's
     stats. The cache persists across batches of the same server. *)
 
-val batches : t -> batch_stats list
-(** Stats of every served batch, oldest first. *)
-
 val error_count : t -> int
 (** Total error responses emitted so far. *)
 
 val exit_code : t -> int
 (** 0 when every request succeeded, 4 ("completed with partial
     results") when any request yielded an error response. *)
-
-val stats_json : t -> Mcx_util.Json_out.t
-(** The [mcx-serve-stats/1] document: totals, cache counters with hit
-    rate, and per-batch rows (schema in EXPERIMENTS.md). *)
-
-val summary_table : t -> Mcx_util.Texttable.t
-(** Human-readable per-batch summary for the [--stats] stderr report. *)
-
-val record_metrics : t -> unit
-(** One-shot export of server state into the {!Mcx_util.Telemetry}
-    store: the cache counters ({!Mcx_util.Lru.record_metrics}), the
-    pool size ({!Mcx_util.Pool.record_metrics}) and the served batch
-    count. Per-request counters ([mcx_serve_requests_total],
-    [mcx_serve_cache_total]) and stage histograms ([mcx_serve_stage_ns])
-    are recorded live by {!serve_batch} instead. No-op while
-    {!Mcx_util.Telemetry.enabled} is false. *)

@@ -70,7 +70,6 @@ type request = {
 }
 
 val request_schema : string
-val response_schema : string
 
 val request_of_line : index:int -> string -> (request, string) result
 (** Parse one JSONL line; [index] (0-based position in the stream) names

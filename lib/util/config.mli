@@ -10,8 +10,8 @@
     file (enforced by the [raw-env-read] lint rule). Reads go through
     typed accessors; command-line flags override the environment through
     {!set_flag}; and the whole state renders as a canonical
-    [mcx-config/1] snapshot that the run artifacts embed (trace
-    metadata, metrics/stats documents, access-log records).
+    [mcx-config/1] snapshot that the run artifacts embed (the trace's
+    metadata; each access-log record carries its digest).
 
     {2 Validation}
 
@@ -76,8 +76,8 @@ val trace : unit -> string option
 (** [MCX_TRACE] — Chrome-trace output path; [None] disables tracing. *)
 
 val trace_times : unit -> bool
-(** [MCX_TRACE_TIMES] — [false] (["0"]/["false"]) switches summaries,
-    metrics and access logs to the deterministic projection (durations
+(** [MCX_TRACE_TIMES] — [false] (["0"]/["false"]) switches the trace
+    summary and access logs to the deterministic projection (durations
     dropped); default [true]. *)
 
 val cache_size : unit -> int

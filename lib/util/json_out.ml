@@ -77,22 +77,14 @@ let to_string v =
   to_buffer buf v;
   Buffer.contents buf
 
-let write_file path v =
-  let oc = open_out path in
-  let buf = Buffer.create 4096 in
-  to_buffer buf v;
-  Buffer.add_char buf '\n';
-  output_string oc (Buffer.contents buf);
-  close_out oc
-
 (* --- parsing ------------------------------------------------------- *)
 
 exception Parse_error of int * string
 
 (* Recursion in [parse_value] is bounded so that adversarially deep input
    ("[[[[...") returns [Error] instead of overflowing the OCaml stack.
-   512 is far above anything the emitter produces (the trace and metrics
-   schemas nest 3-4 levels) yet well inside the default stack budget. *)
+   512 is far above anything the emitter produces (the trace schema nests
+   3-4 levels) yet well inside the default stack budget. *)
 let max_depth = 512
 
 let of_string s =

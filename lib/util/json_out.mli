@@ -1,5 +1,5 @@
 (** Minimal JSON emission and parsing shared by the machine-readable
-    outputs (the telemetry Chrome-trace export, metrics, access logs,
+    outputs (the telemetry Chrome trace, config snapshots, access logs,
     serve responses) and their readers.
 
     The value type is a plain tree; rendering is deterministic (object
@@ -26,9 +26,6 @@ val float_repr : float -> string
     [null] (the emitter's documented policy, exercised by tests). *)
 
 val to_string : t -> string
-
-val write_file : string -> t -> unit
-(** Write compact rendering plus a trailing newline. *)
 
 (** {2 Parsing} *)
 

@@ -12,7 +12,6 @@ type 'a node = {
 type stats = { hits : int; misses : int; insertions : int; evictions : int }
 
 type 'a t = {
-  name : string option;
   (* [<name>.hit], [<name>.miss], [<name>.eviction], built once here so a
      lookup with telemetry off allocates nothing for them. *)
   hit_counter : string option;
@@ -32,7 +31,6 @@ let create ?name ~capacity () =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   let counter suffix = Option.map (fun name -> name ^ suffix) name in
   {
-    name;
     hit_counter = counter ".hit";
     miss_counter = counter ".miss";
     eviction_counter = counter ".eviction";
@@ -106,25 +104,6 @@ let put t key value =
       push_front t node;
       t.insertions <- t.insertions + 1;
       if Hashtbl.length t.table > t.capacity then evict_lru t
-
-let record_metrics t =
-  let labels = [ ("cache", Option.value t.name ~default:"cache") ] in
-  Telemetry.declare ~help:"live entries in the cache" Telemetry.Gauge "mcx_cache_entries";
-  Telemetry.declare ~help:"configured cache capacity" Telemetry.Gauge "mcx_cache_capacity";
-  Telemetry.declare ~help:"lookups that found a live entry" Telemetry.Counter
-    "mcx_cache_hits_total";
-  Telemetry.declare ~help:"lookups that found nothing" Telemetry.Counter
-    "mcx_cache_misses_total";
-  Telemetry.declare ~help:"puts that added a new key" Telemetry.Counter
-    "mcx_cache_insertions_total";
-  Telemetry.declare ~help:"entries dropped to respect capacity" Telemetry.Counter
-    "mcx_cache_evictions_total";
-  Telemetry.set ~labels "mcx_cache_entries" (float_of_int (length t));
-  Telemetry.set ~labels "mcx_cache_capacity" (float_of_int t.capacity);
-  Telemetry.inc ~labels ~n:t.hits "mcx_cache_hits_total";
-  Telemetry.inc ~labels ~n:t.misses "mcx_cache_misses_total";
-  Telemetry.inc ~labels ~n:t.insertions "mcx_cache_insertions_total";
-  Telemetry.inc ~labels ~n:t.evictions "mcx_cache_evictions_total"
 
 let to_list t =
   let rec walk acc = function

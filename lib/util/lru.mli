@@ -6,10 +6,11 @@
     lookups and insertions on one domain between {!Pool} fan-outs, so no
     locking is needed or provided.
 
-    Every lookup and eviction is counted twice: in the cache's own
-    {!stats} record (always, for the [--stats] summary) and under the
+    Every lookup and eviction is counted in the cache's own {!stats}
+    record (always; the dispatcher reads its evictions per batch) and,
+    when a [name] was given and telemetry is enabled, under the
     [<name>.hit] / [<name>.miss] / [<name>.eviction] {!Telemetry}
-    counters when a [name] was given and telemetry is enabled. *)
+    counters of the trace. *)
 
 type 'a t
 
@@ -50,10 +51,3 @@ val to_list : 'a t -> (string * 'a) list
     exposed so tests can check LRU discipline against a model. *)
 
 val stats : 'a t -> stats
-
-val record_metrics : 'a t -> unit
-(** Export the cache's counters and current size into the {!Telemetry}
-    store as [mcx_cache_*] series labeled [cache=<name>] ("cache" when
-    anonymous). A one-shot exporter for [memx serve --metrics]; calling
-    it twice double-counts the counter families. No-op while
-    {!Telemetry.enabled} is false. *)

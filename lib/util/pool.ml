@@ -61,14 +61,6 @@ let create ?jobs () =
 
 let jobs pool = pool.jobs
 
-let record_metrics pool =
-  (* The worker count is an environment fact (MCX_JOBS), not a result:
-     marked measured so the deterministic metrics projection stays
-     byte-identical across job counts. *)
-  Telemetry.declare ~help:"pool workers (MCX_JOBS)" ~measured:true Telemetry.Gauge
-    "mcx_pool_jobs";
-  Telemetry.set "mcx_pool_jobs" (float_of_int pool.jobs)
-
 let shutdown pool =
   Mutex.lock pool.mutex;
   pool.stopped <- true;

@@ -1,19 +1,11 @@
 (* One recording core. Every domain records into its own buffer
    (domain-local storage), so recording never takes a lock: the state
-   mutex guards only buffer creation, family declarations, gauges and the
-   snapshot. Counters and histograms merge by (family, labels) key with
-   commutative sums, so a snapshot cannot depend on which domain ran
-   which trial. Gauges are current-value cells and live in one small
-   mutex-guarded table instead. *)
-
-type kind = Counter | Gauge | Histogram
+   mutex guards only buffer creation and the snapshot. Spans and
+   counters merge by name with commutative sums, so a snapshot cannot
+   depend on which domain ran which trial. *)
 
 let n_buckets = 64
 let max_events_per_buffer = 1_000_000
-
-(* The two families the span/counter entry points write. *)
-let span_family = "mcx_telemetry_span_ns"
-let counter_family = "mcx_telemetry_counter"
 
 (* --- histogram geometry --- *)
 
@@ -32,52 +24,7 @@ let bucket_bounds i =
   let hi = if i = n_buckets - 1 then Int64.max_int else Int64.shift_left 1L (i + 1) in
   (lo, hi)
 
-(* --- name and label validation --- *)
-
-(* The Prometheus name grammar; label names may not contain ':'. *)
-let valid_name ~colon s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | ':' -> colon | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | ':' -> colon | _ -> false)
-       s
-
-let valid_metric_name = valid_name ~colon:true
-let valid_label_name s = s <> "le" && valid_name ~colon:false s
-
-(* Canonical rendering of a name-sorted label set: series identity
-   within a family, and the order series are listed in. *)
-let label_key labels =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun (name, value) ->
-      Buffer.add_string buf name;
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf value;
-      Buffer.add_char buf '\x01')
-    labels;
-  Buffer.contents buf
-
-(* Sorted, validated label set plus its key. *)
-let normalize_labels labels =
-  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-  let rec check = function
-    | [] -> ()
-    | (name, _) :: rest ->
-      if not (valid_label_name name) then
-        invalid_arg (Printf.sprintf "Telemetry: invalid label name %S" name);
-      (match rest with
-      | (next, _) :: _ when String.equal name next ->
-        invalid_arg (Printf.sprintf "Telemetry: duplicate label %S" name)
-      | _ -> ());
-      check rest
-  in
-  check sorted;
-  (sorted, label_key sorted)
-
 type event = { ev_name : string; ev_ts : int64; ev_dur : int64 }
-
-let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Histogram -> "histogram"
 
 (* --- snapshot and renderers --- *)
 
@@ -90,41 +37,15 @@ module Snapshot = struct
     buckets : int array;
   }
 
-  type value = Counter of int | Gauge of float | Histogram of hist
-  type series = { labels : (string * string) list; value : value }
-
-  type family = {
-    name : string;
-    kind : kind;
-    help : string;
-    measured : bool;
-    series : series list;
-  }
-
   type t = {
-    families : family list;  (* sorted by name *)
+    spans : (string * hist) list;  (* sorted by name *)
+    counters : (string * int) list;  (* sorted by name *)
     events : (int * event) list;  (* (tid, event), sorted by (ts, tid) *)
     dropped : int;
   }
 
-  let families t = t.families
-  let family t name = List.find_opt (fun f -> String.equal f.name name) t.families
-
-  (* Series of one of the two span/counter families, keyed by the value
-     of their single label. *)
-  let named t family_name label project =
-    match family t family_name with
-    | None -> []
-    | Some f ->
-      List.filter_map
-        (fun s ->
-          match (List.assoc_opt label s.labels, project s.value) with
-          | Some name, Some v -> Some (name, v)
-          | _ -> None)
-        f.series
-
-  let spans t = named t span_family "span" (function Histogram h -> Some h | _ -> None)
-  let counters t = named t counter_family "name" (function Counter n -> Some n | _ -> None)
+  let spans t = t.spans
+  let counters t = t.counters
 
   let merge_hist a b =
     {
@@ -135,36 +56,17 @@ module Snapshot = struct
       buckets = Array.init n_buckets (fun i -> a.buckets.(i) + b.buckets.(i));
     }
 
-  (* Gauges are current values, not sums: the later one wins. *)
-  let merge_value a b =
-    match (a, b) with
-    | Counter x, Counter y -> Counter (x + y)
-    | Histogram x, Histogram y -> Histogram (merge_hist x y)
-    | _, v -> v
-
-  (* Families from (family, series) pairs in any order, ignoring the
-     family's own series: pairs with one (family, label set) key merge,
-     families sort by name and series by label key. Keyed and
-     order-independent, so a snapshot cannot depend on which domain
-     recorded what. *)
-  let group pairs =
-    let keyed = List.map (fun (f, s) -> (f, label_key s.labels, s)) pairs in
-    let by_key (f1, k1, _) (f2, k2, _) =
-      let c = String.compare f1.name f2.name in
-      if c <> 0 then c else String.compare k1 k2
-    in
+  (* A name-sorted list from (name, value) pairs in any order, values of
+     one name combined. Keyed and order-independent, so a snapshot
+     cannot depend on which domain recorded what. *)
+  let group combine pairs =
     List.fold_right
-      (fun (f, k, s) acc ->
+      (fun (name, v) acc ->
         match acc with
-        | (g, (k', s') :: series) :: rest when String.equal g.name f.name && String.equal k k'
-          ->
-          (g, (k, { s with value = merge_value s.value s'.value }) :: series) :: rest
-        | (g, series) :: rest when String.equal g.name f.name -> (g, (k, s) :: series) :: rest
-        | _ -> (f, [ (k, s) ]) :: acc)
-      (List.stable_sort by_key keyed) []
-    |> List.map (fun (f, series) -> { f with series = List.map snd series })
-
-  let pairs t = List.concat_map (fun f -> List.map (fun s -> (f, s)) f.series) t.families
+        | (next, w) :: rest when String.equal name next -> (name, combine v w) :: rest
+        | _ -> (name, v) :: acc)
+      (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) pairs)
+      []
 
   let event_compare (tid_a, a) (tid_b, b) =
     let c = Int64.compare a.ev_ts b.ev_ts in
@@ -175,7 +77,8 @@ module Snapshot = struct
 
   let merge a b =
     {
-      families = group (pairs a @ pairs b);
+      spans = group merge_hist (a.spans @ b.spans);
+      counters = group ( + ) (a.counters @ b.counters);
       events = List.merge event_compare a.events b.events;
       dropped = a.dropped + b.dropped;
     }
@@ -211,7 +114,6 @@ module Snapshot = struct
     in
     (* The deterministic projection drops every wall-clock column. *)
     let add_row cells timed = Texttable.add_row table (cells @ if times then timed () else []) in
-    let spans = spans t and counters = counters t in
     List.iter
       (fun (name, h) ->
         add_row [ name; string_of_int h.count ] (fun () ->
@@ -223,11 +125,11 @@ module Snapshot = struct
               pp_ns (percentile_ns h ~p:0.99);
               pp_ns h.max_ns;
             ]))
-      spans;
-    if spans <> [] && counters <> [] then Texttable.add_separator table;
+      t.spans;
+    if t.spans <> [] && t.counters <> [] then Texttable.add_separator table;
     List.iter
       (fun (name, n) -> add_row [ name; string_of_int n ] (fun () -> [ "-"; "-"; "-"; "-"; "-" ]))
-      counters;
+      t.counters;
     table
 
   (* --- Chrome trace --- *)
@@ -273,125 +175,10 @@ module Snapshot = struct
                ("schema", Json_out.Str "mcx-trace/1");
                ("dropped_events", Json_out.Int t.dropped);
                ( "counters",
-                 Json_out.Obj
-                   (List.map (fun (name, n) -> (name, Json_out.Int n)) (counters t)) );
+                 Json_out.Obj (List.map (fun (name, n) -> (name, Json_out.Int n)) t.counters) );
              ]
             @ match config with None -> [] | Some c -> [ ("config", c) ]) );
       ]
-
-  (* --- OpenMetrics text --- *)
-
-  (* Backslash and newline are escaped everywhere, the double quote only
-     inside label values ([quote]). *)
-  let escape ~quote s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '"' when quote -> Buffer.add_string buf "\\\""
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  (* [{k="v",...}] with [extra] appended; empty label set renders as
-     nothing (plain [name value] sample). *)
-  let render_labels ?extra labels =
-    let pairs =
-      List.map
-        (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape ~quote:true v))
-        labels
-      @ match extra with Some kv -> [ kv ] | None -> []
-    in
-    match pairs with [] -> "" | pairs -> "{" ^ String.concat "," pairs ^ "}"
-
-  let sample buf name labels value =
-    Buffer.add_string buf name;
-    Buffer.add_string buf labels;
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf value;
-    Buffer.add_char buf '\n'
-
-  let add_histogram_text buf ~times name labels h =
-    if times then begin
-      (* Cumulative buckets up to the last occupied one, then +Inf. *)
-      let last = ref (-1) in
-      Array.iteri (fun i c -> if c > 0 then last := i) h.buckets;
-      let acc = ref 0 in
-      for i = 0 to !last do
-        acc := !acc + h.buckets.(i);
-        let _, hi = bucket_bounds i in
-        sample buf (name ^ "_bucket")
-          (render_labels ~extra:(Printf.sprintf "le=\"%s\"" (Int64.to_string hi)) labels)
-          (string_of_int !acc)
-      done;
-      sample buf (name ^ "_bucket")
-        (render_labels ~extra:"le=\"+Inf\"" labels)
-        (string_of_int h.count);
-      sample buf (name ^ "_sum") (render_labels labels) (Int64.to_string h.sum_ns)
-    end;
-    sample buf (name ^ "_count") (render_labels labels) (string_of_int h.count)
-
-  let to_openmetrics ?(times = true) t =
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun f ->
-        if times || not f.measured then begin
-          if f.help <> "" then
-            Buffer.add_string buf
-              (Printf.sprintf "# HELP %s %s\n" f.name (escape ~quote:false f.help));
-          Buffer.add_string buf
-            (Printf.sprintf "# TYPE %s %s\n" f.name (kind_name f.kind));
-          List.iter
-            (fun s ->
-              match s.value with
-              | Counter n -> sample buf f.name (render_labels s.labels) (string_of_int n)
-              | Gauge v -> sample buf f.name (render_labels s.labels) (Json_out.float_repr v)
-              | Histogram h -> add_histogram_text buf ~times f.name s.labels h)
-            f.series
-        end)
-      t.families;
-    Buffer.add_string buf "# EOF\n";
-    Buffer.contents buf
-
-  (* --- mcx-metrics/1 JSON --- *)
-
-  let labels_json labels = Json_out.Obj (List.map (fun (k, v) -> (k, Json_out.Str v)) labels)
-
-  let series_json ~times s =
-    let base = [ ("labels", labels_json s.labels) ] in
-    match s.value with
-    | Counter n -> Json_out.Obj (base @ [ ("value", Json_out.Int n) ])
-    | Gauge v -> Json_out.Obj (base @ [ ("value", Json_out.Float v) ])
-    | Histogram h ->
-      let deterministic = base @ [ ("count", Json_out.Int h.count) ] in
-      if not times then Json_out.Obj deterministic
-      else
-        let sparse =
-          Array.to_list h.buckets
-          |> List.mapi (fun i c -> (i, c))
-          |> List.filter (fun (_, c) -> c > 0)
-          |> List.map (fun (i, c) -> Json_out.List [ Json_out.Int i; Json_out.Int c ])
-        in
-        Json_out.Obj
-          (deterministic
-          @ [
-              ("sum_ns", Json_out.Int (Int64.to_int h.sum_ns));
-              ("buckets", Json_out.List sparse);
-            ])
-
-  let to_json ?(times = true) ?config t =
-    let family_json f =
-      Json_out.Obj
-        ([ ("name", Json_out.Str f.name); ("type", Json_out.Str (kind_name f.kind)) ]
-        @ (if f.help = "" then [] else [ ("help", Json_out.Str f.help) ])
-        @ [ ("series", Json_out.List (List.map (series_json ~times) f.series)) ])
-    in
-    let kept = List.filter (fun f -> times || not f.measured) t.families in
-    Json_out.Obj
-      ([ ("schema", Json_out.Str "mcx-metrics/1") ]
-      @ (match config with None -> [] | Some c -> [ ("config", c) ])
-      @ [ ("metrics", Json_out.List (List.map family_json kept)) ])
 end
 
 (* --- the store --- *)
@@ -406,16 +193,8 @@ type hist = {
 
 type buffer = {
   tid : int;
-  (* (family, label key) -> (sorted labels, cell) *)
-  counters : (string * string, (string * string) list * int ref) Hashtbl.t;
-  hists : (string * string, (string * string) list * hist) Hashtbl.t;
-  (* Name-keyed indexes into [hists]/[counters] for the span and counter
-     families: span/count never normalise labels after first use. *)
   spans : (string, hist) Hashtbl.t;
   counts : (string, int ref) Hashtbl.t;
-  (* Families this domain already kind-checked: the hot path re-checks
-     locally instead of taking the state mutex per record. *)
-  known : (string, kind) Hashtbl.t;
   mutable stack : (string * int64) list;
   mutable events : event array;
   mutable n_events : int;
@@ -423,41 +202,19 @@ type buffer = {
 }
 
 let enabled_flag = ref false
-let events_flag = ref false
 let epoch = ref 0L
 let state_mutex = Mutex.create ()
 let locked f = Mutex.protect state_mutex f
-
-(* family name -> metadata (a family with no series); guarded by
-   [state_mutex]. *)
-let families : (string, Snapshot.family) Hashtbl.t = Hashtbl.create 32
-
-(* gauge cells: (family, label key) -> (labels, value); guarded. *)
-let gauges : (string * string, (string * string) list * float ref) Hashtbl.t =
-  Hashtbl.create 32
-
 let registry : buffer list ref = ref []
 let next_tid = Atomic.make 0
-
-let declare_builtin () =
-  let builtin name kind help =
-    Hashtbl.replace families name { Snapshot.name; kind; help; measured = false; series = [] }
-  in
-  builtin span_family Histogram "telemetry span durations by span name";
-  builtin counter_family Counter "telemetry counter totals (see MCX_TRACE)"
-
-let () = declare_builtin ()
 
 let buffer_key =
   Domain.DLS.new_key (fun () ->
       let b =
         {
           tid = Atomic.fetch_and_add next_tid 1;
-          counters = Hashtbl.create 32;
-          hists = Hashtbl.create 32;
           spans = Hashtbl.create 64;
           counts = Hashtbl.create 64;
-          known = Hashtbl.create 32;
           stack = [];
           events = [||];
           n_events = 0;
@@ -471,63 +228,23 @@ let buffer () = Domain.DLS.get buffer_key
 
 let enabled () = !enabled_flag
 
-let enable ?(events = false) () =
+let enable () =
   epoch := Timing.monotonic_ns ();
-  events_flag := events;
   enabled_flag := true
 
 let disable () = enabled_flag := false
 
 let reset () =
   locked (fun () ->
-      Hashtbl.reset families;
-      declare_builtin ();
-      Hashtbl.reset gauges;
       List.iter
         (fun b ->
-          Hashtbl.reset b.counters;
-          Hashtbl.reset b.hists;
           Hashtbl.reset b.spans;
           Hashtbl.reset b.counts;
-          Hashtbl.reset b.known;
           b.stack <- [];
           b.events <- [||];
           b.n_events <- 0;
           b.dropped <- 0)
         !registry)
-
-(* Declare-or-check under the mutex: the DLS buffers are lock-free but
-   family metadata is shared, and declaration is rare (first use). *)
-let declare_locked ?help ?measured kind name =
-  if not (valid_metric_name name) then
-    invalid_arg (Printf.sprintf "Telemetry: invalid metric name %S" name);
-  let f =
-    match Hashtbl.find_opt families name with
-    | Some f when f.kind <> kind ->
-      invalid_arg
-        (Printf.sprintf "Telemetry: %s is a %s, not a %s" name (kind_name f.kind)
-           (kind_name kind))
-    | Some f -> f
-    | None -> { Snapshot.name; kind; help = ""; measured = false; series = [] }
-  in
-  Hashtbl.replace families name
-    {
-      f with
-      help = Option.value help ~default:f.help;
-      measured = Option.value measured ~default:f.measured;
-    }
-
-let declare ?help ?measured kind name =
-  locked (fun () -> declare_locked ?help ?measured kind name)
-
-(* A kind this domain has not seen for [name] goes through the shared
-   declaration, which raises on a mismatch. *)
-let check_kind b kind name =
-  match Hashtbl.find_opt b.known name with
-  | Some k when k = kind -> ()
-  | Some _ | None ->
-    locked (fun () -> declare_locked kind name);
-    Hashtbl.replace b.known name kind
 
 (* --- recording --- *)
 
@@ -543,57 +260,22 @@ let add_sample h ns =
   let i = bucket_of_ns ns in
   h.buckets.(i) <- h.buckets.(i) + 1
 
-(* The cell of series [family{labels}] in [tbl], created by [fresh] on
-   first use. *)
-let series tbl family labels fresh =
-  let labels, key = normalize_labels labels in
-  match Hashtbl.find_opt tbl (family, key) with
-  | Some (_, cell) -> cell
+(* The cell of [name] in [tbl], created by [fresh] on first use. *)
+let cell tbl name fresh =
+  match Hashtbl.find_opt tbl name with
+  | Some c -> c
   | None ->
-    let cell = fresh () in
-    Hashtbl.replace tbl (family, key) (labels, cell);
-    cell
+    let c = fresh () in
+    Hashtbl.replace tbl name c;
+    c
 
-(* [name]'s series in one of the two single-label families, found
-   through the name-keyed [index] after first use. *)
-let indexed index tbl family label name fresh =
-  match Hashtbl.find_opt index name with
-  | Some cell -> cell
-  | None ->
-    let cell = series tbl family [ (label, name) ] fresh in
-    Hashtbl.replace index name cell;
-    cell
-
-let span_hist b name = indexed b.spans b.hists span_family "span" name new_hist
-
-let observe_ns name ns = if !enabled_flag then add_sample (span_hist (buffer ()) name) ns
+let observe_ns name ns =
+  if !enabled_flag then add_sample (cell (buffer ()).spans name new_hist) ns
 
 let count ?(n = 1) name =
   if !enabled_flag then begin
-    let b = buffer () in
-    let r = indexed b.counts b.counters counter_family "name" name (fun () -> ref 0) in
+    let r = cell (buffer ()).counts name (fun () -> ref 0) in
     r := !r + n
-  end
-
-let inc ?(labels = []) ?(n = 1) name =
-  if !enabled_flag then begin
-    let b = buffer () in
-    check_kind b Counter name;
-    let r = series b.counters name labels (fun () -> ref 0) in
-    r := !r + n
-  end
-
-let set ?(labels = []) name v =
-  if !enabled_flag then begin
-    check_kind (buffer ()) Gauge name;
-    locked (fun () -> series gauges name labels (fun () -> ref v) := v)
-  end
-
-let observe ?(labels = []) name ns =
-  if !enabled_flag then begin
-    let b = buffer () in
-    check_kind b Histogram name;
-    add_sample (series b.hists name labels new_hist) ns
   end
 
 (* --- spans --- *)
@@ -618,8 +300,8 @@ let begin_span name =
   end
 
 (* Close the innermost frame when it is [name], recording its duration
-   (and a trace event when events are on). Tolerant: enabling or
-   resetting mid-flight leaves no frame to close. *)
+   and a trace event. Tolerant: enabling or resetting mid-flight leaves
+   no frame to close. *)
 let close_span_if_open name =
   if !enabled_flag then begin
     let b = buffer () in
@@ -627,9 +309,8 @@ let close_span_if_open name =
     | (top, t0) :: rest when String.equal top name ->
       b.stack <- rest;
       let dur = Int64.sub (Timing.monotonic_ns ()) t0 in
-      add_sample (span_hist b name) dur;
-      if !events_flag then
-        push_event b { ev_name = name; ev_ts = Int64.sub t0 !epoch; ev_dur = dur }
+      add_sample (cell b.spans name new_hist) dur;
+      push_event b { ev_name = name; ev_ts = Int64.sub t0 !epoch; ev_dur = dur }
     | _ -> ()
   end
 
@@ -648,56 +329,46 @@ let span name f =
   end
 
 let freeze (h : hist) =
-  Snapshot.Histogram
-    {
-      Snapshot.count = h.count;
-      sum_ns = h.sum_ns;
-      min_ns = h.min_ns;
-      max_ns = h.max_ns;
-      buckets = Array.copy h.buckets;
-    }
+  {
+    Snapshot.count = h.count;
+    sum_ns = h.sum_ns;
+    min_ns = h.min_ns;
+    max_ns = h.max_ns;
+    buckets = Array.copy h.buckets;
+  }
 
 let snapshot () =
-  let pairs metas tbl value =
-    Hashtbl.fold
-      (fun (name, _) (labels, cell) acc ->
-        (Hashtbl.find metas name, { Snapshot.labels; value = value cell }) :: acc)
-      tbl []
-  in
-  let buffers, metas, gauge_pairs =
-    locked (fun () ->
-        (!registry, Hashtbl.copy families, pairs families gauges (fun r -> Snapshot.Gauge !r)))
-  in
+  let buffers = locked (fun () -> !registry) in
+  let pairs tbl value = Hashtbl.fold (fun name c acc -> (name, value c) :: acc) tbl [] in
   let events b = List.init b.n_events (fun i -> (b.tid, b.events.(i))) in
   {
-    Snapshot.families =
-      Snapshot.group
-        (List.concat_map
-           (fun b ->
-             pairs metas b.counters (fun r -> Snapshot.Counter !r) @ pairs metas b.hists freeze)
-           buffers
-        @ gauge_pairs);
+    Snapshot.spans =
+      Snapshot.group Snapshot.merge_hist (List.concat_map (fun b -> pairs b.spans freeze) buffers);
+    counters = Snapshot.group ( + ) (List.concat_map (fun b -> pairs b.counts ( ! )) buffers);
     events = List.sort Snapshot.event_compare (List.concat_map events buffers);
     dropped = List.fold_left (fun acc b -> acc + b.dropped) 0 buffers;
   }
 
-(* --- driver hooks --- *)
+(* --- driver hook --- *)
 
-let install ?(out = stderr) ~trace () =
-  enable ~events:true ();
+(* The trace file is opened before anything records, so a path that
+   cannot be written fails the run before it does any work. *)
+let install ~trace =
+  let oc = open_out trace in
+  enable ();
   at_exit (fun () ->
       if !enabled_flag then begin
         let snap = snapshot () in
         (* The trace carries timestamps anyway, so its embedded config
            snapshot is the full one, operational knobs included. *)
-        Json_out.write_file trace (Snapshot.chrome_trace ~config:(Config.snapshot ()) snap);
-        Printf.fprintf out "[mcx] telemetry: chrome trace written to %s\n" trace;
-        output_string out
+        output_string oc
+          (Json_out.to_string (Snapshot.chrome_trace ~config:(Config.snapshot ()) snap));
+        output_char oc '\n';
+        Printf.eprintf "[mcx] telemetry: chrome trace written to %s\n" trace;
+        output_string stderr
           (Texttable.render (Snapshot.summary_table ~times:(Config.trace_times ()) snap));
-        flush out
-      end)
+        flush stderr
+      end;
+      close_out oc)
 
-let install_from_env () =
-  match Config.trace () with
-  | Some path -> install ~trace:path ()
-  | None -> ()
+let install_from_env () = Option.iter (fun trace -> install ~trace) (Config.trace ())

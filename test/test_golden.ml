@@ -18,10 +18,10 @@ let fig6_input_sizes = [ 8; 9; 10 ]
 
 let pool = lazy (Mcx.Util.Pool.default ())
 
-(* Telemetry runs fully enabled (events on) while the projections are
+(* Telemetry runs enabled (spans, counters, events) while the projections are
    produced: the byte-compare below doubles as the regression guard that
    instrumentation never perturbs experiment output. *)
-let () = Mcx.Util.Telemetry.enable ~events:true ()
+let () = Mcx.Util.Telemetry.enable ()
 
 let table2_projection () =
   let rows =

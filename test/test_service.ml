@@ -306,30 +306,6 @@ let test_clean_batch_exits_zero () =
   Alcotest.(check int) "no errors" 0 stats.Serve.errors;
   Alcotest.(check int) "exit 0" 0 (Serve.exit_code t)
 
-let test_stats_json_shape () =
-  let t = mk_server () in
-  let _ = Serve.serve_batch t ~label:"b1" distinct_batch in
-  let _ = Serve.serve_batch t ~label:"b2" distinct_batch in
-  let json = Serve.stats_json t in
-  let str path = Option.bind path Json_out.to_string_opt in
-  let num path = Option.bind path Json_out.to_float_opt in
-  Alcotest.(check (option string)) "schema" (Some "mcx-serve-stats/1")
-    (str (Json_out.member "schema" json));
-  Alcotest.(check (option (float 0.))) "requests" (Some 6.)
-    (num (Json_out.member "requests" json));
-  let cache = Json_out.member "cache" json in
-  Alcotest.(check (option (float 0.))) "cache hits" (Some 3.)
-    (num (Option.bind cache (Json_out.member "hits")));
-  Alcotest.(check (option (float 0.))) "hit rate over both batches" (Some 0.5)
-    (num (Option.bind cache (Json_out.member "hit_rate")));
-  match Option.bind (Json_out.member "batches" json) Json_out.to_list_opt with
-  | Some [ b1; b2 ] ->
-    Alcotest.(check (option string)) "batch labels" (Some "b1")
-      (str (Json_out.member "label" b1));
-    Alcotest.(check (option (float 0.))) "warm batch hit rate" (Some 1.)
-      (num (Json_out.member "hit_rate" b2))
-  | _ -> Alcotest.fail "expected two batch rows"
-
 (* Serve verifies symbolically only up to 16 inputs; a wider request is
    still mapped and answered, without a [verified] member. *)
 let test_wide_verify_unchecked () =
@@ -460,28 +436,22 @@ let test_access_jobs_identity () =
 (* Byte identity across job counts, warm = cold and the partial-failure
    statuses are asserted in-process above ("jobs 1 = jobs 4", "warm =
    cold", "partial failure"); these cases pin what only the binary does:
-   two [--in] batches through one server process, the stats file and the
+   two [--in] batches through one server process, the access log and the
    exit status. *)
 
 let bundled_requests = "../examples/serve_requests.jsonl"
-
-let json_of_file path =
-  match Json_out.of_string (read_file path) with
-  | Ok json -> json
-  | Error e -> Alcotest.failf "%s: %s" path e
 
 let rec json_path json = function
   | [] -> Some json
   | key :: rest -> Option.bind (Json_out.member key json) (fun j -> json_path j rest)
 
 let str_at json path = Option.bind (json_path json path) Json_out.to_string_opt
-let num_at json path = Option.bind (json_path json path) Json_out.to_float_opt
 
 let test_binary_replay () =
   Memx_run.run_memx ~stderr_path:"smoke_serve.err"
     [
       "serve"; "--in"; bundled_requests; "--in"; bundled_requests; "-o";
-      "smoke_responses.jsonl"; "--stats"; "smoke_stats.json";
+      "smoke_responses.jsonl"; "--access-log"; "smoke_access.jsonl";
     ];
   let n = List.length (read_request_lines bundled_requests) in
   let responses = read_request_lines "smoke_responses.jsonl" in
@@ -501,24 +471,25 @@ let test_binary_replay () =
         Alcotest.(check bool) ("has a digest: " ^ l) true
           (Option.is_some (str_at json [ "digest" ])))
     first;
-  let stats = json_of_file "smoke_stats.json" in
-  Alcotest.(check (option string)) "stats schema" (Some "mcx-serve-stats/1")
-    (str_at stats [ "schema" ]);
-  Alcotest.(check (option string)) "config snapshot schema" (Some "mcx-config/1")
-    (str_at stats [ "config"; "schema" ]);
-  Alcotest.(check bool) "cache hits" true
-    (Option.value ~default:0. (num_at stats [ "cache"; "hits" ]) > 0.);
-  match Option.bind (json_path stats [ "batches" ]) Json_out.to_list_opt with
-  | Some [ cold; warm ] ->
-    Alcotest.(check bool) "warm batch hit rate >= 0.9" true
-      (Option.value ~default:0. (num_at warm [ "hit_rate" ]) >= 0.9);
-    let elapsed b = Option.value ~default:Float.nan (num_at b [ "elapsed_ns" ]) in
-    Alcotest.(check bool)
-      (Printf.sprintf "warm batch (%.0f ns) faster than cold (%.0f ns)" (elapsed warm)
-         (elapsed cold))
-      true
-      (elapsed warm < elapsed cold)
-  | _ -> Alcotest.fail "expected two batch rows"
+  let records =
+    List.map
+      (fun l ->
+        match Access_log.of_line l with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "unparseable access record %s: %s" l e)
+      (read_request_lines "smoke_access.jsonl")
+  in
+  Alcotest.(check int) "one access record per response" (2 * n) (List.length records);
+  let warm_hits =
+    List.length
+      (List.filteri
+         (fun i (r : Access_log.record) -> i >= n && r.Access_log.cache = Access_log.Hit)
+         records)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm batch hit share %d/%d >= 0.9" warm_hits n)
+    true
+    (float_of_int warm_hits >= 0.9 *. float_of_int n)
 
 let test_binary_bad_line () =
   write_file "smoke_bad.jsonl"
@@ -534,33 +505,129 @@ let test_binary_bad_line () =
       (Option.fold ~none:false ~some:(fun e -> String.length e > 0) (str_at json [ "error" ]))
   | Error e -> Alcotest.failf "unparseable error response: %s" e
 
-(* Two replays of one stream through the binary, then [memx report] over
-   their artifacts: an access log rendered with its metrics snapshot, and
-   the A/B gate between the two logs. The logs are on the deterministic
-   projection (MCX_TRACE_TIMES=0), so they carry no durations and the
-   diff compares counts and cache outcomes only; both must exit 0. The
-   latency-regression path is "report diff" below. *)
+(* A replay through the binary, then [memx report] over its access log.
+   The log is on the deterministic projection (MCX_TRACE_TIMES=0), so it
+   carries no durations: the report renders the overview table alone. *)
 let test_binary_report () =
-  let serve k =
-    let file suffix = Printf.sprintf "smoke_ab%d%s" k suffix in
-    Memx_run.run_memx ~env:[ "MCX_JOBS=2" ] ~stderr_path:(file ".err")
-      [
-        "serve"; "--in"; bundled_requests; "-o"; file "_resp.jsonl"; "--access-log";
-        file ".jsonl"; "--metrics-json"; file "_metrics.json";
-      ];
-    file ".jsonl"
-  in
-  let a = serve 1 and b = serve 2 in
+  let log = "smoke_report_access.jsonl" in
+  Memx_run.run_memx ~env:[ "MCX_JOBS=2" ] ~stderr_path:"smoke_report_serve.err"
+    [ "serve"; "--in"; bundled_requests; "-o"; "smoke_report_resp.jsonl"; "--access-log"; log ];
   Memx_run.run_memx ~stdout_path:"smoke_report.out" ~stderr_path:"smoke_report.err"
-    [ "report"; "--access"; a; "--metrics"; "smoke_ab1_metrics.json" ];
-  Alcotest.(check bool) "renders both documents" true
-    (let out = read_file "smoke_report.out" in
-     Memx_run.contains out ("== " ^ a ^ " ==")
-     && Memx_run.contains out "== smoke_ab1_metrics.json ==");
-  Memx_run.run_memx ~stdout_path:"smoke_diff.out" ~stderr_path:"smoke_diff.err"
-    [ "report"; "--diff"; a ^ "," ^ b; "--threshold"; "4.0" ];
-  Alcotest.(check bool) "two replays agree" true
-    (Memx_run.contains (read_file "smoke_diff.out") "no mismatches, no regressions")
+    [ "report"; "--access"; log ];
+  let out = read_file "smoke_report.out" in
+  Alcotest.(check bool) "names the log" true (Memx_run.contains out ("== " ^ log ^ " =="));
+  Alcotest.(check bool) "counts every request" true
+    (Memx_run.contains out
+       (Printf.sprintf "| requests          | %5d |"
+          (List.length (read_request_lines bundled_requests))));
+  Alcotest.(check bool) "no stage table without durations" false
+    (Memx_run.contains out "| stage")
+
+(* --- the request path under mutated bytes ------------------------------ *)
+
+(* Lines of the bundled request file with one to three byte edits: set a
+   byte, set a JSON-significant byte, delete one, or truncate the line.
+   Batches of one to eight such lines go through one server, so later
+   batches also meet a warm cache. Whatever the bytes, every line gets
+   exactly one well-formed response, in order, and exactly one access
+   record carrying its index; no exception escapes. *)
+
+let json_bytes = {|{}[]",:0123456789.-+eEtrufalsn \|}
+
+(* Positions are reduced modulo the line's length, so draw them
+   uniformly over a range far longer than any line. *)
+let gen_edit =
+  QCheck2.Gen.(
+    let pos = int_bound 1_000_000 in
+    oneof
+      [
+        map2 (fun pos c -> `Set (pos, c)) pos char;
+        map2
+          (fun pos i -> `Set (pos, json_bytes.[i]))
+          pos
+          (int_bound (String.length json_bytes - 1));
+        map (fun pos -> `Delete pos) pos;
+        map (fun pos -> `Truncate pos) pos;
+      ])
+
+let apply_edit line edit =
+  let n = String.length line in
+  if n = 0 then line
+  else
+    match edit with
+    | `Set (pos, c) -> String.mapi (fun i b -> if i = pos mod n then c else b) line
+    | `Delete pos ->
+      let p = pos mod n in
+      String.sub line 0 p ^ String.sub line (p + 1) (n - p - 1)
+    | `Truncate pos -> String.sub line 0 (pos mod n)
+
+let gen_mutated_batch bundled =
+  QCheck2.Gen.(
+    list_size (int_range 1 8)
+      (map2
+         (fun i edits -> List.fold_left apply_edit bundled.(i) edits)
+         (int_bound (Array.length bundled - 1))
+         (list_size (int_range 1 3) gen_edit)))
+
+(* The id a response to [line] at [index] must carry: the request's own
+   id when the line parses, else the line's position. *)
+let expected_id index line =
+  match Wire.request_of_line ~index line with
+  | Ok request -> request.Wire.id
+  | Error _ -> Printf.sprintf "#%d" index
+
+let test_mutated_requests () =
+  let records = ref [] in
+  let server =
+    Serve.create ~pool:(Pool.create ~jobs:2 ())
+      ~on_access:(fun r -> records := r :: !records)
+      ()
+  in
+  let lines_total = ref 0 and answered = ref 0 in
+  let one_batch lines =
+    records := [];
+    let responses, _ = Serve.serve_batch server ~label:"fuzz" lines in
+    let records = List.rev !records in
+    let n = List.length lines in
+    if List.length responses <> n then
+      QCheck2.Test.fail_reportf "%d responses to %d lines" (List.length responses) n;
+    if List.length records <> n then
+      QCheck2.Test.fail_reportf "%d access records for %d lines" (List.length records) n;
+    List.iteri
+      (fun index (line, (response, (record : Access_log.record))) ->
+        let json =
+          match Json_out.of_string response with
+          | Ok json when not (String.contains response '\n') -> json
+          | Ok _ | Error _ -> QCheck2.Test.fail_reportf "malformed response %S" response
+        in
+        let field name = Option.bind (Json_out.member name json) Json_out.to_string_opt in
+        let status = Option.value (field "status") ~default:"?" in
+        if field "schema" <> Some "mcx-response/1" then
+          QCheck2.Test.fail_reportf "response without schema: %s" response;
+        if not (List.mem status [ "ok"; "infeasible"; "deadline"; "error" ]) then
+          QCheck2.Test.fail_reportf "unknown status: %s" response;
+        if status = "error" && Option.fold ~none:true ~some:(String.equal "") (field "error")
+        then QCheck2.Test.fail_reportf "error without a message: %s" response;
+        if field "id" <> Some (expected_id index line) then
+          QCheck2.Test.fail_reportf "response %d out of order for %S: %s" index line response;
+        if record.Access_log.index <> index || record.Access_log.status <> status then
+          QCheck2.Test.fail_reportf "access record %d does not match %s" index response;
+        if status = "ok" || status = "infeasible" then incr answered)
+      (List.combine lines (List.combine responses records));
+    lines_total := !lines_total + n;
+    true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"mutated request lines" ~count:300
+       ~print:QCheck2.Print.(list string)
+       (gen_mutated_batch (Array.of_list (read_request_lines bundled_requests)))
+       one_batch);
+  (* The property only means something if mutated requests still reach
+     the cache and the mapper, not just the parser. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d lines answered ok or infeasible (>= 5%%)" !answered !lines_total)
+    true
+    (float_of_int !answered >= 0.05 *. float_of_int !lines_total)
 
 (* --- memx report ------------------------------------------------------- *)
 
@@ -629,43 +696,6 @@ let test_report_stage_percentiles () =
   Alcotest.(check bool) "p95 <= max" true
     (Int64.compare compute.Report.p95_ns compute.Report.max_ns <= 0)
 
-let test_report_diff () =
-  let old_timed = timed_summary ~source:"old" ~compute_ns:10_000_000L ~render_ns:500L in
-  Alcotest.(check int) "identical runs produce no findings" 0
-    (List.length (Report.diff old_timed old_timed));
-  (* 10x slower compute (total 1s, far above the noise floor) regresses;
-     render also grew 10x but stays under min_total_ns and is ignored. *)
-  let new_timed =
-    timed_summary ~source:"new" ~compute_ns:100_000_000L ~render_ns:5_000L
-  in
-  (match Report.diff old_timed new_timed with
-  | [ f ] ->
-    Alcotest.(check bool) "regression severity" true (f.Report.severity = `Regression);
-    Alcotest.(check bool) "names the compute stage" true
-      (let what = f.Report.what in
-       let n = String.length "compute" in
-       let rec go i =
-         i + n <= String.length what && (String.sub what i n = "compute" || go (i + 1))
-       in
-       go 0)
-  | fs -> Alcotest.failf "expected exactly one regression, got %d findings" (List.length fs));
-  Alcotest.(check int) "a looser threshold accepts the 10x" 0
-    (List.length (Report.diff ~threshold:20.0 old_timed new_timed));
-  (* Deterministic-field drift is a mismatch regardless of timing. *)
-  let lines = read_request_lines golden_requests in
-  let _, records = serve_with_access lines in
-  let full = Report.summarize ~source:"full" records ~has_times:false in
-  let truncated =
-    Report.summarize ~source:"cut"
-      (List.filteri (fun i _ -> i < 5) records)
-      ~has_times:false
-  in
-  let findings = Report.diff full truncated in
-  Alcotest.(check bool) "count drift is a mismatch" true
-    (List.exists (fun (f : Report.finding) -> f.Report.severity = `Mismatch) findings);
-  Alcotest.(check bool) "no latency findings without timing" true
-    (List.for_all (fun (f : Report.finding) -> f.Report.severity = `Mismatch) findings)
-
 let test_report_load_access () =
   let lines = read_request_lines golden_requests in
   let _, records = serve_with_access lines in
@@ -731,7 +761,6 @@ let () =
             Alcotest.test_case "partial failure" `Quick test_partial_failure_protocol;
             Alcotest.test_case "failures not retried" `Quick test_failures_not_retried;
             Alcotest.test_case "clean exit" `Quick test_clean_batch_exits_zero;
-            Alcotest.test_case "stats document" `Quick test_stats_json_shape;
             Alcotest.test_case "wide verify unchecked" `Quick test_wide_verify_unchecked;
           ] );
         ("golden", [ Alcotest.test_case "request replay" `Quick test_golden_replay ]);
@@ -739,7 +768,7 @@ let () =
           [
             Alcotest.test_case "two-batch replay" `Quick test_binary_replay;
             Alcotest.test_case "bad line exits 4" `Quick test_binary_bad_line;
-            Alcotest.test_case "report and A/B diff" `Quick test_binary_report;
+            Alcotest.test_case "report renders an access log" `Quick test_binary_report;
           ] );
         ( "access",
           [
@@ -747,11 +776,15 @@ let () =
             Alcotest.test_case "jobs 1 = jobs 4 projection" `Quick
               test_access_jobs_identity;
           ] );
+        ( "fuzz",
+          [
+            Alcotest.test_case "one response and record per line" `Quick
+              test_mutated_requests;
+          ] );
         ( "report",
           [
             Alcotest.test_case "summarize" `Quick test_report_summarize;
             Alcotest.test_case "stage percentiles" `Quick test_report_stage_percentiles;
-            Alcotest.test_case "diff" `Quick test_report_diff;
             Alcotest.test_case "load access log" `Quick test_report_load_access;
           ] );
       ]

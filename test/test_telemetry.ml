@@ -412,7 +412,7 @@ let test_report_merge_order_independent () =
 
 let test_chrome_trace_shape () =
   fresh ();
-  Telemetry.enable ~events:true ();
+  Telemetry.enable ();
   Telemetry.span "t.traced" (fun () -> Telemetry.span "t.traced_inner" (fun () -> ()));
   Telemetry.count ~n:9 "t.traced_count";
   let report = Telemetry.snapshot () in
