@@ -11,42 +11,45 @@
      serve      answer a JSONL stream of mapping requests (cached, batched)
      report     summarize an access log or a trace file
      experiment regenerate the paper's tables and figures and the extension
-                studies (Mcx_experiments.Registry)
-     config     show the effective MCX_* knob state (and validate it) *)
+                studies (Mcx_experiments.Registry) *)
 
 open Cmdliner
 
-(* Knob plumbing: every MCX_* read goes through the Config registry, and
-   the flags below override the environment by writing flag overrides
-   into it. Startup fails hard (exit 2) on a malformed knob instead of
-   silently falling back — `memx config` explains the state. *)
+(* Knob plumbing: every MCX_* read goes through Mcx.Util.Config, and a
+   flag is passed to the code that uses it in place of its knob.
+   Startup fails hard (exit 2) on a malformed knob or flag instead of
+   silently falling back. *)
 
-let report_invalid ~prefix { Mcx.Util.Config.knob; value; expected } =
-  Printf.eprintf "%s: invalid %s=%S (expected %s)\n" prefix knob value expected
-
-let set_flag_or_die name value =
-  match Mcx.Util.Config.set_flag name value with
-  | () -> ()
-  | exception Mcx.Util.Config.Invalid { knob; value; expected } ->
-    report_invalid ~prefix:"memx" { Mcx.Util.Config.knob; value; expected };
-    exit 2
+let report_invalid ~knob ~value ~expected =
+  Printf.eprintf "memx: invalid %s=%S (expected %s)\n" knob value expected
 
 let config_or_die () =
   match Mcx.Util.Config.errors () with
   | [] -> ()
   | errs ->
-    List.iter (report_invalid ~prefix:"memx") errs;
+    List.iter
+      (fun { Mcx.Util.Config.knob; value; expected } -> report_invalid ~knob ~value ~expected)
+      errs;
     exit 2
+
+(* A flag takes its knob's place, so it is held to the knob's form. *)
+let int_flag_or_die ~flag ~min ~expected = function
+  | Some n when n < min ->
+    report_invalid ~knob:flag ~value:(string_of_int n) ~expected;
+    exit 2
+  | value -> value
 
 let setup_logs verbosity trace =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level verbosity;
-  (match trace with
-  | Some path when path <> "" -> set_flag_or_die "MCX_TRACE" path
-  | Some _ | None -> ());
   config_or_die ();
-  match Mcx.Util.Telemetry.install_from_env () with
+  let trace =
+    match trace with
+    | Some path when path <> "" -> Some path
+    | Some _ | None -> Mcx.Util.Config.trace ()
+  in
+  match Option.iter (fun trace -> Mcx.Util.Telemetry.install ~trace) trace with
   | () -> ()
   | exception Sys_error msg ->
     Printf.eprintf "memx: cannot write the trace: %s\n" msg;
@@ -333,22 +336,20 @@ let serve_run () inputs output cache_size batch_size access_log =
     Printf.eprintf "memx: --batch must be positive\n";
     exit 1
   end;
-  Option.iter (fun n -> set_flag_or_die "MCX_CACHE_SIZE" (string_of_int n)) cache_size;
+  let cache_capacity =
+    int_flag_or_die ~flag:"--cache-size" ~min:0
+      ~expected:"a non-negative integer (cache entries; 0 disables)" cache_size
+  in
   let times = Mcx.Util.Config.trace_times () in
-  (* Deterministic projection (times = false) embeds the semantic-only
-     digest, so access logs stay byte-identical across job counts; the
-     timed projection records the full config digest. *)
-  let config_digest = Mcx.Util.Config.digest ~semantic_only:(not times) () in
   let access_out = Option.map open_out access_log in
   let on_access =
     Option.map
       (fun oc record ->
-        output_string oc
-          (Mcx_service.Access_log.to_line ~config:config_digest ~times record);
+        output_string oc (Mcx_service.Access_log.to_line ~times record);
         output_char oc '\n')
       access_out
   in
-  let server = Mcx_service.Serve.create ?on_access () in
+  let server = Mcx_service.Serve.create ?cache_capacity ?on_access () in
   let out, close_output =
     match output with
     | None -> (stdout, fun () -> flush stdout)
@@ -499,10 +500,14 @@ let write_csv (path, contents) =
   close_out oc
 
 let experiment_run () names samples seed =
-  (* --samples is the flag spelling of MCX_SAMPLES: route it through the
-     registry so the config snapshot records the override. *)
-  Option.iter (fun n -> set_flag_or_die "MCX_SAMPLES" (string_of_int n)) samples;
-  let samples = Mcx.Util.Config.samples () in
+  let samples =
+    match
+      int_flag_or_die ~flag:"--samples" ~min:1
+        ~expected:"a positive integer (Monte Carlo samples)" samples
+    with
+    | Some n -> Some n
+    | None -> Mcx.Util.Config.samples ()
+  in
   List.iter
     (fun name ->
       match Mcx.Experiments.Registry.run ?samples ~seed name with
@@ -549,69 +554,13 @@ let experiment_cmd =
     Term.(
       const experiment_run $ verbosity $ experiment_names $ samples $ seed)
 
-(* --- config --- *)
-
-let config_run json =
-  (* Deliberately does not go through [setup_logs]/[config_or_die]: this
-     command must *diagnose* a broken environment, so it reports every
-     malformed and unknown MCX_* variable (not just the first) before
-     exiting 2. *)
-  let errs = Mcx.Util.Config.errors () in
-  let unknown = Mcx.Util.Config.unknown () in
-  List.iter (report_invalid ~prefix:"memx config") errs;
-  List.iter
-    (fun (name, _value) ->
-      Printf.eprintf "memx config: unknown %s (not a registered knob; see memx config --help)\n"
-        name)
-    unknown;
-  if errs <> [] || unknown <> [] then exit 2;
-  if json then print_endline (Mcx.Util.Json_out.to_string (Mcx.Util.Config.snapshot ()))
-  else begin
-    let table =
-      Mcx.Util.Texttable.create
-        [ "knob"; "type"; "layer"; "semantic"; "provenance"; "value"; "default" ]
-    in
-    List.iter
-      (fun k ->
-        Mcx.Util.Texttable.add_row table
-          [
-            k.Mcx.Util.Config.name;
-            k.Mcx.Util.Config.ty;
-            k.Mcx.Util.Config.layer;
-            (if k.Mcx.Util.Config.semantic then "yes" else "no");
-            Mcx.Util.Config.provenance_name k.Mcx.Util.Config.prov;
-            Mcx.Util.Json_out.to_string k.Mcx.Util.Config.value;
-            Mcx.Util.Json_out.to_string k.Mcx.Util.Config.default;
-          ])
-      (Mcx.Util.Config.knobs ());
-    print_string (Mcx.Util.Texttable.render table);
-    Printf.printf "digest: %s (semantic-only: %s)\n" (Mcx.Util.Config.digest ())
-      (Mcx.Util.Config.digest ~semantic_only:true ())
-  end
-
-let config_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the canonical mcx-config/1 snapshot instead of a table.")
-  in
-  Cmd.v
-    (Cmd.info "config"
-       ~doc:
-         "Show the effective knob configuration: every registered MCX_* variable with \
-          its type, layer, provenance (default/env/flag) and value, plus the \
-          mcx-config/1 digests embedded in traces and access logs. Exits 2 when the \
-          environment carries a malformed or unknown MCX_* variable, naming each \
-          offender.")
-    Term.(const config_run $ json)
-
 let main =
   Cmd.group
     (Cmd.info "memx" ~version:"1.0.0"
        ~doc:"Logic synthesis and defect tolerance for memristive crossbar arrays.")
     [
       synth_cmd; map_cmd; sim_cmd; export_cmd; show_cmd; bench_cmd; serve_cmd;
-      report_cmd; experiment_cmd; config_cmd;
+      report_cmd; experiment_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -38,14 +38,6 @@ let build ?(include_il_row = false) cover =
   done;
   { geometry; matrix; cover }
 
-let minterm_row_indices t =
-  List.filter_map
-    (fun i ->
-      match Geometry.row_role t.geometry i with
-      | Geometry.Product _ -> Some i
-      | Geometry.Input_latch | Geometry.Output_row _ -> None)
-    (List.init (Geometry.rows t.geometry) Fun.id)
-
 let output_row_indices t =
   List.filter_map
     (fun i ->

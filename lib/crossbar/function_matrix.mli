@@ -17,9 +17,6 @@ val build : ?include_il_row:bool -> Mcx_logic.Mo_cover.t -> t
 (** Construct the FM of a cover. Row order: products in cover order, then
     outputs; the IL row (when requested) is row 0. *)
 
-val minterm_row_indices : t -> int list
-(** FM rows holding products (the paper's FMm), ascending. *)
-
 val output_row_indices : t -> int list
 (** FM rows holding outputs (the paper's FMo), ascending. *)
 

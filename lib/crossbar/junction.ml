@@ -2,8 +2,6 @@ type programming = Active | Disabled
 
 type defect = Functional | Stuck_open | Stuck_closed
 
-let logic_of_resistance_high = true
-
 let store d v =
   match d with Functional -> v | Stuck_open -> true | Stuck_closed -> false
 

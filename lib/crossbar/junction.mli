@@ -14,10 +14,6 @@ type defect =
   | Stuck_open  (** permanently R_OFF (logic 1): behaves like [Disabled] *)
   | Stuck_closed  (** permanently R_ON (logic 0): poisons its row and column *)
 
-val logic_of_resistance_high : bool
-(** [true]: R_OFF is logic 1 in the Snider convention — exposed so tests can
-    assert the convention rather than bake it in twice. *)
-
 val store : defect -> bool -> bool
 (** [store d v] is the value actually retained by a junction with defect
     status [d] after writing [v]: functional junctions keep [v], stuck-open

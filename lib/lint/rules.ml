@@ -29,7 +29,7 @@ let is_one_of rel files = List.mem (effective_path rel) files
 (* The owner modules: the only lib files where nondeterminism and stdout
    may live. Randomness belongs to the splittable PRNG, clocks to the
    monotonic wrapper and the telemetry built on it, environment and host
-   reads to the validated Config registry; nothing in lib writes to
+   reads to the validated Config accessors; nothing in lib writes to
    stdout and nothing hashes polymorphically. Inside lib an
    [@mcx.lint.allow] attribute cannot extend these lists (see
    [attribute_suppresses]); only a [lint.allow] path entry can. *)
@@ -87,7 +87,7 @@ let all : t list =
       id = "packed-poly-compare";
       synopsis =
         "polymorphic =/<>/compare/min/max and Hashtbl/List.mem-family instantiated at \
-         Cube.t, Cube_packed.t or Bmatrix.t; use the dedicated equal/compare/hash";
+         Cube.t or Bmatrix.t; use the dedicated equal/compare/hash";
       kind = Typed;
     };
     {
@@ -141,7 +141,7 @@ let all : t list =
       synopsis =
         "environment and host reads (Sys.getenv/getenv_opt, Unix.getenv/environment/getpid, \
          Domain.recommended_domain_count) outside lib/util/config.ml; declare the knob in \
-         the Config registry and read it through a typed accessor";
+         Mcx_util.Config and read it through its typed accessor";
       kind = Typed;
     };
   ]

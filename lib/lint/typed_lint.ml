@@ -6,12 +6,12 @@
    expanded here, so no spelling of a banned value escapes its rule.
 
    Types are matched structurally without environment expansion: a
-   [Tconstr] whose path ends in [Cube.t], [Cube_packed.t] or [Bmatrix.t]
-   (dune name-mangling like [Mcx_logic__Cube] is normalized) counts as a
-   packed type. Inside those modules' own implementations the bare [t]
-   counts too. *)
+   [Tconstr] whose path ends in [Cube.t] or [Bmatrix.t] (dune
+   name-mangling like [Mcx_logic__Cube] is normalized) counts as a packed
+   type. Inside those modules' own implementations the bare [t] counts
+   too. *)
 
-let packed_modules = [ "Cube"; "Cube_packed"; "Bmatrix" ]
+let packed_modules = [ "Cube"; "Bmatrix" ]
 
 (* Banned values: a resolved [Path.name] matching the predicate is a
    finding of the rule wherever [Rules.applies] says the rule holds. *)
@@ -28,8 +28,8 @@ let value_bans : (string * (string -> bool) * string) list =
       one_of [ "Stdlib.Hashtbl.hash"; "Stdlib.Hashtbl.seeded_hash"; "Stdlib.Hashtbl.hash_param" ],
       "keeps 30 bits and traverses structures partially; use a dedicated hash" );
     (* Every MCX_* knob (and anything else the run depends on) comes
-       through the typed Config registry — the one validated,
-       snapshot-recorded boundary — not ad-hoc reads of the host. *)
+       through the typed Config accessors — the one validated boundary —
+       not ad-hoc reads of the host. *)
     ( "raw-env-read",
       one_of
         [
@@ -41,7 +41,7 @@ let value_bans : (string * (string -> bool) * string) list =
           "Stdlib.Domain.recommended_domain_count";
         ],
       "reads the environment directly; declare the knob in Mcx_util.Config and use its \
-       typed accessor (validated, and recorded in the mcx-config/1 snapshot)" );
+       typed accessor (validated at startup)" );
     ( "output-print",
       one_of
         [

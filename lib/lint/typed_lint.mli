@@ -5,6 +5,5 @@
     packed types, and float sorts with the polymorphic comparator. *)
 
 val run : file:string -> modname:string -> Typedtree.structure -> Finding.t list
-(** [modname] is the compilation-unit name from the cmt; inside [Cube],
-    [Cube_packed] and [Bmatrix] themselves the bare type [t] counts as
-    packed. *)
+(** [modname] is the compilation-unit name from the cmt; inside [Cube]
+    and [Bmatrix] themselves the bare type [t] counts as packed. *)

@@ -4,7 +4,7 @@
    empty. Branch on the most binate variable to keep the recursion shallow.
 
    Covers are flat care/polarity word arrays, [w] words per cube, the
-   layout of [Cube_packed]. Every result is free of contained cubes and
+   layout of [Cube]. Every result is free of contained cubes and
    sorted by literal count, stably: a leaf trivially, and a node because
    each branch is, the literal attached to a branch keeps its cubes'
    containment as it was, and the two branches conflict on that literal.
@@ -118,8 +118,8 @@ let complement f =
   let flat =
     {
       count = Array.length cubes;
-      care = words Cube_packed.care_word;
-      pol = words Cube_packed.pol_word;
+      care = words Cube.care_word;
+      pol = words Cube.pol_word;
       lits = Array.map Cube.num_literals cubes;
     }
   in
@@ -131,4 +131,4 @@ let complement f =
     else Literal.Neg
   in
   Cover.create ~arity
-    (List.init result.count (fun i -> Cube_packed.make ~arity ~f:(literal i)))
+    (List.init result.count (fun i -> Cube.make ~arity ~f:(literal i)))

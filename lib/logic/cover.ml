@@ -41,8 +41,6 @@ let of_strings = function
     let arity = String.length first in
     create ~arity (List.map Cube.of_string rows)
 
-let to_strings t = List.map Cube.to_string t.cubes
-
 let of_minterms ~arity ms =
   let cube_of_minterm m =
     if Array.length m <> arity then invalid_arg "Cover.of_minterms: arity mismatch";

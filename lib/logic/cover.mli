@@ -36,8 +36,6 @@ val of_strings : string list -> t
 (** Build from PLA-style rows, e.g. [["1-0"; "01-"]]. All rows must share
     one length. @raise Invalid_argument on empty list (arity unknown). *)
 
-val to_strings : t -> string list
-
 val of_minterms : arity:int -> bool array list -> t
 (** One cube per minterm. *)
 

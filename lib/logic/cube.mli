@@ -3,19 +3,26 @@
     A cube is a conjunction of literals; it is the unit the paper maps onto
     one horizontal crossbar line. Cubes are immutable.
 
-    The representation is {!Cube_packed}: two bit masks (care / polarity)
-    packed into native words, so containment, intersection and tautology
-    cofactoring are word-parallel. This module adds the Literal-level and
-    string-level API on top. *)
+    A cube is two bit masks — a care mask (variable carries a literal) and
+    a polarity mask (that literal is positive) — stored
+    {!Mcx_util.Bits.word_bits} variables per native word, so containment,
+    intersection, distance, supercube and tautology cofactoring each cost
+    a few AND/XOR/popcount operations per word. Polarity bits are zero on
+    absent variables, and bits at positions [>= arity] are zero. *)
 
-type t = Cube_packed.t
+type t
 
 val universe : int -> t
 (** [universe n] is the cube over [n] variables with no literals (constant
     true product). @raise Invalid_argument if [n < 0]. *)
 
+val make : arity:int -> f:(int -> Literal.t) -> t
+(** The cube whose variable [i] carries [f i]. *)
+
 val of_literals : Literal.t array -> t
 (** Takes ownership of a copy of the array. *)
+
+val to_array : t -> Literal.t array
 
 val of_string : string -> t
 (** [of_string "1-0"] builds a 3-variable cube x0 x2'.
@@ -25,6 +32,15 @@ val to_string : t -> string
 
 val arity : t -> int
 (** Number of variables (including absent positions). *)
+
+val words : t -> int
+(** Number of words per mask. *)
+
+val care_word : t -> int -> int
+(** Raw care word [w], for the flat-array kernels ({!Tautology},
+    {!Complement}, {!Truthtable}). *)
+
+val pol_word : t -> int -> int
 
 val get : t -> int -> Literal.t
 (** Literal at variable [i]. @raise Invalid_argument out of range. *)
@@ -43,7 +59,10 @@ val is_minterm : t -> bool
 (** True when every variable is constrained. *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** Shorter arity first, then lexicographic by variable with
+    [Literal.compare]'s order (Neg < Pos < Absent). *)
 
 val hash : t -> int
 (** Mixes the packed words directly — no per-call string allocation. *)
@@ -63,7 +82,8 @@ val eval_packed : t -> int array -> bool
 (** Evaluate against a packed assignment of at least the cube's arity. *)
 
 val covers : t -> t -> bool
-(** [covers a b]: every minterm of [b] is a minterm of [a]. *)
+(** [covers a b]: every minterm of [b] is a minterm of [a]. [false] on
+    arity mismatch. *)
 
 val intersect : t -> t -> t option
 (** [None] when the cubes share no minterm. *)

@@ -11,17 +11,6 @@ let output_sweeps ~n_inputs ~n_outputs rows =
       List.iteri (fun i (_, mask) -> if not mask.(k) then Tautology.switch sweep i false) rows;
       sweep)
 
-let row_obligations_covered mo ~cube ~output ~without =
-  let others =
-    List.filter_map
-      (fun r ->
-        if r.Mo_cover.outputs.(output) && not (List.exists (Cube.equal r.Mo_cover.cube) without)
-        then Some r.Mo_cover.cube
-        else None)
-      (Mo_cover.rows mo)
-  in
-  Tautology.cube_covered cube (Cover.create ~arity:(Mo_cover.n_inputs mo) others)
-
 let minimize_joint mo =
   Mcx_util.Telemetry.span "mo_minimize.joint" @@ fun () ->
   let n_inputs = Mo_cover.n_inputs mo in

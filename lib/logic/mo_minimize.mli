@@ -21,9 +21,3 @@
     counts exactly (rd53: 31, rd73: 127, rd84: 255). *)
 
 val minimize_joint : Mo_cover.t -> Mo_cover.t
-
-val row_obligations_covered :
-  Mo_cover.t -> cube:Cube.t -> output:int -> without:Cube.t list -> bool
-(** [true] when [cube]'s contribution to [output] is already covered by
-    the cover's other rows ([without] lists rows to exclude, typically the
-    row under consideration). Exposed for tests. *)

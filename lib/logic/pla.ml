@@ -118,8 +118,3 @@ let to_string ?input_labels ?output_labels cover =
     (Mo_cover.rows cover);
   Buffer.add_string buf ".e\n";
   Buffer.contents buf
-
-let write_file path ?input_labels ?output_labels cover =
-  let oc = open_out path in
-  output_string oc (to_string ?input_labels ?output_labels cover);
-  close_out oc

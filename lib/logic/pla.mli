@@ -25,5 +25,3 @@ val parse_file : string -> parsed
 
 val to_string : ?input_labels:string list -> ?output_labels:string list -> Mo_cover.t -> string
 (** Render a cover back to PLA text, ending with [.e]. *)
-
-val write_file : string -> ?input_labels:string list -> ?output_labels:string list -> Mo_cover.t -> unit

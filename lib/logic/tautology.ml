@@ -5,7 +5,7 @@
 
    One kernel serves every arity. Cubes lie flat in two int arrays, cube i
    holding words [i*w, (i+1)*w) of the care and the polarity masks, [w]
-   words per cube (the layout of [Cube_packed]). A recursion level owns the
+   words per cube (the layout of [Cube]). A recursion level owns the
    cubes [lo, hi) of the scratch arrays: it may compact them in place, and
    it writes each cofactor just above them, where the child level owns it
    until it returns. So a check allocates no cube at all. *)
@@ -179,8 +179,8 @@ let of_cubes ~arity cubes =
     (fun i c ->
       if Cube.arity c <> arity then invalid_arg "Tautology.of_cubes: arity mismatch";
       for k = 0 to w - 1 do
-        care.((i * w) + k) <- Cube_packed.care_word c k;
-        pol.((i * w) + k) <- Cube_packed.pol_word c k
+        care.((i * w) + k) <- Cube.care_word c k;
+        pol.((i * w) + k) <- Cube.pol_word c k
       done)
     cubes;
   { arity; count; care; pol; on = Bytes.make count '\001'; scratch = s }
@@ -190,7 +190,7 @@ let switch t i on = Bytes.set t.on i (if on then '\001' else '\000')
 let absorb t i e =
   if Cube.arity e <> t.arity then invalid_arg "Tautology.absorb: arity mismatch";
   let w = t.scratch.w in
-  let ec = Array.init w (Cube_packed.care_word e) and ep = Array.init w (Cube_packed.pol_word e) in
+  let ec = Array.init w (Cube.care_word e) and ep = Array.init w (Cube.pol_word e) in
   let absorbed = ref false in
   for j = 0 to t.count - 1 do
     if j <> i && Bytes.unsafe_get t.on j <> '\000' then begin
@@ -224,7 +224,7 @@ let covers t c =
   if Cube.arity c <> t.arity then invalid_arg "Tautology.covers: arity mismatch";
   let s = t.scratch in
   let w = s.w in
-  let cc = Array.init w (Cube_packed.care_word c) and cp = Array.init w (Cube_packed.pol_word c) in
+  let cc = Array.init w (Cube.care_word c) and cp = Array.init w (Cube.pol_word c) in
   reserve s ~top:0 t.count;
   let src_care = t.care and src_pol = t.pol and dst_care = s.care and dst_pol = s.pol in
   let j = ref 0 in

@@ -62,11 +62,11 @@ let of_cover f =
   let arity = Cover.arity f in
   check_arity arity;
   let table = Bytes.make (1 lsl arity) '\000' in
-  let word get c = if Cube_packed.words c = 0 then 0 else get c 0 in
+  let word get c = if Cube.words c = 0 then 0 else get c 0 in
   List.iter
     (fun c ->
-      let pol = word Cube_packed.pol_word c in
-      let free = ((1 lsl arity) - 1) land lnot (word Cube_packed.care_word c) in
+      let pol = word Cube.pol_word c in
+      let free = ((1 lsl arity) - 1) land lnot (word Cube.care_word c) in
       let sub = ref free in
       Bytes.unsafe_set table pol '\001';
       while !sub <> 0 do

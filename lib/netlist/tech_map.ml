@@ -45,8 +45,6 @@ let factor_with = function
 let map_cover ?(strategy = Quick) ?fanin_limit f =
   map_exprs ~n_inputs:(Mcx_logic.Cover.arity f) ~fanin_limit [ factor_with strategy f ]
 
-let map_cover_flat ?fanin_limit f = map_cover ~strategy:Flat ?fanin_limit f
-
 let map_mo ?(strategy = Quick) ?fanin_limit mo =
   let n_outputs = Mcx_logic.Mo_cover.n_outputs mo in
   let exprs =

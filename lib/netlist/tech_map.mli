@@ -25,11 +25,6 @@ val map_cover : ?strategy:strategy -> ?fanin_limit:int -> Mcx_logic.Cover.t -> m
 (** Factored multi-level mapping of a single-output function. The fan-in
     limit defaults to [max 2 n_inputs], matching the paper's ABC setup. *)
 
-val map_cover_flat : ?fanin_limit:int -> Mcx_logic.Cover.t -> mapped
-(** Mapping of the un-factored two-level form (one NAND per multi-literal
-    product plus a collector NAND) — the ablation baseline showing what
-    multi-level buys. *)
-
 val map_mo : ?strategy:strategy -> ?fanin_limit:int -> Mcx_logic.Mo_cover.t -> mapped
 (** Multi-output mapping into a single shared network; identical
     sub-expressions across outputs share gates via structural hashing. *)

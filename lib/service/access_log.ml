@@ -44,15 +44,10 @@ let stage_ns r = function
   | "render" -> r.render_ns
   | stage -> invalid_arg ("Access_log.stage_ns: " ^ stage)
 
-(* [?config] is the run's mcx-config/1 digest (not the whole snapshot:
-   one short field per line). It rides right after [schema] so readers
-   can group lines by configuration; [of_json] ignores it, keeping old
-   logs loadable. *)
-let to_json ?config ~times r =
+let to_json ~times r =
   Json.Obj
-    ([ ("schema", Json.Str schema) ]
-    @ (match config with Some d -> [ ("config", Json.Str d) ] | None -> [])
-    @ [
+    ([
+       ("schema", Json.Str schema);
        ("index", Json.Int r.index);
        ("id", Json.Str r.id);
        ("source", Json.Str r.source);
@@ -69,7 +64,7 @@ let to_json ?config ~times r =
       List.map (fun stage -> (stage ^ "_ns", Json.Int (Int64.to_int (stage_ns r stage)))) stage_names
     )
 
-let to_line ?config ~times r = Json.to_string (to_json ?config ~times r)
+let to_line ~times r = Json.to_string (to_json ~times r)
 
 let of_json json =
   let str field = Option.bind (Json.member field json) Json.to_string_opt in
@@ -101,8 +96,3 @@ let of_json json =
   | None -> Error "missing schema field"
 
 let has_times json = Json.member "parse_ns" json <> None
-
-let of_line line =
-  match Json.of_string line with
-  | Error e -> Error e
-  | Ok json -> of_json json

@@ -52,22 +52,17 @@ val stage_ns : record -> string -> int64
 
 val cache_outcome_to_string : cache_outcome -> string
 
-val to_json : ?config:string -> times:bool -> record -> Mcx_util.Json_out.t
-(** Fixed field order (schema, config?, index, id, source, digest?,
-    cache, status, bytes, then the [*_ns] stage durations);
-    [times = false] drops the durations. [?config] is the run's
-    [mcx-config/1] digest ({!Mcx_util.Config.digest}); the CLI passes
-    the semantic-only digest on the deterministic projection so logs
-    stay byte-identical across job counts. *)
+val to_json : times:bool -> record -> Mcx_util.Json_out.t
+(** Fixed field order (schema, index, id, source, digest?, cache,
+    status, bytes, then the [*_ns] stage durations); [times = false]
+    drops the durations. *)
 
-val to_line : ?config:string -> times:bool -> record -> string
+val to_line : times:bool -> record -> string
 (** Compact one-line rendering, no trailing newline. *)
 
 val of_json : Mcx_util.Json_out.t -> (record, string) result
 (** Lenient reader for [memx report]: absent durations read as 0 (see
     {!has_times}). *)
-
-val of_line : string -> (record, string) result
 
 val has_times : Mcx_util.Json_out.t -> bool
 (** Whether the record carries stage durations (i.e. was written with

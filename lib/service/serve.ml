@@ -33,19 +33,22 @@ type t = {
 
 let create ?pool ?cache_capacity ?on_access () =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  (* MCX_CACHE_SIZE sizes the mapping cache; responses are
-     cache-invariant ("warm = cold" test), only latency changes. Read
-     (validated) through the Config registry, the sanctioned env
-     boundary. *)
+  (* MCX_CACHE_SIZE sizes the mapping cache unless the caller passes a
+     capacity; responses are cache-invariant ("warm = cold" test), only
+     latency changes. *)
   let capacity =
     match cache_capacity with Some c -> c | None -> Mcx_util.Config.cache_size ()
   in
   { pool; cache = Lru.create ~name:"serve.cache" ~capacity (); on_access; errors_total = 0 }
 
-(* Per-request disposition after the resolve stage, in line order. *)
+(* Per-request disposition after the resolve stage, in line order. A
+   malformed request keeps its source kind when it parsed. *)
 type disposition =
-  | Malformed of { id : string; error : string }
+  | Malformed of { id : string; source : string; error : string }
   | Ready of Canonical.t
+
+let source_kind (request : Wire.request) =
+  match request.Wire.source with `Pla _ -> "pla" | `Benchmark _ -> "benchmark"
 
 (* How a ready request's result is obtained. [Coalesced] and [Missed]
    both read the batch-local result table; they differ only in the
@@ -125,27 +128,33 @@ let serve_batch t ~label lines =
           r)
         lines
     in
+    (* An invalid request ([Canonical.resolve]'s documented raises)
+       answers with its own message; anything else is a fault that
+       [map_isolated] captures. *)
     let resolved =
       Pool.map_isolated t.pool n (fun i ->
           match parsed.(i) with
           | Error msg -> (Error msg, 0L)
           | Ok request ->
             let t0 = Timing.monotonic_ns () in
-            let canonical = Canonical.resolve request in
-            (Ok canonical, Int64.sub (Timing.monotonic_ns ()) t0))
+            let canonical =
+              match Canonical.resolve request with
+              | canonical -> Ok canonical
+              | exception (Failure msg | Invalid_argument msg) -> Error msg
+            in
+            (canonical, Int64.sub (Timing.monotonic_ns ()) t0))
     in
     Array.init n (fun i ->
-        let id_of_line () =
+        let malformed error =
           match parsed.(i) with
-          | Ok request -> request.Wire.id
-          | Error _ -> Printf.sprintf "#%d" i
+          | Ok request -> Malformed { id = request.Wire.id; source = source_kind request; error }
+          | Error _ -> Malformed { id = Printf.sprintf "#%d" i; source = "invalid"; error }
         in
         match resolved.(i) with
-        | Pool.Done (Ok canonical, ns) ->
+        | Pool.Done (result, ns) -> (
           resolve_ns.(i) <- ns;
-          Ready canonical
-        | Pool.Done (Error msg, _) -> Malformed { id = id_of_line (); error = msg }
-        | Pool.Failed error -> Malformed { id = id_of_line (); error })
+          match result with Ok canonical -> Ready canonical | Error msg -> malformed msg)
+        | Pool.Failed error -> malformed error)
   in
   (* Stage 2: cache lookups in request order; coalesce equal digests. *)
   let cache_stats_before = Lru.stats t.cache in
@@ -200,7 +209,7 @@ let serve_batch t ~label lines =
       (fun i disposition ->
         let response, compute_ns =
           match disposition with
-          | Malformed { id; error } ->
+          | Malformed { id; error; _ } ->
             ({ (Wire.response ~id Wire.Failed) with Wire.error = Some error }, 0L)
           | Ready canonical ->
             let result, elapsed_ns, compute_ns =
@@ -228,12 +237,9 @@ let serve_batch t ~label lines =
         let render_ns = Int64.sub (Timing.monotonic_ns ()) t0 in
         let source, digest =
           match disposition with
-          | Malformed _ -> ("invalid", None)
+          | Malformed { source; _ } -> (source, None)
           | Ready canonical ->
-            ( (match canonical.Canonical.request.Wire.source with
-              | `Pla _ -> "pla"
-              | `Benchmark _ -> "benchmark"),
-              Some canonical.Canonical.digest )
+            (source_kind canonical.Canonical.request, Some canonical.Canonical.digest)
         in
         let record =
           {
@@ -277,5 +283,4 @@ let serve_batch t ~label lines =
   in
   (responses, stats)
 
-let error_count t = t.errors_total
 let exit_code t = if t.errors_total > 0 then 4 else 0

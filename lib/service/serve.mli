@@ -58,9 +58,6 @@ val serve_batch : t -> label:string -> string list -> string list * batch_stats
     request line (same order, no trailing newlines) plus the batch's
     stats. The cache persists across batches of the same server. *)
 
-val error_count : t -> int
-(** Total error responses emitted so far. *)
-
 val exit_code : t -> int
 (** 0 when every request succeeded, 4 ("completed with partial
     results") when any request yielded an error response. *)

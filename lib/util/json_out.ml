@@ -25,20 +25,18 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* The shortest of %.15g/%.16g/%.17g that parses back to [f] (finite). *)
 let float_repr f =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
-  else begin
-    let try_prec p =
-      let s = Printf.sprintf "%.*g" p f in
-      if float_of_string s = f then Some s else None
-    in
-    match try_prec 15 with
+  let try_prec p =
+    let s = Printf.sprintf "%.*g" p f in
+    if float_of_string s = f then Some s else None
+  in
+  match try_prec 15 with
+  | Some s -> s
+  | None -> (
+    match try_prec 16 with
     | Some s -> s
-    | None -> (
-      match try_prec 16 with
-      | Some s -> s
-      | None -> Printf.sprintf "%.17g" f)
-  end
+    | None -> Printf.sprintf "%.17g" f)
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"

@@ -1,10 +1,11 @@
 (** Minimal JSON emission and parsing shared by the machine-readable
-    outputs (the telemetry Chrome trace, config snapshots, access logs,
-    serve responses) and their readers.
+    outputs (the telemetry Chrome trace, access logs, serve responses)
+    and their readers.
 
     The value type is a plain tree; rendering is deterministic (object
-    fields are emitted in construction order, floats through
-    {!float_repr}). The reader ({!of_string}) parses serve's request
+    fields are emitted in construction order; a float renders as the
+    shortest of [%.15g]/[%.16g]/[%.17g] that parses back to the same
+    double). The reader ({!of_string}) parses serve's request
     lines ([Mcx_service.Wire]) and the files [memx report] summarizes
     ([Mcx_service.Report]): it accepts the compact subset this module
     emits plus insignificant whitespace, and round-trips every emitted
@@ -14,16 +15,12 @@ type t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float  (** NaN and infinities render as [null]; see {!float_repr}. *)
+  | Float of float
+      (** NaN and the infinities have no JSON number form; they render as
+          [null]. *)
   | Str of string
   | List of t list
   | Obj of (string * t) list
-
-val float_repr : float -> string
-(** Shortest of [%.15g]/[%.16g]/[%.17g] that round-trips through
-    [float_of_string] — parsing the output recovers the exact double.
-    NaN and the infinities have no JSON number form; they render as
-    [null] (the emitter's documented policy, exercised by tests). *)
 
 val to_string : t -> string
 

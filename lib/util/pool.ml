@@ -16,9 +16,9 @@ let clamp_jobs n = max 1 (min 64 n)
 
 (* MCX_JOBS / the machine's core count select how much parallelism to
    use, never what gets computed: results are job-count-invariant (the
-   "jobs 1 = jobs 4" tests). The knob lives in the Config registry; its
-   resolution (env value or recommended_domain_count, clamped) is
-   Config.jobs_resolved, behind the sanctioned Config barrier. *)
+   "jobs 1 = jobs 4" tests). Its resolution (env value or
+   recommended_domain_count, clamped) is Config.jobs_resolved, behind the
+   sanctioned Config barrier. *)
 let default_jobs () = Config.jobs_resolved ()
 
 (* Inside a worker task, nested map calls must not block on the shared

@@ -134,7 +134,7 @@ module Snapshot = struct
 
   (* --- Chrome trace --- *)
 
-  let chrome_trace ?config t =
+  let chrome_trace t =
     let tids = List.sort_uniq Int.compare (List.map fst t.events) in
     let metadata event tid name =
       Json_out.Obj
@@ -171,13 +171,12 @@ module Snapshot = struct
         ("displayTimeUnit", Json_out.Str "ms");
         ( "otherData",
           Json_out.Obj
-            ([
-               ("schema", Json_out.Str "mcx-trace/1");
-               ("dropped_events", Json_out.Int t.dropped);
-               ( "counters",
-                 Json_out.Obj (List.map (fun (name, n) -> (name, Json_out.Int n)) t.counters) );
-             ]
-            @ match config with None -> [] | Some c -> [ ("config", c) ]) );
+            [
+              ("schema", Json_out.Str "mcx-trace/1");
+              ("dropped_events", Json_out.Int t.dropped);
+              ( "counters",
+                Json_out.Obj (List.map (fun (name, n) -> (name, Json_out.Int n)) t.counters) );
+            ] );
       ]
 end
 
@@ -359,10 +358,7 @@ let install ~trace =
   at_exit (fun () ->
       if !enabled_flag then begin
         let snap = snapshot () in
-        (* The trace carries timestamps anyway, so its embedded config
-           snapshot is the full one, operational knobs included. *)
-        output_string oc
-          (Json_out.to_string (Snapshot.chrome_trace ~config:(Config.snapshot ()) snap));
+        output_string oc (Json_out.to_string (Snapshot.chrome_trace snap));
         output_char oc '\n';
         Printf.eprintf "[mcx] telemetry: chrome trace written to %s\n" trace;
         output_string stderr
@@ -370,5 +366,3 @@ let install ~trace =
         flush stderr
       end;
       close_out oc)
-
-let install_from_env () = Option.iter (fun trace -> install ~trace) (Config.trace ())

@@ -23,10 +23,10 @@
 
     {2 Gating and the [times] projection}
 
-    Nothing records until {!enable} (or {!install_from_env}, which the
-    drivers call). Setting [MCX_TRACE=<path>] (or [memx --trace <path>])
-    enables collection, writes a Chrome trace-event JSON to [<path>] at
-    exit (loadable in [about://tracing] /
+    Nothing records until {!enable} (or {!install}, which [memx] calls
+    with its [--trace] path, else [MCX_TRACE]). {!install} enables
+    collection, writes a Chrome trace-event JSON to the path at exit
+    (loadable in [about://tracing] /
     {{:https://ui.perfetto.dev}Perfetto}) and prints the per-phase
     summary to stderr — stdout stays byte-comparable.
     [MCX_TRACE_TIMES=0] ({!Config.trace_times}) selects the deterministic
@@ -112,15 +112,11 @@ module Snapshot : sig
       row per counter. With [times = false] (the deterministic
       projection) only name and calls/count columns are rendered. *)
 
-  val chrome_trace : ?config:Json_out.t -> t -> Json_out.t
+  val chrome_trace : t -> Json_out.t
   (** Chrome trace-event JSON ([traceEvents] of ["ph": "X"] complete
       events, microsecond timestamps relative to {!enable}, one [tid]
       per recording domain, plus thread-name metadata; counter totals
-      ride in [otherData]). [?config] (an [mcx-config/1] snapshot, see
-      {!Config.snapshot}) is appended to [otherData] when given —
-      {!install_from_env} passes the full snapshot so a trace records
-      the knob state that produced it. Schema documented in
-      EXPERIMENTS.md. *)
+      ride in [otherData]). Schema documented in EXPERIMENTS.md. *)
 end
 
 val snapshot : unit -> Snapshot.t
@@ -129,11 +125,10 @@ val snapshot : unit -> Snapshot.t
 
 (** {2 Driver hook} *)
 
-val install_from_env : unit -> unit
-(** When [MCX_TRACE] ({!Config.trace}) is set and non-empty: open that
-    file for writing, {!enable}, and register an exit hook that writes
-    the Chrome trace to it and prints the summary table to stderr
-    (honoring [MCX_TRACE_TIMES=0]). Otherwise do nothing (telemetry
-    stays off at a single branch per record call).
+val install : trace:string -> unit
+(** Open [trace] for writing, {!enable}, and register an exit hook that
+    writes the Chrome trace to it and prints the summary table to stderr
+    (honoring [MCX_TRACE_TIMES=0]). Without it telemetry stays off at a
+    single branch per record call.
     @raise Sys_error when the file cannot be opened; nothing is enabled
     then, so the driver can fail before doing any work. *)

@@ -3,7 +3,7 @@
    obviously correct rather than fast.
 
    This is the differential-test oracle: oracle.ml pits the packed
-   kernels of [Cube_packed] and [Bmatrix] against it on randomized
+   kernels of [Cube] and [Bmatrix] against it on randomized
    inputs. Do not "optimize" this module: its value is its independence
    from the packed representation. *)
 

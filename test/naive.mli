@@ -3,7 +3,7 @@
 
     Cube operations work on bare [Literal.t array]s, matrix operations on
     [bool array array]s, one element at a time. [oracle.ml] checks
-    {!Mcx_logic.Cube_packed} and {!Mcx_util.Bmatrix} against these on
+    {!Mcx_logic.Cube} and {!Mcx_util.Bmatrix} against these on
     randomized inputs. Keep this module slow and obvious — its value is
     independence from the packed representation. *)
 

@@ -1,4 +1,4 @@
-(* Differential test oracle: the packed kernels (Cube_packed via Cube,
+(* Differential test oracle: the packed kernels (Cube's word masks,
    bit-packed Bmatrix) against the naive reference implementations in
    naive.ml, on seeded randomized inputs.
 

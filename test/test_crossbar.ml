@@ -33,8 +33,7 @@ let test_junction_store () =
   Alcotest.(check bool) "stuck-open reads 1" true (Junction.store Junction.Stuck_open false);
   Alcotest.(check bool) "stuck-closed reads 0" false
     (Junction.store Junction.Stuck_closed true);
-  Alcotest.(check bool) "reset is R_OFF" true (Junction.reset_value Junction.Functional);
-  Alcotest.(check bool) "snider convention" true Junction.logic_of_resistance_high
+  Alcotest.(check bool) "reset is R_OFF" true (Junction.reset_value Junction.Functional)
 
 (* ------------------------------------------------------------------ *)
 (* Defect_map                                                         *)
@@ -260,8 +259,6 @@ let test_fm_structure () =
   let g = fm.Function_matrix.geometry in
   Alcotest.(check int) "6 rows" 6 (Geometry.rows g);
   Alcotest.(check int) "10 cols" 10 (Geometry.cols g);
-  Alcotest.(check (list int)) "FMm rows" [ 0; 1; 2; 3 ]
-    (Function_matrix.minterm_row_indices fm);
   Alcotest.(check (list int)) "FMo rows" [ 4; 5 ] (Function_matrix.output_row_indices fm);
   (* m1 = x1 x2 of O1: literals at cols 0,1 and a connection on O1's
      complement column. *)

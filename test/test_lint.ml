@@ -180,7 +180,7 @@ let test_rule_scoping () =
     (applies "output-stderr-print" "lib/logic/cube.ml");
   Alcotest.(check bool) "stderr banned in fixtures" true
     (applies "output-stderr-print" "test/lint_fixtures/out_stderr.ml");
-  Alcotest.(check bool) "env read ok in the registry" false
+  Alcotest.(check bool) "env read ok in Config" false
     (applies "raw-env-read" "lib/util/config.ml");
   Alcotest.(check bool) "env read banned elsewhere in lib" true
     (applies "raw-env-read" "lib/util/pool.ml");

@@ -287,7 +287,7 @@ let test_map_eval_equals_cover () =
 
 let test_map_flat_eval () =
   let f = cover [ "110-"; "1-01"; "0-1-"; "-011" ] in
-  let mapped = Tech_map.map_cover_flat f in
+  let mapped = Tech_map.map_cover ~strategy:Flat f in
   for idx = 0 to 15 do
     let v = Array.init 4 (fun i -> (idx lsr i) land 1 = 1) in
     let out = Tech_map.eval mapped v in
@@ -417,7 +417,7 @@ let prop_map_flat_preserves =
   QCheck2.Test.make ~name:"flat map preserves semantics" ~count:150
     (gen_cover ~arity:5 ~max_products:8)
     (fun f ->
-      let mapped = Tech_map.map_cover_flat f in
+      let mapped = Tech_map.map_cover ~strategy:Flat f in
       exhaustive_equal ~arity:5 (Cover.eval f) (fun v -> (Tech_map.eval mapped v).(0)))
 
 let prop_map_small_fanin_preserves =
