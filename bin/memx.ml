@@ -146,7 +146,6 @@ let map_run () spec rate seed algorithm verify =
     (Mcx.Crossbar.Geometry.cols geometry)
     (Mcx.Crossbar.Defect_map.count defects Mcx.Crossbar.Junction.Stuck_open)
     (100. *. rate);
-  let algorithm = if algorithm = "exact" then Mcx.Exact else Mcx.Hybrid in
   match Mcx.map_defect_tolerant ~algorithm cover defects with
   | None ->
     Printf.printf "no valid mapping found\n";
@@ -168,7 +167,12 @@ let map_cmd =
   let algorithm =
     Arg.(
       value
-      & opt (enum [ ("hybrid", "hybrid"); ("exact", "exact") ]) "hybrid"
+      & opt
+          (enum
+             (List.map
+                (fun a -> (Mcx.Mapping.Mapper.algorithm_to_string a, a))
+                [ Mcx.Hybrid; Mcx.Exact ]))
+          Mcx.Hybrid
       & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc:"Mapping algorithm (hybrid or exact).")
   in
   let verify =
@@ -332,10 +336,11 @@ let read_batch ic limit =
   loop [] 0
 
 let serve_run () inputs output cache_size batch_size access_log =
-  if batch_size <= 0 then begin
-    Printf.eprintf "memx: --batch must be positive\n";
-    exit 1
-  end;
+  let batch_size =
+    Option.get
+      (int_flag_or_die ~flag:"--batch" ~min:1
+         ~expected:"a positive integer (requests per batch)" (Some batch_size))
+  in
   let cache_capacity =
     int_flag_or_die ~flag:"--cache-size" ~min:0
       ~expected:"a non-negative integer (cache entries; 0 disables)" cache_size
@@ -469,7 +474,9 @@ let report_run () access_files trace_file =
         (show v)
   in
   List.iter (render Report.load_access Report.access_tables) access_files;
-  Option.iter (render Report.load_trace (fun table -> [ table ])) trace_file;
+  Option.iter
+    (render (Report.load_trace ~times:(Mcx.Util.Config.trace_times ())) (fun table -> [ table ]))
+    trace_file;
   if !failed then exit 1
 
 let report_cmd =
@@ -485,8 +492,9 @@ let report_cmd =
       & opt (some string) None
       & info [ "trace-file"; "t" ] ~docv:"FILE"
           ~doc:
-            "Aggregate an mcx-trace/1 Chrome trace by span name ($(b,--trace) is the \
-             global record-a-trace flag).")
+            "Reprint the per-phase summary of an mcx-trace/1 Chrome trace: the table the \
+             traced run printed to stderr, under the same $(b,MCX_TRACE_TIMES) projection \
+             ($(b,--trace) is the global record-a-trace flag).")
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Summarize observability files: access logs and traces.")

@@ -6,7 +6,7 @@ module Mapping = Mcx_mapping
 module Benchmarks = Mcx_benchmarks
 module Experiments = Mcx_experiments
 
-type algorithm = Hybrid | Exact
+type algorithm = Mcx_mapping.Mapper.algorithm = Hybrid | Exact
 
 let synthesize_two_level ?(include_il_row = false) ?(dual = true) cover =
   let chosen, report, used_dual =
@@ -20,11 +20,6 @@ let synthesize_multi_level ?fanin_limit cover =
   (Mcx_crossbar.Multilevel.place mapped, Mcx_crossbar.Cost.multi_level mapped)
 
 let map_defect_tolerant ?(include_il_row = false) ~algorithm cover defects =
-  let algorithm =
-    match algorithm with
-    | Hybrid -> Mcx_mapping.Mapper.Hybrid
-    | Exact -> Mcx_mapping.Mapper.Exact
-  in
   Mcx_mapping.Mapper.map_cover
     { Mcx_mapping.Mapper.default with algorithm; include_il_row }
     cover defects

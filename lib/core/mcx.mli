@@ -19,7 +19,7 @@ module Mapping = Mcx_mapping
 module Benchmarks = Mcx_benchmarks
 module Experiments = Mcx_experiments
 
-type algorithm = Hybrid | Exact
+type algorithm = Mcx_mapping.Mapper.algorithm = Hybrid | Exact
 
 val synthesize_two_level :
   ?include_il_row:bool ->

@@ -5,7 +5,6 @@ type t = {
   mapped : Tech_map.mapped;
   rows : int;
   cols : int;
-  row_of_gate : int array;
   conn_col_of_gate : int option array;
   program : Bmatrix.t;
   row_assignment : int array;
@@ -102,7 +101,6 @@ let place ?row_assignment ?physical_rows (mapped : Tech_map.mapped) =
     mapped;
     rows;
     cols;
-    row_of_gate = Array.init n_gates Fun.id;
     conn_col_of_gate;
     program;
     row_assignment;

@@ -12,7 +12,6 @@ type t = {
   mapped : Mcx_netlist.Tech_map.mapped;
   rows : int;  (** G + 1 *)
   cols : int;  (** 2I + C + 2O *)
-  row_of_gate : int array;  (** gate id -> row (identity order by default) *)
   conn_col_of_gate : int option array;  (** inner gates' connection column *)
   program : Mcx_util.Bmatrix.t;
   row_assignment : int array;  (** logical row -> physical row *)

@@ -194,10 +194,6 @@ let supercube a b =
   let pol = Array.init nw (fun w -> a.pol.(w) land care.(w)) in
   { a with care; pol }
 
-let complement_literals t =
-  let nw = Array.length t.care in
-  { t with pol = Array.init nw (fun w -> t.care.(w) land lnot t.pol.(w)) }
-
 (* Quine–McCluskey merge: identical care sets and exactly one polarity
    difference inside them. *)
 let merge_adjacent a b =

@@ -22,8 +22,6 @@ val make : arity:int -> f:(int -> Literal.t) -> t
 val of_literals : Literal.t array -> t
 (** Takes ownership of a copy of the array. *)
 
-val to_array : t -> Literal.t array
-
 val of_string : string -> t
 (** [of_string "1-0"] builds a 3-variable cube x0 x2'.
     @raise Invalid_argument on characters other than 0/1/-/2. *)
@@ -105,11 +103,6 @@ val cofactor_wrt : t -> t -> t option
     when the cubes conflict. Word-parallel — the inner loop of the
     unate-recursive tautology check. @raise Invalid_argument on arity
     mismatch. *)
-
-val complement_literals : t -> t
-(** Complement every literal in place-wise fashion (used when negating
-    inputs, e.g. De Morgan over a product). This is NOT the complement of
-    the cube as a Boolean function. *)
 
 val merge_adjacent : t -> t -> t option
 (** Quine–McCluskey merge: if the cubes are identical except for exactly one

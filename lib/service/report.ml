@@ -138,57 +138,12 @@ let access_tables summary =
     [ overview; stages ]
   end
 
-let load_json path =
-  match read_lines path with
-  | exception Sys_error msg -> Error msg
-  | lines -> Json.of_string (String.concat "\n" lines)
-
 (* --- mcx-trace/1 ----------------------------------------------------- *)
 
-let trace_table json =
-  match Option.bind (Json.member "traceEvents" json) Json.to_list_opt with
-  | None -> Error "not a Chrome trace (no traceEvents list)"
-  | Some events ->
-    (* name -> (events, total us, max us); spans are ph="X" complete
-       events with microsecond [dur]. *)
-    let tbl : (string, int ref * float ref * float ref) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun ev ->
-        match
-          ( Option.bind (Json.member "ph" ev) Json.to_string_opt,
-            Option.bind (Json.member "name" ev) Json.to_string_opt,
-            Option.bind (Json.member "dur" ev) Json.to_float_opt )
-        with
-        | Some "X", Some name, Some dur_us ->
-          let count, total, max_us =
-            match Hashtbl.find_opt tbl name with
-            | Some cell -> cell
-            | None ->
-              let cell = (ref 0, ref 0., ref 0.) in
-              Hashtbl.add tbl name cell;
-              cell
-          in
-          incr count;
-          total := !total +. dur_us;
-          if dur_us > !max_us then max_us := dur_us
-        | _ -> ())
-      events;
-    let rows =
-      Hashtbl.fold (fun name (c, t, m) acc -> (name, !c, !t, !m) :: acc) tbl []
-      |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
-    in
-    let table = Texttable.create [ "span"; "events"; "total ms"; "mean us"; "max us" ] in
-    List.iter
-      (fun (name, count, total_us, max_us) ->
-        Texttable.add_row table
-          [
-            name;
-            string_of_int count;
-            Printf.sprintf "%.2f" (total_us /. 1e3);
-            Printf.sprintf "%.1f" (total_us /. float_of_int count);
-            Printf.sprintf "%.1f" max_us;
-          ])
-      rows;
-    Ok table
-
-let load_trace path = Result.bind (load_json path) trace_table
+let load_trace ~times path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+    match Result.bind (Json.of_string text) Mcx_util.Telemetry.Snapshot.of_chrome_trace with
+    | Ok snapshot -> Ok (Mcx_util.Telemetry.Snapshot.summary_table ~times snapshot)
+    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))

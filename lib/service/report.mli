@@ -3,8 +3,8 @@
     Reads the two file formats the system emits — [mcx-access/1] JSONL
     access logs ({!Access_log}, one record per served request) and
     [mcx-trace/1] Chrome traces ({!Mcx_util.Telemetry}) — and renders
-    per-stage latency tables, cache and status breakdowns, and per-span
-    trace totals.
+    per-stage latency tables, cache and status breakdowns, and a trace's
+    per-phase summary.
 
     Everything here is pure: loaders return values, renderers return
     {!Mcx_util.Texttable.t}; only the [memx] driver prints. *)
@@ -43,6 +43,8 @@ val access_tables : summary -> Mcx_util.Texttable.t list
 (** Cache/status overview table, plus the per-stage latency table when
     the log has timing. *)
 
-val load_trace : string -> (Mcx_util.Texttable.t, string) result
-(** Aggregate an [mcx-trace/1] Chrome trace file's complete-span
-    ([ph = "X"]) events by name: events, total/mean/max duration. *)
+val load_trace : times:bool -> string -> (Mcx_util.Texttable.t, string) result
+(** The per-phase summary of an [mcx-trace/1] file
+    ({!Mcx_util.Telemetry.Snapshot.of_chrome_trace}), under the [times]
+    projection: the table the traced run printed to stderr at exit. The
+    error names the file. *)

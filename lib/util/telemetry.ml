@@ -1,60 +1,28 @@
 (* One recording core. Every domain records into its own buffer
    (domain-local storage), so recording never takes a lock: the state
-   mutex guards only buffer creation and the snapshot. Spans and
-   counters merge by name with commutative sums, so a snapshot cannot
-   depend on which domain ran which trial. *)
+   mutex guards only buffer creation and the snapshot. A closed span is
+   one trace event, the only record of its time; counters merge by name
+   with commutative sums and events by (ts, tid, name), so a snapshot
+   cannot depend on which domain ran which trial. *)
 
-let n_buckets = 64
 let max_events_per_buffer = 1_000_000
 
-(* --- histogram geometry --- *)
-
-let bucket_of_ns ns =
-  if Int64.compare ns 2L < 0 then 0
-  else begin
-    (* durations fit comfortably in a native int on 64-bit *)
-    let n = Int64.to_int ns in
-    let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-    min (n_buckets - 1) (log2 n 0)
-  end
-
-let bucket_bounds i =
-  if i < 0 || i >= n_buckets then invalid_arg "Telemetry.bucket_bounds";
-  let lo = if i = 0 then 0L else Int64.shift_left 1L i in
-  let hi = if i = n_buckets - 1 then Int64.max_int else Int64.shift_left 1L (i + 1) in
-  (lo, hi)
-
-type event = { ev_name : string; ev_ts : int64; ev_dur : int64 }
+(* Nanoseconds since [enable] and of duration: a native int holds 146
+   years of them and, unlike an int64 field, needs no box. *)
+type event = { ev_name : string; ev_ts : int; ev_dur : int }
 
 (* --- snapshot and renderers --- *)
 
 module Snapshot = struct
-  type hist = {
-    count : int;
-    sum_ns : int64;
-    min_ns : int64;
-    max_ns : int64;
-    buckets : int array;
-  }
-
   type t = {
-    spans : (string * hist) list;  (* sorted by name *)
     counters : (string * int) list;  (* sorted by name *)
-    events : (int * event) list;  (* (tid, event), sorted by (ts, tid) *)
+    events : (int * event) list;  (* (tid, event), sorted by (ts, tid, name) *)
     dropped : int;
   }
 
-  let spans t = t.spans
-  let counters t = t.counters
+  type span = { calls : int; total_ns : int; p50_ns : float; p99_ns : float; max_ns : int }
 
-  let merge_hist a b =
-    {
-      count = a.count + b.count;
-      sum_ns = Int64.add a.sum_ns b.sum_ns;
-      min_ns = Int64.min a.min_ns b.min_ns;
-      max_ns = Int64.max a.max_ns b.max_ns;
-      buckets = Array.init n_buckets (fun i -> a.buckets.(i) + b.buckets.(i));
-    }
+  let counters t = t.counters
 
   (* A name-sorted list from (name, value) pairs in any order, values of
      one name combined. Keyed and order-independent, so a snapshot
@@ -69,7 +37,7 @@ module Snapshot = struct
       []
 
   let event_compare (tid_a, a) (tid_b, b) =
-    let c = Int64.compare a.ev_ts b.ev_ts in
+    let c = Int.compare a.ev_ts b.ev_ts in
     if c <> 0 then c
     else
       let c = Int.compare tid_a tid_b in
@@ -77,7 +45,6 @@ module Snapshot = struct
 
   let merge a b =
     {
-      spans = group merge_hist (a.spans @ b.spans);
       counters = group ( + ) (a.counters @ b.counters);
       events = List.merge event_compare a.events b.events;
       dropped = a.dropped + b.dropped;
@@ -85,23 +52,31 @@ module Snapshot = struct
 
   (* --- per-phase summary --- *)
 
-  (* Upper edge of the bucket holding the p-quantile, clamped to the
-     observed [min, max]: the edge alone can overshoot by up to 2x. *)
-  let percentile_ns h ~p =
-    if p <= 0. || p > 1. then invalid_arg "Telemetry.Snapshot.percentile_ns";
-    if h.count = 0 then 0L
-    else begin
-      let target = max 1 (int_of_float (ceil (p *. float_of_int h.count))) in
-      let rec walk i acc =
-        let acc = acc + h.buckets.(i) in
-        if acc >= target || i = n_buckets - 1 then i else walk (i + 1) acc
-      in
-      let edge = Int64.pred (snd (bucket_bounds (walk 0 0))) in
-      Int64.max h.min_ns (Int64.min h.max_ns edge)
-    end
+  let span_of durations =
+    let ns = List.map float_of_int durations in
+    {
+      calls = List.length durations;
+      total_ns = List.fold_left ( + ) 0 durations;
+      p50_ns = Stats.percentile ns 50.;
+      p99_ns = Stats.percentile ns 99.;
+      max_ns = List.fold_left max 0 durations;
+    }
+
+  (* Each span name's durations, sorted by name. *)
+  let durations t =
+    let by_name = Hashtbl.create 64 in
+    List.iter
+      (fun (_, ev) ->
+        match Hashtbl.find_opt by_name ev.ev_name with
+        | Some r -> r := ev.ev_dur :: !r
+        | None -> Hashtbl.replace by_name ev.ev_name (ref [ ev.ev_dur ]))
+      t.events;
+    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) by_name []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let spans t = List.map (fun (name, ns) -> (name, span_of ns)) (durations t)
 
   let pp_ns ns =
-    let ns = Int64.to_float ns in
     if ns < 1e3 then Printf.sprintf "%.0fns" ns
     else if ns < 1e6 then Printf.sprintf "%.1fus" (ns /. 1e3)
     else if ns < 1e9 then Printf.sprintf "%.1fms" (ns /. 1e6)
@@ -114,25 +89,31 @@ module Snapshot = struct
     in
     (* The deterministic projection drops every wall-clock column. *)
     let add_row cells timed = Texttable.add_row table (cells @ if times then timed () else []) in
+    let spans = durations t in
     List.iter
-      (fun (name, h) ->
-        add_row [ name; string_of_int h.count ] (fun () ->
-            let mean = if h.count = 0 then 0L else Int64.div h.sum_ns (Int64.of_int h.count) in
+      (fun (name, durations) ->
+        add_row [ name; string_of_int (List.length durations) ] (fun () ->
+            let s = span_of durations and ns i = pp_ns (float_of_int i) in
             [
-              pp_ns h.sum_ns;
-              pp_ns mean;
-              pp_ns (percentile_ns h ~p:0.50);
-              pp_ns (percentile_ns h ~p:0.99);
-              pp_ns h.max_ns;
+              ns s.total_ns;
+              ns (s.total_ns / s.calls);
+              pp_ns s.p50_ns;
+              pp_ns s.p99_ns;
+              ns s.max_ns;
             ]))
-      t.spans;
-    if t.spans <> [] && t.counters <> [] then Texttable.add_separator table;
+      spans;
+    let counters =
+      t.counters @ if t.dropped > 0 then [ ("telemetry.dropped_events", t.dropped) ] else []
+    in
+    if spans <> [] && counters <> [] then Texttable.add_separator table;
     List.iter
       (fun (name, n) -> add_row [ name; string_of_int n ] (fun () -> [ "-"; "-"; "-"; "-"; "-" ]))
-      t.counters;
+      counters;
     table
 
   (* --- Chrome trace --- *)
+
+  let schema = "mcx-trace/1"
 
   let chrome_trace t =
     let tids = List.sort_uniq Int.compare (List.map fst t.events) in
@@ -158,8 +139,8 @@ module Snapshot = struct
               ("name", Json_out.Str ev.ev_name);
               ("cat", Json_out.Str "mcx");
               ("ph", Json_out.Str "X");
-              ("ts", Json_out.Float (Int64.to_float ev.ev_ts /. 1e3));
-              ("dur", Json_out.Float (Int64.to_float ev.ev_dur /. 1e3));
+              ("ts", Json_out.Float (float_of_int ev.ev_ts /. 1e3));
+              ("dur", Json_out.Float (float_of_int ev.ev_dur /. 1e3));
               ("pid", Json_out.Int 1);
               ("tid", Json_out.Int tid);
             ])
@@ -172,36 +153,69 @@ module Snapshot = struct
         ( "otherData",
           Json_out.Obj
             [
-              ("schema", Json_out.Str "mcx-trace/1");
+              ("schema", Json_out.Str schema);
               ("dropped_events", Json_out.Int t.dropped);
               ( "counters",
                 Json_out.Obj (List.map (fun (name, n) -> (name, Json_out.Int n)) t.counters) );
             ] );
       ]
+
+  exception Missing of string
+
+  (* The inverse of [chrome_trace]: metadata events are skipped, and the
+     microsecond [ts] and [dur] round back to the nanoseconds they were
+     written from (exact below 2^51 ns). *)
+  let of_chrome_trace json =
+    let need field = function Some v -> v | None -> raise (Missing field) in
+    let get field conv j = need field (Option.bind (Json_out.member field j) conv) in
+    let ns us = Float.to_int (Float.round (us *. 1e3)) in
+    let event ev =
+      if not (String.equal (get "ph" Json_out.to_string_opt ev) "X") then None
+      else
+        Some
+          ( get "tid" Json_out.to_int_opt ev,
+            {
+              ev_name = get "name" Json_out.to_string_opt ev;
+              ev_ts = ns (get "ts" Json_out.to_float_opt ev);
+              ev_dur = ns (get "dur" Json_out.to_float_opt ev);
+            } )
+    in
+    let fields = function Json_out.Obj fields -> Some fields | _ -> None in
+    match
+      let other = get "otherData" Option.some json in
+      if not (String.equal (get "schema" Json_out.to_string_opt other) schema) then
+        raise (Missing "schema");
+      {
+        counters =
+          group ( + )
+            (List.map
+               (fun (name, n) -> (name, need name (Json_out.to_int_opt n)))
+               (get "counters" fields other));
+        events =
+          List.sort event_compare
+            (List.filter_map event (get "traceEvents" Json_out.to_list_opt json));
+        dropped = get "dropped_events" Json_out.to_int_opt other;
+      }
+    with
+    | t -> Ok t
+    | exception Missing field ->
+      Error (Printf.sprintf "not an %s Chrome trace (bad or missing %S)" schema field)
 end
 
 (* --- the store --- *)
 
-type hist = {
-  mutable count : int;
-  mutable sum_ns : int64;
-  mutable min_ns : int64;
-  mutable max_ns : int64;
-  buckets : int array;
-}
-
 type buffer = {
   tid : int;
-  spans : (string, hist) Hashtbl.t;
   counts : (string, int ref) Hashtbl.t;
-  mutable stack : (string * int64) list;
+  mutable stack : (string * int) list;
   mutable events : event array;
   mutable n_events : int;
   mutable dropped : int;
 }
 
 let enabled_flag = ref false
-let epoch = ref 0L
+let now () = Int64.to_int (Timing.monotonic_ns ())
+let epoch = ref 0
 let state_mutex = Mutex.create ()
 let locked f = Mutex.protect state_mutex f
 let registry : buffer list ref = ref []
@@ -212,7 +226,6 @@ let buffer_key =
       let b =
         {
           tid = Atomic.fetch_and_add next_tid 1;
-          spans = Hashtbl.create 64;
           counts = Hashtbl.create 64;
           stack = [];
           events = [||];
@@ -228,7 +241,7 @@ let buffer () = Domain.DLS.get buffer_key
 let enabled () = !enabled_flag
 
 let enable () =
-  epoch := Timing.monotonic_ns ();
+  epoch := now ();
   enabled_flag := true
 
 let disable () = enabled_flag := false
@@ -237,7 +250,6 @@ let reset () =
   locked (fun () ->
       List.iter
         (fun b ->
-          Hashtbl.reset b.spans;
           Hashtbl.reset b.counts;
           b.stack <- [];
           b.events <- [||];
@@ -247,34 +259,12 @@ let reset () =
 
 (* --- recording --- *)
 
-let new_hist () =
-  { count = 0; sum_ns = 0L; min_ns = Int64.max_int; max_ns = 0L; buckets = Array.make n_buckets 0 }
-
-let add_sample h ns =
-  let ns = if Int64.compare ns 0L < 0 then 0L else ns in
-  h.count <- h.count + 1;
-  h.sum_ns <- Int64.add h.sum_ns ns;
-  if Int64.compare ns h.min_ns < 0 then h.min_ns <- ns;
-  if Int64.compare ns h.max_ns > 0 then h.max_ns <- ns;
-  let i = bucket_of_ns ns in
-  h.buckets.(i) <- h.buckets.(i) + 1
-
-(* The cell of [name] in [tbl], created by [fresh] on first use. *)
-let cell tbl name fresh =
-  match Hashtbl.find_opt tbl name with
-  | Some c -> c
-  | None ->
-    let c = fresh () in
-    Hashtbl.replace tbl name c;
-    c
-
-let observe_ns name ns =
-  if !enabled_flag then add_sample (cell (buffer ()).spans name new_hist) ns
-
 let count ?(n = 1) name =
   if !enabled_flag then begin
-    let r = cell (buffer ()).counts name (fun () -> ref 0) in
-    r := !r + n
+    let counts = (buffer ()).counts in
+    match Hashtbl.find_opt counts name with
+    | Some r -> r := !r + n
+    | None -> Hashtbl.replace counts name (ref n)
   end
 
 (* --- spans --- *)
@@ -295,21 +285,19 @@ let push_event b ev =
 let begin_span name =
   if !enabled_flag then begin
     let b = buffer () in
-    b.stack <- (name, Timing.monotonic_ns ()) :: b.stack
+    b.stack <- (name, now ()) :: b.stack
   end
 
-(* Close the innermost frame when it is [name], recording its duration
-   and a trace event. Tolerant: enabling or resetting mid-flight leaves
-   no frame to close. *)
+(* Close the innermost frame when it is [name], recording its trace
+   event. Tolerant: enabling or resetting mid-flight leaves no frame to
+   close. *)
 let close_span_if_open name =
   if !enabled_flag then begin
     let b = buffer () in
     match b.stack with
     | (top, t0) :: rest when String.equal top name ->
       b.stack <- rest;
-      let dur = Int64.sub (Timing.monotonic_ns ()) t0 in
-      add_sample (cell b.spans name new_hist) dur;
-      push_event b { ev_name = name; ev_ts = Int64.sub t0 !epoch; ev_dur = dur }
+      push_event b { ev_name = name; ev_ts = t0 - !epoch; ev_dur = now () - t0 }
     | _ -> ()
   end
 
@@ -327,23 +315,12 @@ let span name f =
       Printexc.raise_with_backtrace e bt
   end
 
-let freeze (h : hist) =
-  {
-    Snapshot.count = h.count;
-    sum_ns = h.sum_ns;
-    min_ns = h.min_ns;
-    max_ns = h.max_ns;
-    buckets = Array.copy h.buckets;
-  }
-
 let snapshot () =
   let buffers = locked (fun () -> !registry) in
-  let pairs tbl value = Hashtbl.fold (fun name c acc -> (name, value c) :: acc) tbl [] in
+  let counts b = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) b.counts [] in
   let events b = List.init b.n_events (fun i -> (b.tid, b.events.(i))) in
   {
-    Snapshot.spans =
-      Snapshot.group Snapshot.merge_hist (List.concat_map (fun b -> pairs b.spans freeze) buffers);
-    counters = Snapshot.group ( + ) (List.concat_map (fun b -> pairs b.counts ( ! )) buffers);
+    Snapshot.counters = Snapshot.group ( + ) (List.concat_map counts buffers);
     events = List.sort Snapshot.event_compare (List.concat_map events buffers);
     dropped = List.fold_left (fun acc b -> acc + b.dropped) 0 buffers;
   }

@@ -1,17 +1,25 @@
 (** Low-overhead observability for the synthesis/mapping pipeline: one
-    store of name-keyed spans (log2-bucketed duration histograms), named
-    counters and trace events. Two renderers read one {!snapshot}: the
-    per-phase summary table and the Chrome trace.
+    store of named counters and trace events, one event per closed span.
+    The event is the only record of a span's time. Two renderers read
+    one {!snapshot}: the per-phase summary table, which computes each
+    span name's statistics from its events, and the Chrome trace, which
+    {!Snapshot.of_chrome_trace} reads back into a snapshot.
 
     {2 Recording model}
 
     Every domain records into its own buffer (domain-local storage), so
     instrumented code inside {!Pool} workers never contends on a lock.
-    A {!snapshot} merges the buffers {e keyed} by name with commutative
-    sums, so the merged value cannot depend on which domain executed
-    which trial: with the deterministic per-trial work of the experiment
-    harnesses, counter values and span call counts are bit-identical at
-    any [MCX_JOBS] value (durations are measurements and are not).
+    A {!snapshot} merges the counters {e keyed} by name with commutative
+    sums and the events by (timestamp, domain, name), so the merged
+    value cannot depend on which domain executed which trial: with the
+    deterministic per-trial work of the experiment harnesses, counter
+    values and span call counts are bit-identical at any [MCX_JOBS]
+    value (durations are measurements and are not).
+
+    A buffer holds at most 1,000,000 events. Spans closed after that are
+    not recorded, only counted as dropped: the summary's calls are then
+    the recorded events, and a [telemetry.dropped_events] row in its
+    counter section gives the dropped count.
 
     {2 Cost when disabled}
 
@@ -36,60 +44,43 @@
 val enabled : unit -> bool
 
 val enable : unit -> unit
-(** Start collecting spans, counters and one trace event per closed
-    span. Resets the trace epoch to now. *)
+(** Start collecting counters and one trace event per closed span.
+    Resets the trace epoch to now. *)
 
 val disable : unit -> unit
 (** Stop collecting; recorded data stays until {!reset}. *)
 
 val reset : unit -> unit
-(** Drop every recorded span, counter and trace event in every domain
-    buffer. Only call while no {!Pool} batch is in flight. *)
+(** Drop every recorded counter and trace event in every domain buffer.
+    Only call while no {!Pool} batch is in flight. *)
 
 (** {2 Spans and named counters} *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] times [f ()] between two monotonic-clock readings and
-    records the duration under [name] (count, sum, min, max, log2
-    histogram bucket, and a trace event). Spans nest; on an exception
-    the open frame is closed and the exception re-raised. It is the only
-    way to open a span, so none can be left open. *)
+    records one trace event under [name]: its start and duration. Spans
+    nest; on an exception the open frame is closed and the exception
+    re-raised. It is the only way to open a span, so none can be left
+    open. *)
 
 val count : ?n:int -> string -> unit
 (** Add [n] (default 1) to the counter [name]. *)
 
-val observe_ns : string -> int64 -> unit
-(** Record one duration (nanoseconds) under [name] without the
-    span/trace-event machinery — same aggregate as a span of that
-    duration. Negative durations clamp to 0. *)
-
-(** {2 Histogram geometry} (pure; exposed for tests) *)
-
-val n_buckets : int
-(** 64: bucket [i >= 1] holds durations in [[2{^i}, 2{^i+1}) ns]; bucket
-    0 holds [[0, 2) ns]. *)
-
-val bucket_of_ns : int64 -> int
-
-val bucket_bounds : int -> int64 * int64
-(** [(lo, hi)] with [lo] inclusive, [hi] exclusive ([Int64.max_int] for
-    the last bucket). @raise Invalid_argument out of range. *)
-
 (** {2 Snapshot and renderers} *)
 
 module Snapshot : sig
-  type hist = {
-    count : int;
-    sum_ns : int64;
-    min_ns : int64;  (** smallest observation *)
-    max_ns : int64;  (** largest observation *)
-    buckets : int array;  (** length {!n_buckets} *)
-  }
-
   type t
 
-  val spans : t -> (string * hist) list
-  (** Span histograms by name, sorted by name. *)
+  type span = {
+    calls : int;  (** recorded events *)
+    total_ns : int;
+    p50_ns : float;  (** {!Stats.percentile} 50 of the durations *)
+    p99_ns : float;  (** {!Stats.percentile} 99 of the durations *)
+    max_ns : int;
+  }
+
+  val spans : t -> (string * span) list
+  (** Each span name's statistics over its events, sorted by name. *)
 
   val counters : t -> (string * int) list
   (** Counter totals by name, sorted by name. *)
@@ -98,25 +89,27 @@ module Snapshot : sig
   (** Keyed and order-independent: [merge a b] and [merge b a] render
       the same. *)
 
-  val percentile_ns : hist -> p:float -> int64
-  (** The summary table's estimator: the upper edge of the histogram
-      bucket holding the [p]-quantile ([0 < p <= 1]), clamped to the
-      observed [[min_ns, max_ns]]. So [min_ns <= p50 <= p99 <= max_ns]
-      always holds, and the estimate exceeds the true quantile by at most
-      2x. 0 when [count = 0]. Callers that hold the raw durations use
-      {!Stats.percentile} instead. *)
-
   val summary_table : ?times:bool -> t -> Texttable.t
-  (** Per-phase summary: one row per span (calls, and with
-      [times = true], total/mean/p50/p99/max), then a separator and one
-      row per counter. With [times = false] (the deterministic
-      projection) only name and calls/count columns are rendered. *)
+  (** Per-phase summary: one row per span name (calls, and with
+      [times = true], total/mean/p50/p99/max of {!spans}), then a
+      separator and one row per counter, then a
+      [telemetry.dropped_events] row if a buffer dropped events. With
+      [times = false] (the deterministic projection) only name and
+      calls/count columns are rendered. *)
 
   val chrome_trace : t -> Json_out.t
   (** Chrome trace-event JSON ([traceEvents] of ["ph": "X"] complete
       events, microsecond timestamps relative to {!enable}, one [tid]
       per recording domain, plus thread-name metadata; counter totals
-      ride in [otherData]). Schema documented in EXPERIMENTS.md. *)
+      and the dropped-event count ride in [otherData], whose [schema] is
+      [mcx-trace/1]). Schema documented in EXPERIMENTS.md. *)
+
+  val of_chrome_trace : Json_out.t -> (t, string) result
+  (** Read a {!chrome_trace} back: its complete events, counters and
+      dropped count. The microsecond times round back to the recorded
+      nanoseconds, so [of_chrome_trace (chrome_trace s)] renders the
+      same summary as [s]. [Error] names the first field that is
+      missing or of the wrong type, or the schema. *)
 end
 
 val snapshot : unit -> Snapshot.t

@@ -93,6 +93,9 @@ let test_memx_refuses_malformed () =
           "invalid --cache-size=\"-1\" (expected a non-negative integer (cache entries; 0 \
            disables))";
         ] );
+      ( [],
+        [ "serve"; "--batch"; "0" ],
+        [ "invalid --batch=\"0\" (expected a positive integer (requests per batch))" ] );
     ]
 
 let test_errors_sweep () =

@@ -1,9 +1,8 @@
-(* The telemetry store as its two renderers show it: the geometry of a
-   recorded span histogram, summaries and trace counters that do not
-   depend on the job count, the summary's deterministic [~times:false]
-   projection, the bucket-percentile estimator, a traced experiment, a
-   trace path that cannot be written, and byte goldens of memx's
-   observability output. *)
+(* The telemetry store as its two renderers show it: summaries and
+   trace counters that do not depend on the job count, the summary's
+   deterministic [~times:false] projection, a traced experiment, its
+   summary reprinted by [memx report --trace-file], a trace path that
+   cannot be written, and byte goldens of memx's observability output. *)
 
 open Mcx_util
 
@@ -13,28 +12,7 @@ let fresh () =
   Telemetry.reset ();
   Telemetry.enable ()
 
-let find_span name snap =
-  match List.assoc_opt name (Telemetry.Snapshot.spans snap) with
-  | Some h -> h
-  | None -> Alcotest.failf "span %s missing from snapshot" name
-
 let render ?times snap = Texttable.render (Telemetry.Snapshot.summary_table ?times snap)
-
-(* --- recording --------------------------------------------------------- *)
-
-let test_histogram_geometry () =
-  fresh ();
-  (* 1ns -> bucket 0; 1000ns -> bucket 9 ([512,1024)); negative clamps. *)
-  Telemetry.observe_ns "test.ns" 1L;
-  Telemetry.observe_ns "test.ns" 1000L;
-  Telemetry.observe_ns "test.ns" (-5L);
-  let { Telemetry.Snapshot.count; sum_ns; buckets; _ } =
-    find_span "test.ns" (Telemetry.snapshot ())
-  in
-  Alcotest.(check int) "count" 3 count;
-  Alcotest.(check int64) "sum clamps negatives" 1001L sum_ns;
-  Alcotest.(check int) "bucket 0" 2 buckets.(0);
-  Alcotest.(check int) "bucket of 1000ns" 1 buckets.(Telemetry.bucket_of_ns 1000L)
 
 (* --- determinism across job counts ------------------------------------ *)
 
@@ -46,9 +24,9 @@ let record_from_pool ~jobs =
   let pool = Pool.create ~jobs () in
   let _ =
     Pool.map pool 40 (fun i ->
-        Telemetry.count (if i mod 3 = 0 then "test.rows.small" else "test.rows.large");
-        Telemetry.observe_ns "test.trial" (Int64.of_int ((i * 37) mod 5000));
-        i)
+        Telemetry.span "test.trial" (fun () ->
+            Telemetry.count (if i mod 3 = 0 then "test.rows.small" else "test.rows.large");
+            i))
   in
   Pool.shutdown pool;
   Telemetry.snapshot ()
@@ -69,17 +47,14 @@ let test_jobs_identical_projection () =
     (render ~times:false s4);
   Alcotest.(check string) "trace counters agree" (trace_counters s1) (trace_counters s4);
   Alcotest.(check string) "counter totals" {|{"test.rows.large":26,"test.rows.small":14}|}
-    (trace_counters s1);
-  (* The timed summary also agrees here because the observed durations
-     are a function of the index alone. *)
-  Alcotest.(check string) "timed summary agrees too" (render s1) (render s4)
+    (trace_counters s1)
 
 (* --- the times projection ----------------------------------------------- *)
 
 let test_projection_drops_measurements () =
   fresh ();
-  Telemetry.observe_ns "test.stage" 900L;
-  Telemetry.observe_ns "test.stage" 64_000L;
+  Telemetry.span "test.stage" ignore;
+  Telemetry.span "test.stage" ignore;
   Telemetry.count ~n:3 "test.requests";
   let snap = Telemetry.snapshot () in
   let header text = List.nth (String.split_on_char '\n' text) 1 in
@@ -95,42 +70,6 @@ let test_projection_drops_measurements () =
     (columns (render snap));
   Alcotest.(check bool) "span calls survive" true (Memx_run.contains det "|     2 |");
   Alcotest.(check bool) "counter survives" true (Memx_run.contains det "| test.requests |")
-
-(* --- the summary's percentile estimator -------------------------------- *)
-
-let test_percentile_estimator () =
-  let buckets = Array.make Telemetry.n_buckets 0 in
-  (* 90 observations of 1000ns (bucket [512,1024)) and 10 of 100000ns
-     (bucket [65536,131072)) *)
-  buckets.(Telemetry.bucket_of_ns 1000L) <- 90;
-  buckets.(Telemetry.bucket_of_ns 100_000L) <- 10;
-  let fixture =
-    {
-      Telemetry.Snapshot.count = 100;
-      sum_ns = 1_090_000L;
-      min_ns = 1000L;
-      max_ns = 100_000L;
-      buckets;
-    }
-  in
-  let p50 = Telemetry.Snapshot.percentile_ns fixture ~p:0.50 in
-  let p95 = Telemetry.Snapshot.percentile_ns fixture ~p:0.95 in
-  Alcotest.(check int64) "p50 at the small bucket's edge" 1023L p50;
-  Alcotest.(check int64) "p95 clamped to the observed max" 100_000L p95;
-  Alcotest.(check int64) "empty histogram" 0L
-    (Telemetry.Snapshot.percentile_ns
-       { fixture with count = 0; buckets = Array.make Telemetry.n_buckets 0 }
-       ~p:0.5);
-  (* the same observations recorded through the store agree *)
-  fresh ();
-  for i = 1 to 100 do
-    Telemetry.observe_ns "s" (if i <= 90 then 1000L else 100_000L)
-  done;
-  match List.assoc_opt "s" (Telemetry.Snapshot.spans (Telemetry.snapshot ())) with
-  | Some recorded ->
-    Alcotest.(check int64) "recorded aggregate agrees" p95
-      (Telemetry.Snapshot.percentile_ns recorded ~p:0.95)
-  | None -> Alcotest.fail "span missing"
 
 (* --- goldens: memx observability bytes --------------------------------- *)
 
@@ -241,6 +180,39 @@ let test_trace_keeps_stdout () =
     in
     Alcotest.(check bool) "at least one ph:X event" true (complete_events <> [])
 
+(* [memx report --trace-file] reprints the summary a traced run printed
+   at exit, byte for byte, under either MCX_TRACE_TIMES projection. *)
+let test_report_reprints_summary () =
+  List.iter
+    (fun (tag, times) ->
+      let file name = Printf.sprintf "reprint_%s.%s" tag name in
+      let env = [ "MCX_TRACE_TIMES=" ^ times ] in
+      run_memx ~env ~stderr_path:(file "err")
+        [ "experiment"; "yield"; "--samples"; "4"; "--trace"; file "json" ];
+      let err = read_file (file "err") in
+      let summary =
+        match String.index_opt err '\n' with
+        | Some i -> String.sub err (i + 1) (String.length err - i - 1)
+        | None -> Alcotest.fail "no summary on stderr"
+      in
+      Alcotest.(check bool) ("summary has rows: " ^ tag) true (contains summary "| hybrid.map");
+      run_memx ~env ~stdout_path:(file "out") ~stderr_path:(file "report.err")
+        [ "report"; "--trace-file"; file "json" ];
+      Alcotest.(check string) ("reprinted summary: " ^ tag)
+        (Printf.sprintf "== %s ==\n%s\n" (file "json") summary)
+        (read_file (file "out")))
+    [ ("timed", ""); ("projected", "0") ]
+
+(* A file that is not a trace: exit 1 naming the file. *)
+let test_report_refuses_non_trace () =
+  List.iter
+    (fun (path, contents) ->
+      write_file path contents;
+      run_memx ~status:1 ~stderr_path:"non_trace.err" [ "report"; "--trace-file"; path ];
+      let err = read_file "non_trace.err" in
+      Alcotest.(check bool) ("names the file: " ^ err) true (contains err ("memx report: " ^ path)))
+    [ ("non_trace.json", {|{"traceEvents":[]}|}); ("non_json.txt", "not json\n") ]
+
 (* A trace path that cannot be written fails the run before it does any
    work: exit 2 naming the path, no experiment table on stdout and no
    response file from serve. *)
@@ -278,7 +250,6 @@ let () =
   Fun.protect ~finally:cleanup (fun () ->
       Alcotest.run "metrics"
         [
-          ("recording", [ Alcotest.test_case "histogram geometry" `Quick test_histogram_geometry ]);
           ( "determinism",
             [
               Alcotest.test_case "jobs 1 = jobs 4 exports" `Quick
@@ -289,12 +260,14 @@ let () =
               Alcotest.test_case "times projection" `Quick
                 test_projection_drops_measurements;
             ] );
-          ( "percentiles",
-            [ Alcotest.test_case "bucket estimator" `Quick test_percentile_estimator ] );
           ( "experiment trace",
             [
               Alcotest.test_case "stdout unchanged by --trace" `Quick test_trace_keeps_stdout;
               Alcotest.test_case "unwritable path fails first" `Quick test_unwritable_trace;
+              Alcotest.test_case "report reprints the summary" `Quick
+                test_report_reprints_summary;
+              Alcotest.test_case "report refuses a non-trace" `Quick
+                test_report_refuses_non_trace;
             ] );
           ( "goldens",
             List.map

@@ -106,7 +106,10 @@ let test_wire_rejects () =
   expect_parse_error (seeded {|"open_rate":-0.1|}) "open_rate";
   expect_parse_error (seeded {|"open_rate":1.5|}) "open_rate";
   expect_parse_error (seeded {|"closed_rate":1e999|}) "closed_rate";
-  expect_parse_error (seeded {|"open_rate":0.7,"closed_rate":0.4|}) "sum above 1"
+  expect_parse_error (seeded {|"open_rate":0.7,"closed_rate":0.4|}) "sum above 1";
+  expect_parse_error
+    {|{"schema":"mcx-request/1","benchmark":"rd53","config":{"deadline_ms":-1}}|}
+    "deadline_ms"
 
 let test_response_field_order () =
   let r =
@@ -449,12 +452,28 @@ let test_failures_not_retried () =
   Telemetry.reset ();
   Alcotest.(check (list string)) "statuses" [ "error"; "ok" ] (List.map status_of_line responses);
   let canonicalized =
-    Option.fold ~none:0 ~some:(fun (h : Telemetry.Snapshot.hist) -> h.count)
+    Option.fold ~none:0
+      ~some:(fun s -> s.Telemetry.Snapshot.calls)
       (List.assoc_opt "serve.canonicalize" (Telemetry.Snapshot.spans snap))
   in
   Alcotest.(check int) "one canonicalize per parsed request" 2 canonicalized;
   Alcotest.(check (option int)) "no retries" None
     (List.assoc_opt "pool.trial.retried" (Telemetry.Snapshot.counters snap))
+
+(* A budget whose nanoseconds overflow Int64 never expires: the same
+   request answers ok with no deadline and with either huge budget. *)
+let test_huge_deadline_answers_ok () =
+  let with_deadline ms =
+    line
+      (request ~id:"slow"
+         ~config:{ Wire.default_config with Wire.deadline_ms = ms }
+         (`Benchmark "rd53"))
+  in
+  let _, responses, _ =
+    serve_lines
+      [ with_deadline None; with_deadline (Some 10_000_000_000_000); with_deadline (Some max_int) ]
+  in
+  Alcotest.(check (list string)) "statuses" [ "ok"; "ok"; "ok" ] (List.map status_of_line responses)
 
 let test_clean_batch_exits_zero () =
   let t, _, stats = serve_lines distinct_batch in
@@ -926,6 +945,7 @@ let () =
             Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs_byte_identity;
             Alcotest.test_case "partial failure" `Quick test_partial_failure_protocol;
             Alcotest.test_case "failures not retried" `Quick test_failures_not_retried;
+            Alcotest.test_case "huge deadline answers ok" `Quick test_huge_deadline_answers_ok;
             Alcotest.test_case "clean exit" `Quick test_clean_batch_exits_zero;
             Alcotest.test_case "wide verify unchecked" `Quick test_wide_verify_unchecked;
           ] );

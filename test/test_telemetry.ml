@@ -136,113 +136,132 @@ let test_json_parse_round_trip () =
   | Ok parsed -> Alcotest.(check string) "round trip" (js v) (js parsed)
   | Error e -> Alcotest.failf "emitted JSON must parse: %s" e
 
-(* --- histogram geometry --------------------------------------------- *)
-
-let test_bucket_boundaries () =
-  Alcotest.(check int) "0ns" 0 (Telemetry.bucket_of_ns 0L);
-  Alcotest.(check int) "1ns" 0 (Telemetry.bucket_of_ns 1L);
-  Alcotest.(check int) "2ns" 1 (Telemetry.bucket_of_ns 2L);
-  Alcotest.(check int) "3ns" 1 (Telemetry.bucket_of_ns 3L);
-  Alcotest.(check int) "4ns" 2 (Telemetry.bucket_of_ns 4L);
-  Alcotest.(check int) "1024ns" 10 (Telemetry.bucket_of_ns 1024L);
-  (* every bucket's inclusive bounds map back to the bucket *)
-  for i = 0 to 61 do
-    let lo, hi = Telemetry.bucket_bounds i in
-    Alcotest.(check int) (Printf.sprintf "lo of %d" i) i (Telemetry.bucket_of_ns lo);
-    Alcotest.(check int)
-      (Printf.sprintf "hi-1 of %d" i)
-      i
-      (Telemetry.bucket_of_ns (Int64.sub hi 1L))
-  done;
-  let lo, _ = Telemetry.bucket_bounds 1 in
-  Alcotest.(check int64) "bucket 1 starts at 2" 2L lo;
-  let _, hi = Telemetry.bucket_bounds (Telemetry.n_buckets - 1) in
-  Alcotest.(check int64) "last bucket is open-ended" Int64.max_int hi;
-  Alcotest.check_raises "negative bucket" (Invalid_argument "Telemetry.bucket_bounds")
-    (fun () -> ignore (Telemetry.bucket_bounds (-1)))
-
-(* A histogram fixture from (observation, how many) pairs, with the
-   count, sum, min and max those observations imply. *)
-let hist_of observations =
-  let buckets = Array.make Telemetry.n_buckets 0 in
-  List.iter
-    (fun (ns, n) ->
-      let i = Telemetry.bucket_of_ns ns in
-      buckets.(i) <- buckets.(i) + n)
-    observations;
-  let values = List.map fst observations in
-  {
-    Telemetry.Snapshot.count = List.fold_left (fun acc (_, n) -> acc + n) 0 observations;
-    sum_ns =
-      List.fold_left (fun acc (ns, n) -> Int64.add acc (Int64.mul ns (Int64.of_int n))) 0L
-        observations;
-    min_ns = List.fold_left Int64.min Int64.max_int values;
-    max_ns = List.fold_left Int64.max 0L values;
-    buckets;
-  }
-
-let test_percentiles () =
-  (* 100 calls at 12ns (bucket [8,16)) plus one outlier at 1000ns
-     (bucket [512,1024)) *)
-  let stat = hist_of [ (12L, 100); (1000L, 1) ] in
-  Alcotest.(check int64) "p50 upper edge of bucket 3" 15L
-    (Telemetry.Snapshot.percentile_ns stat ~p:0.50);
-  Alcotest.(check int64) "p99 still bucket 3" 15L
-    (Telemetry.Snapshot.percentile_ns stat ~p:0.99);
-  Alcotest.(check int64) "p100 is the outlier, not its bucket edge" 1000L
-    (Telemetry.Snapshot.percentile_ns stat ~p:1.0);
-  let empty = hist_of [] in
-  Alcotest.(check int64) "no calls" 0L (Telemetry.Snapshot.percentile_ns empty ~p:0.5);
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Telemetry.Snapshot.percentile_ns") (fun () ->
-      ignore (Telemetry.Snapshot.percentile_ns stat ~p:0.))
-
-(* --- spans and counters --------------------------------------------- *)
+(* --- span statistics from trace events ------------------------------ *)
 
 let find_span report name = List.assoc_opt name (Telemetry.Snapshot.spans report)
 
-(* A lone 9.76 s observation sits in bucket [2^33, 2^34) ns, whose upper
-   edge is 17.18 s: the summary must print the observed value instead. *)
+(* An [mcx-trace/1] document holding one complete event per (name,
+   duration) pair, on domain 0, one microsecond apart. *)
+let trace_of durations =
+  Json_out.Obj
+    [
+      ( "traceEvents",
+        Json_out.List
+          (List.mapi
+             (fun i (name, ns) ->
+               Json_out.Obj
+                 [
+                   ("name", Json_out.Str name);
+                   ("ph", Json_out.Str "X");
+                   ("ts", Json_out.Float (float_of_int i));
+                   ("dur", Json_out.Float (float_of_int ns /. 1e3));
+                   ("pid", Json_out.Int 1);
+                   ("tid", Json_out.Int 0);
+                 ])
+             durations) );
+      ( "otherData",
+        Json_out.Obj
+          [
+            ("schema", Json_out.Str "mcx-trace/1");
+            ("dropped_events", Json_out.Int 0);
+            ("counters", Json_out.Obj []);
+          ] );
+    ]
+
+(* Through the trace's bytes and back, as [memx report] reads it. *)
+let read_back json =
+  match Result.bind (Json_out.of_string (Json_out.to_string json)) Telemetry.Snapshot.of_chrome_trace with
+  | Ok snap -> snap
+  | Error e -> Alcotest.failf "trace does not read back: %s" e
+
+(* A lone 9.76 s span: its percentiles are the observation itself, not
+   the 17.18 s upper edge of a log2 bucket [2^33, 2^34) ns. *)
 let test_single_observation_percentiles () =
-  fresh ();
-  Telemetry.enable ();
-  Telemetry.observe_ns "t.long" 9_760_000_000L;
-  let report = Telemetry.snapshot () in
-  Telemetry.disable ();
+  let report = read_back (trace_of [ ("t.long", 9_760_000_000) ]) in
   (match find_span report "t.long" with
-  | Some h ->
-    Alcotest.(check int64) "max is the observation" 9_760_000_000L
-      h.Telemetry.Snapshot.max_ns;
-    Alcotest.(check int64) "p50 = max" h.Telemetry.Snapshot.max_ns
-      (Telemetry.Snapshot.percentile_ns h ~p:0.50);
-    Alcotest.(check int64) "p99 = max" h.Telemetry.Snapshot.max_ns
-      (Telemetry.Snapshot.percentile_ns h ~p:0.99)
+  | Some s ->
+    Alcotest.(check int) "max is the observation" 9_760_000_000 s.Telemetry.Snapshot.max_ns;
+    Alcotest.(check (float 0.)) "p50 = max" 9.76e9 s.Telemetry.Snapshot.p50_ns;
+    Alcotest.(check (float 0.)) "p99 = max" 9.76e9 s.Telemetry.Snapshot.p99_ns
   | None -> Alcotest.fail "span missing");
   let summary = Texttable.render (Telemetry.Snapshot.summary_table report) in
   Alcotest.(check bool) "no bucket edge in the summary" false
     (contains ~affix:"17.18s" summary)
 
-let prop_percentiles_within_observed =
-  QCheck2.Test.make ~name:"min <= p50 <= p99 <= max" ~count:300
+let prop_exact_statistics =
+  QCheck2.Test.make ~name:"exact p50, p99 and max" ~count:300
     QCheck2.Gen.(
       list_size (int_range 1 60)
-        (map Int64.of_int (oneof [ int_range 0 5000; int_range 0 20_000_000_000 ])))
-    (fun observations ->
+        (pair
+           (oneofl [ "t.a"; "t.b"; "t.c" ])
+           (oneof [ int_range 0 5000; int_range 0 20_000_000_000 ])))
+    (fun durations ->
+      let report = read_back (trace_of durations) in
+      List.for_all
+        (fun name ->
+          let ns = List.filter_map (fun (n, d) -> if String.equal n name then Some d else None) durations in
+          match (ns, find_span report name) with
+          | [], None -> true
+          | [], Some _ | _ :: _, None -> false
+          | _ :: _, Some s ->
+            let floats = List.map float_of_int ns in
+            s.Telemetry.Snapshot.calls = List.length ns
+            && s.Telemetry.Snapshot.total_ns = List.fold_left ( + ) 0 ns
+            && Float.equal s.Telemetry.Snapshot.p50_ns (Stats.percentile floats 50.)
+            && Float.equal s.Telemetry.Snapshot.p99_ns (Stats.percentile floats 99.)
+            && s.Telemetry.Snapshot.max_ns = List.fold_left max 0 ns)
+        [ "t.a"; "t.b"; "t.c" ])
+
+(* Spans recorded on two domains, nested or not, with counters: the trace
+   they write reads back to the same timed summary and the same trace. *)
+let prop_trace_round_trip =
+  QCheck2.Test.make ~name:"of_chrome_trace inverts chrome_trace" ~count:30
+    QCheck2.Gen.(list_size (int_range 0 40) (pair (int_bound 3) (int_bound 3)))
+    (fun work ->
       fresh ();
       Telemetry.enable ();
-      List.iter (Telemetry.observe_ns "t.prop") observations;
+      let work = Array.of_list work in
+      let pool = Pool.create ~jobs:2 () in
+      ignore
+        (Pool.map pool (Array.length work) (fun i ->
+             let name, inner = work.(i) in
+             Telemetry.span (Printf.sprintf "t.rt%d" name) (fun () ->
+                 for _ = 1 to inner do
+                   Telemetry.span "t.rt_inner" ignore
+                 done;
+                 Telemetry.count ~n:inner "t.rt_units")));
+      Pool.shutdown pool;
       let report = Telemetry.snapshot () in
-      Telemetry.disable ();
-      match find_span report "t.prop" with
-      | None -> false
-      | Some h ->
-        let p50 = Telemetry.Snapshot.percentile_ns h ~p:0.50
-        and p99 = Telemetry.Snapshot.percentile_ns h ~p:0.99 in
-        h.Telemetry.Snapshot.min_ns = List.fold_left Int64.min Int64.max_int observations
-        && h.Telemetry.Snapshot.max_ns = List.fold_left Int64.max 0L observations
-        && Int64.compare h.Telemetry.Snapshot.min_ns p50 <= 0
-        && Int64.compare p50 p99 <= 0
-        && Int64.compare p99 h.Telemetry.Snapshot.max_ns <= 0)
+      fresh ();
+      let back = read_back (Telemetry.Snapshot.chrome_trace report) in
+      let render r = Texttable.render (Telemetry.Snapshot.summary_table r) in
+      let trace r = Json_out.to_string (Telemetry.Snapshot.chrome_trace r) in
+      String.equal (render report) (render back) && String.equal (trace report) (trace back))
+
+(* One buffer filled past its cap keeps 1M events and counts the rest:
+   the summary's calls are the kept events, plus a dropped-events row. *)
+let test_dropped_events_row () =
+  fresh ();
+  Telemetry.enable ();
+  for _ = 1 to 1_000_005 do
+    Telemetry.span "t.flood" ignore
+  done;
+  let report = Telemetry.snapshot () in
+  fresh ();
+  let summary = Texttable.render (Telemetry.Snapshot.summary_table ~times:false report) in
+  let row name =
+    String.split_on_char '\n' summary
+    |> List.find_opt (contains ~affix:("| " ^ name ^ " "))
+    |> Option.map (fun line ->
+           String.split_on_char '|' line |> List.map String.trim |> List.filter (( <> ) ""))
+  in
+  Alcotest.(check (option (list string)))
+    "calls are the kept events" (Some [ "t.flood"; "1000000" ]) (row "t.flood");
+  Alcotest.(check (option (list string)))
+    "dropped-events row" (Some [ "telemetry.dropped_events"; "5" ])
+    (row "telemetry.dropped_events")
+
+(* --- spans and counters --------------------------------------------- *)
 
 let test_span_nesting () =
   fresh ();
@@ -255,16 +274,14 @@ let test_span_nesting () =
   Alcotest.(check int) "span is transparent" 5 v;
   let report = Telemetry.snapshot () in
   let calls name =
-    match find_span report name with Some s -> s.Telemetry.Snapshot.count | None -> 0
+    match find_span report name with Some s -> s.Telemetry.Snapshot.calls | None -> 0
   in
   Alcotest.(check int) "outer once" 1 (calls "t.outer");
   Alcotest.(check int) "inner twice" 2 (calls "t.inner");
   (match find_span report "t.inner" with
   | Some s ->
-    Alcotest.(check int) "histogram holds every call" 2
-      (Array.fold_left ( + ) 0 s.Telemetry.Snapshot.buckets);
     Alcotest.(check bool) "total >= max" true
-      (Int64.compare s.Telemetry.Snapshot.sum_ns s.Telemetry.Snapshot.max_ns >= 0)
+      (s.Telemetry.Snapshot.total_ns >= s.Telemetry.Snapshot.max_ns)
   | None -> Alcotest.fail "inner span missing")
 
 let test_span_exception_safety () =
@@ -273,7 +290,7 @@ let test_span_exception_safety () =
   (try Telemetry.span "t.raises" (fun () -> raise Exit) with Exit -> ());
   let report = Telemetry.snapshot () in
   (match find_span report "t.raises" with
-  | Some s -> Alcotest.(check int) "recorded despite raise" 1 s.Telemetry.Snapshot.count
+  | Some s -> Alcotest.(check int) "recorded despite raise" 1 s.Telemetry.Snapshot.calls
   | None -> Alcotest.fail "span lost on exception")
 
 let test_disabled_records_nothing () =
@@ -282,29 +299,19 @@ let test_disabled_records_nothing () =
   let v = Telemetry.span "t.off" (fun () -> 7) in
   Alcotest.(check int) "span passes through" 7 v;
   Telemetry.count "t.off_counter";
-  Telemetry.observe_ns "t.off_obs" 5L;
   let report = Telemetry.snapshot () in
   Alcotest.(check bool) "no span" true (find_span report "t.off" = None);
   Alcotest.(check bool) "no counter" true
     (List.assoc_opt "t.off_counter" (Telemetry.Snapshot.counters report) = None)
 
-let test_counters_and_observe () =
+let test_counters () =
   fresh ();
   Telemetry.enable ();
   Telemetry.count "t.c";
   Telemetry.count ~n:41 "t.c";
-  Telemetry.observe_ns "t.obs" 10L;
-  Telemetry.observe_ns "t.obs" (-5L);
-  (* clamps to 0 *)
   let report = Telemetry.snapshot () in
   Alcotest.(check (option int)) "counter sums" (Some 42)
-    (List.assoc_opt "t.c" (Telemetry.Snapshot.counters report));
-  match find_span report "t.obs" with
-  | Some s ->
-    Alcotest.(check int) "observe counts calls" 2 s.Telemetry.Snapshot.count;
-    Alcotest.(check int64) "negative clamped" 10L s.Telemetry.Snapshot.sum_ns;
-    Alcotest.(check int64) "min sees the clamped 0" 0L s.Telemetry.Snapshot.min_ns
-  | None -> Alcotest.fail "observe_ns aggregate missing"
+    (List.assoc_opt "t.c" (Telemetry.Snapshot.counters report))
 
 (* --- the disabled path allocates nothing ------------------------------ *)
 
@@ -331,10 +338,6 @@ let test_disabled_path_allocation () =
   no_alloc "span" (fun () ->
       for _ = 1 to calls do
         Telemetry.span name body
-      done);
-  no_alloc "observe_ns" (fun () ->
-      for _ = 1 to calls do
-        Telemetry.observe_ns name 5L
       done);
   (* A named cache pays nothing for its counter names. *)
   let named = Lru.create ~name:"t.cache" ~capacity:4 () in
@@ -405,7 +408,7 @@ let test_report_merge_order_independent () =
   Alcotest.(check (option int)) "counters sum" (Some 7)
     (List.assoc_opt "t.mc" (Telemetry.Snapshot.counters merged));
   match find_span merged "t.m" with
-  | Some s -> Alcotest.(check int) "span calls sum" 2 s.Telemetry.Snapshot.count
+  | Some s -> Alcotest.(check int) "span calls sum" 2 s.Telemetry.Snapshot.calls
   | None -> Alcotest.fail "merged span missing"
 
 (* --- chrome trace export -------------------------------------------- *)
@@ -453,18 +456,18 @@ let () =
         ] );
       ( "histogram",
         [
-          Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
-          Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "single observation: p50 = p99 = max" `Quick
             test_single_observation_percentiles;
-          QCheck_alcotest.to_alcotest prop_percentiles_within_observed;
+          QCheck_alcotest.to_alcotest prop_exact_statistics;
+          QCheck_alcotest.to_alcotest prop_trace_round_trip;
+          Alcotest.test_case "dropped events row" `Quick test_dropped_events_row;
         ] );
       ( "spans",
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_records_nothing;
-          Alcotest.test_case "counters and observe_ns" `Quick test_counters_and_observe;
+          Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "disabled path allocates nothing" `Quick
             test_disabled_path_allocation;
         ] );
