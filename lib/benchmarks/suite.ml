@@ -36,18 +36,47 @@ let synthetic ?(ir = 20.) ?(skew = 0.) ~seed ~inputs ~outputs ~products () =
       skew;
     }
 
-(* Arithmetic negations are exact output-wise complements. *)
-let complement_of source () =
-  match source with
-  | Arithmetic build -> Mcx_logic.Mo_cover.complement (build ())
-  | Synthetic _ -> invalid_arg "Suite: synthetic sources use stats-matched negations"
+(* Covers are built once per process. Direct covers and negations have a
+   table and a mutex each: an arithmetic negation builds under its own
+   lock and takes the direct cover's, never the reverse, so the memo is
+   safe when covers are first requested from parallel pool workers. A
+   mutex is held across the build, since building outside it could
+   duplicate the work (never change a cover). *)
+let memo : (string, Mcx_logic.Mo_cover.t) Hashtbl.t =
+  Hashtbl.create 32 [@@mcx.lint.allow "domain-toplevel-state"]
+let memo_mutex = Mutex.create ()
+
+let negation_memo : (string, Mcx_logic.Mo_cover.t) Hashtbl.t =
+  Hashtbl.create 32 [@@mcx.lint.allow "domain-toplevel-state"]
+let negation_mutex = Mutex.create ()
+
+let build memo mutex key source =
+  Mutex.lock mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock mutex)
+    (fun () ->
+      match Hashtbl.find_opt memo key with
+      | Some cover -> cover
+      | None ->
+        let cover =
+          match source with
+          | Arithmetic f -> f ()
+          | Synthetic params -> Synthetic.generate params
+        in
+        Hashtbl.replace memo key cover;
+        cover)
+
+(* Arithmetic negations are exact output-wise complements of the memoized
+   direct cover. *)
+let complement_of name source () =
+  Mcx_logic.Mo_cover.complement (build memo memo_mutex name source)
 
 let arith ?negation ~name ~inputs ~outputs ~products ~build ~in_table1 ~in_table2 ~paper () =
   let source = Arithmetic build in
   let negation =
     match negation with
     | Some build_neg -> Arithmetic build_neg
-    | None -> Arithmetic (complement_of source)
+    | None -> Arithmetic (complement_of name source)
   in
   { name; inputs; outputs; products; source; negation; in_table1; in_table2; paper }
 
@@ -280,30 +309,5 @@ let find name =
   | Some b -> b
   | None -> raise Not_found
 
-(* Guarded by [memo_mutex] below; covers are built once per process. *)
-let memo : (string, Mcx_logic.Mo_cover.t) Hashtbl.t =
-  Hashtbl.create 32 [@@mcx.lint.allow "domain-toplevel-state"]
-let memo_mutex = Mutex.create ()
-
-(* The mutex keeps the memo safe when covers are first requested from
-   parallel pool workers; building outside the lock could duplicate work
-   but never produce different covers, so holding it across the build is
-   the simpler correct choice (builds run once per process). *)
-let build key source =
-  Mutex.lock memo_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_mutex)
-    (fun () ->
-      match Hashtbl.find_opt memo key with
-      | Some cover -> cover
-      | None ->
-        let cover =
-          match source with
-          | Arithmetic f -> f ()
-          | Synthetic params -> Synthetic.generate params
-        in
-        Hashtbl.replace memo key cover;
-        cover)
-
-let cover b = build b.name b.source
-let negated_cover b = build (b.name ^ "~neg") b.negation
+let cover b = build memo memo_mutex b.name b.source
+let negated_cover b = build negation_memo negation_mutex b.name b.negation

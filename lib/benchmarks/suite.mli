@@ -45,6 +45,8 @@ val cover : t -> Mcx_logic.Mo_cover.t
 (** The benchmark's multi-output cover (memoized). *)
 
 val negated_cover : t -> Mcx_logic.Mo_cover.t
-(** The "Negation of Circuit" cover (memoized): an exact output-wise
-    complement for arithmetic benchmarks, a stats-matched synthetic built
-    from the paper's negation-column statistics otherwise. *)
+(** The "Negation of Circuit" cover (memoized): for arithmetic benchmarks
+    an exact output-wise complement ({!Mcx_logic.Mo_cover.complement}) of
+    the memoized {!cover}, unless the circuit defines its negation (t481,
+    cordic); a stats-matched synthetic built from the paper's
+    negation-column statistics otherwise. *)

@@ -15,11 +15,20 @@ let two_level_area ?(include_il_row = false) ~n_inputs ~n_outputs ~n_products ()
   Geometry.area (Geometry.create ~include_il_row ~n_inputs ~n_outputs ~n_products ())
 
 let two_level ?(include_il_row = false) cover =
-  let fm = Function_matrix.build ~include_il_row cover in
-  let geometry = fm.Function_matrix.geometry in
+  let n_inputs = Mo_cover.n_inputs cover and n_outputs = Mo_cover.n_outputs cover in
+  let geometry =
+    Geometry.create ~include_il_row ~n_inputs ~n_outputs
+      ~n_products:(Mo_cover.product_count cover) ()
+  in
   let rows = Geometry.rows geometry and cols = Geometry.cols geometry in
   let area = rows * cols in
-  let switches = Function_matrix.switch_count fm in
+  (* The function matrix's ones (DESIGN §2's used_switches): each literal,
+     each AND-plane connection, each output row's result pair, and both
+     literal columns of every input on the IL row. *)
+  let switches =
+    Mo_cover.literal_count cover + Mo_cover.connection_count cover + (2 * n_outputs)
+    + if include_il_row then 2 * n_inputs else 0
+  in
   { rows; cols; area; switches; inclusion_ratio = ratio ~switches ~area }
 
 let multi_level (mapped : Mcx_netlist.Tech_map.mapped) =

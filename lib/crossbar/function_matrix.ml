@@ -46,8 +46,6 @@ let output_row_indices t =
       | Geometry.Input_latch | Geometry.Product _ -> None)
     (List.init (Geometry.rows t.geometry) Fun.id)
 
-let switch_count t = Mcx_util.Bmatrix.count t.matrix
-
 let pp ppf t =
   Format.fprintf ppf "%a@.%a" Geometry.pp t.geometry (Mcx_util.Bmatrix.pp ?one:None ?zero:None)
     t.matrix

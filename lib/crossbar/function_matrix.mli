@@ -20,7 +20,4 @@ val build : ?include_il_row:bool -> Mcx_logic.Mo_cover.t -> t
 val output_row_indices : t -> int list
 (** FM rows holding outputs (the paper's FMo), ascending. *)
 
-val switch_count : t -> int
-(** Number of required switches — the numerator of the inclusion ratio. *)
-
 val pp : Format.formatter -> t -> unit

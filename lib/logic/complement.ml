@@ -124,11 +124,4 @@ let complement f =
     }
   in
   let result = complement_rec ~arity ~w ~pos:(Array.make arity 0) ~neg:(Array.make arity 0) flat in
-  let literal i v =
-    let x = (i * w) + Bits.word_of v and b = Bits.bit_of v in
-    if (result.care.(x) lsr b) land 1 = 0 then Literal.Absent
-    else if (result.pol.(x) lsr b) land 1 = 1 then Literal.Pos
-    else Literal.Neg
-  in
-  Cover.create ~arity
-    (List.init result.count (fun i -> Cube.make ~arity ~f:(literal i)))
+  Cover.create ~arity (List.init result.count (Cube.of_words ~arity result.care result.pol))

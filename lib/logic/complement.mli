@@ -8,5 +8,5 @@ val complement : Cover.t -> Cover.t
 (** Recursive-Shannon complement (unate recursive paradigm) about the most
     binate variable, on flat word arrays. No result cube contains another,
     and the cubes come sorted stably by literal count, but the cover is not
-    minimized; feed it to [Minimize.espresso] when cube count matters (see
-    [Minimize.complement_minimized]). *)
+    minimized; [Minimize.complement_minimized] minimizes it with the
+    argument as OFF-set. *)

@@ -41,13 +41,6 @@ let of_strings = function
     let arity = String.length first in
     create ~arity (List.map Cube.of_string rows)
 
-let of_minterms ~arity ms =
-  let cube_of_minterm m =
-    if Array.length m <> arity then invalid_arg "Cover.of_minterms: arity mismatch";
-    Cube.of_literals (Array.map (fun b -> if b then Literal.Pos else Literal.Neg) m)
-  in
-  create ~arity (List.map cube_of_minterm ms)
-
 let single_cube_containment t =
   let rec keep acc = function
     | [] -> List.rev acc

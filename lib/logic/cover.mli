@@ -36,9 +36,6 @@ val of_strings : string list -> t
 (** Build from PLA-style rows, e.g. [["1-0"; "01-"]]. All rows must share
     one length. @raise Invalid_argument on empty list (arity unknown). *)
 
-val of_minterms : arity:int -> bool array list -> t
-(** One cube per minterm. *)
-
 val single_cube_containment : t -> t
 (** Remove every cube covered by another single cube of the cover. The
     survivors come in literal-count order, fewest first, ties in input

@@ -23,6 +23,10 @@ let words t = Array.length t.care
 let care_word t w = t.care.(w)
 let pol_word t w = t.pol.(w)
 
+let of_words ~arity care pol i =
+  let w = Bits.words_for arity in
+  { arity; care = Array.sub care (i * w) w; pol = Array.sub pol (i * w) w }
+
 let universe n =
   if n < 0 then invalid_arg "Cube.universe: negative arity";
   let nw = Bits.words_for n in

@@ -40,6 +40,12 @@ val care_word : t -> int -> int
 
 val pol_word : t -> int -> int
 
+val of_words : arity:int -> int array -> int array -> int -> t
+(** [of_words ~arity care pol i]: the cube held at words [i*w, (i+1)*w)
+    of flat care and polarity arrays, [w] = {!words} per cube (the layout
+    of the flat-array kernels), copied. The words must keep the
+    invariants above. *)
+
 val get : t -> int -> Literal.t
 (** Literal at variable [i]. @raise Invalid_argument out of range. *)
 

@@ -1,15 +1,20 @@
 (** Heuristic two-level minimization (an "espresso-lite").
 
     Implements the classic EXPAND / IRREDUNDANT / REDUCE loop over
-    {!Cover.t}, using tautology-based containment tests instead of an
-    explicit off-set. This is the substitute for the two-level front of the
-    paper's EDA flow: it produces the product counts P that drive the
-    crossbar area model. The result is functionally equal to the input
-    (property-tested) but generally not minimum. *)
+    {!Cover.t}. The caller knows the function's OFF-set, and EXPAND tests
+    each raise against it; IRREDUNDANT asks {!Tautology}'s sweep whether
+    the other cubes cover a cube, and REDUCE asks it for the smallest cube
+    containing what they miss. This is the substitute for the two-level
+    front of the paper's EDA flow: it produces the product counts P that
+    drive the crossbar area model. The result is functionally equal to the
+    input (property-tested) but generally not minimum. *)
 
-val expand : Cover.t -> Cover.t
-(** Raise literals of each cube to don't-care while the cube stays inside
-    the function; then remove single-cube-contained cubes. *)
+val expand : off:Cover.t -> Cover.t -> Cover.t
+(** [expand ~off f] raises literals of each cube of [f] to don't-care, in
+    variable order, while the cube meets no cube of [off], fewest-minterm
+    cubes first; then removes single-cube-contained cubes. [off] must be
+    exactly the complement of [f]. @raise Invalid_argument on arity
+    mismatch. *)
 
 val irredundant : Cover.t -> Cover.t
 (** Greedily drop cubes covered by the rest of the cover. *)
@@ -19,20 +24,15 @@ val reduce : Cover.t -> Cover.t
     (the part not covered by other cubes), enabling the next expand to move
     out of local minima. *)
 
-val espresso : Cover.t -> Cover.t
-(** Iterate expand/irredundant/reduce until the (cube count, literal count)
-    cost stops improving. *)
-
-val espresso_dc : dc:Cover.t -> Cover.t -> Cover.t
-(** Minimization with a don't-care set: cubes may expand into [dc], and
-    coverage obligations falling inside [dc] are waived. The result [g]
-    satisfies [ON ⊆ g ∪ DC] and [g ⊆ ON ∪ DC] (property-tested): every
-    care ON-point stays covered and no OFF-point is touched. @raise
-    Invalid_argument on arity mismatch. *)
-
-val cost : Cover.t -> int * int
-(** [(cubes, literals)] — the minimization objective, lexicographic. *)
+val espresso : off:Cover.t -> Cover.t -> Cover.t
+(** [espresso ~off f] iterates expand/irredundant/reduce on [f] until the
+    (cube count, literal count) cost stops improving. [off] must be
+    exactly the complement of [f]. @raise Invalid_argument on arity
+    mismatch. *)
 
 val complement_minimized : Cover.t -> Cover.t
-(** {!Complement.complement} followed by {!espresso} — the negated-circuit
-    covers of Table I are produced this way. *)
+(** {!Complement.complement} followed by {!espresso}, whose OFF-set is the
+    argument itself. {!Mo_cover.complement} negates outputs of more than 14
+    inputs this way; the Suite's negated covers come from
+    [Suite.negated_cover] (QM up to 14 inputs, or explicit and synthetic
+    negations). *)

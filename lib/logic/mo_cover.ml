@@ -97,9 +97,6 @@ let complement t =
   in
   rebuild_from_covers t (List.init t.n_outputs negate_output)
 
-let minimize t =
-  rebuild_from_covers t (List.init t.n_outputs (fun k -> Minimize.espresso (output_cover t k)))
-
 let permute_vars t ~perm =
   let n = t.n_inputs in
   if Array.length perm <> n then invalid_arg "Mo_cover.permute_vars: length mismatch";

@@ -47,12 +47,10 @@ val eval : t -> bool array -> bool array
 
 val complement : t -> t
 (** Output-wise negation. Uses exact truth tables + {!Qm} when the input
-    count allows (≤ 14), falling back to algebraic complement + espresso
+    count allows (≤ 14), and {!Minimize.complement_minimized} (algebraic
+    complement, then espresso against the output itself as OFF-set)
     otherwise; rows equal across outputs are shared again. This implements
     the paper's "Negation of Circuit". *)
-
-val minimize : t -> t
-(** Espresso each output independently, then re-share rows. *)
 
 val permute_vars : t -> perm:int array -> t
 (** Relabel input variables: variable [v] of the argument becomes

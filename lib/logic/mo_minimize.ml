@@ -1,5 +1,5 @@
-(* Rows are (cube, output mask) pairs; the reference per-output functions
-   are fixed once from the input cover, so every transformation is checked
+(* Rows are (cube, output mask) pairs; the per-output functions are
+   tabulated once from the input cover, so every expansion is checked
    against the original semantics. *)
 
 (* One sweep per output over all rows, a row switched on while its mask
@@ -15,19 +15,15 @@ let minimize_joint mo =
   Mcx_util.Telemetry.span "mo_minimize.joint" @@ fun () ->
   let n_inputs = Mo_cover.n_inputs mo in
   let n_outputs = Mo_cover.n_outputs mo in
-  (* reference functions, fixed *)
-  let reference =
-    Array.init n_outputs (fun k ->
-        Tautology.of_cubes ~arity:n_inputs (Cover.cubes (Mo_cover.output_cover mo k)))
-  in
-  let covered_by_reference cube k = Tautology.covers reference.(k) cube in
+  let tables = Array.init n_outputs (fun k -> Truthtable.of_cover (Mo_cover.output_cover mo k)) in
+  let inside cube k = Truthtable.covers tables.(k) cube in
 
   let expand_outputs rows =
     List.map
       (fun (cube, mask) ->
         let mask = Array.copy mask in
         for k = 0 to n_outputs - 1 do
-          if (not mask.(k)) && covered_by_reference cube k then mask.(k) <- true
+          if (not mask.(k)) && inside cube k then mask.(k) <- true
         done;
         (cube, mask))
       rows
@@ -45,10 +41,10 @@ let minimize_joint mo =
           | Literal.Absent -> ()
           | (Literal.Pos | Literal.Neg) as l ->
             let added = Cube.set !current var (Literal.complement l) in
-            let rec inside k =
-              k = n_outputs || ((not mask.(k)) || covered_by_reference added k) && inside (k + 1)
+            let rec inside_mask k =
+              k = n_outputs || ((not mask.(k)) || inside added k) && inside_mask (k + 1)
             in
-            if inside 0 then current := Cube.set !current var Literal.Absent
+            if inside_mask 0 then current := Cube.set !current var Literal.Absent
         done;
         (!current, mask))
       rows

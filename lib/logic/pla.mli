@@ -9,7 +9,7 @@
 type parsed = {
   cover : Mo_cover.t;  (** the ON-set *)
   dc : Mo_cover.t;  (** the don't-care set (empty when the file has none);
-                        feed it to {!Minimize.espresso_dc} output-wise *)
+                        no minimizer of the library reads it *)
   input_labels : string list option;
   output_labels : string list option;
 }

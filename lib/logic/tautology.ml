@@ -71,41 +71,10 @@ let drop_unate s lo hi unate =
   done;
   !j
 
-let rec taut s lo hi =
-  hi > lo
-  &&
-  let w = s.w and care = s.care and pol = s.pol in
-  let pos_any = Array.make w 0 and neg_any = Array.make w 0 in
-  let universe = ref false and mass = ref 0 in
-  for i = lo to hi - 1 do
-    let base = i * w in
-    let lits = ref 0 in
-    for k = 0 to w - 1 do
-      let c = Array.unsafe_get care (base + k) and p = Array.unsafe_get pol (base + k) in
-      pos_any.(k) <- pos_any.(k) lor p;
-      neg_any.(k) <- neg_any.(k) lor (c land lnot p);
-      lits := !lits + Bits.popcount c
-    done;
-    if !lits = 0 then universe := true
-    else if !mass < whole then mass := !mass + if !lits <= 61 then whole lsr !lits else 1
-  done;
-  !universe
-  || !mass >= whole
-     &&
-     let unate = ref false in
-     for k = 0 to w - 1 do
-       let u = pos_any.(k) lxor neg_any.(k) in
-       if u <> 0 then unate := true;
-       neg_any.(k) <- u;
-       pos_any.(k) <- pos_any.(k) land lnot u
-     done;
-     (* [neg_any] now holds the unate variables, [pos_any] the binate ones;
-        with neither left every cube would be the universe, caught above. *)
-     if !unate then taut s lo (drop_unate s lo hi neg_any) else split s lo hi pos_any
-
-(* Shannon expansion about the most binate variable: the largest
-   min(positive, negative) occurrence count, then the most occurrences. *)
-and split s lo hi binate =
+(* The variable of [binate] with the largest min(positive, negative)
+   occurrence count in [lo, hi), then the most occurrences, then the
+   lowest index. *)
+let most_binate s lo hi binate =
   let w = s.w and care = s.care and pol = s.pol and pos = s.pos and neg = s.neg in
   for i = lo to hi - 1 do
     let base = i * w in
@@ -136,12 +105,12 @@ and split s lo hi binate =
       m := !m land (!m - 1)
     done
   done;
-  let k = Bits.word_of !best and bit = 1 lsl Bits.bit_of !best in
-  branch s lo hi k bit bit && branch s lo hi k bit 0
+  !best
 
 (* The cofactor of [lo, hi) where the variable [bit] of word [k] has
-   polarity [value] ([bit] for 1, [0] for 0), written above [hi]. *)
-and branch s lo hi k bit value =
+   polarity [value] ([bit] for 1, [0] for 0), written above [hi]; returns
+   where it ends. *)
+let cofactor s lo hi k bit value =
   let w = s.w in
   reserve s ~top:hi (hi - lo);
   let care = s.care and pol = s.pol in
@@ -160,7 +129,114 @@ and branch s lo hi k bit value =
       incr j
     end
   done;
-  taut s hi !j
+  !j
+
+let rec taut s lo hi =
+  hi > lo
+  &&
+  let w = s.w and care = s.care and pol = s.pol in
+  let pos_any = Array.make w 0 and neg_any = Array.make w 0 in
+  let universe = ref false and mass = ref 0 in
+  for i = lo to hi - 1 do
+    let base = i * w in
+    let lits = ref 0 in
+    for k = 0 to w - 1 do
+      let c = Array.unsafe_get care (base + k) and p = Array.unsafe_get pol (base + k) in
+      pos_any.(k) <- pos_any.(k) lor p;
+      neg_any.(k) <- neg_any.(k) lor (c land lnot p);
+      lits := !lits + Bits.popcount c
+    done;
+    if !lits = 0 then universe := true
+    else if !mass < whole then mass := !mass + if !lits <= 61 then whole lsr !lits else 1
+  done;
+  !universe
+  || !mass >= whole
+     &&
+     let unate = ref false in
+     for k = 0 to w - 1 do
+       let u = pos_any.(k) lxor neg_any.(k) in
+       if u <> 0 then unate := true;
+       neg_any.(k) <- u;
+       pos_any.(k) <- pos_any.(k) land lnot u
+     done;
+     (* [neg_any] now holds the unate variables, [pos_any] the binate ones;
+        with neither left every cube would be the universe, caught above. *)
+     if !unate then taut s lo (drop_unate s lo hi neg_any)
+     else begin
+       (* Shannon expansion about the most binate variable. *)
+       let v = most_binate s lo hi pos_any in
+       let k = Bits.word_of v and bit = 1 lsl Bits.bit_of v in
+       taut s hi (cofactor s lo hi k bit bit) && taut s hi (cofactor s lo hi k bit 0)
+     end
+
+type hull = {
+  path_care : int array;
+  path_pol : int array;
+  sup_care : int array;
+  sup_pol : int array;
+  mutable found : bool;
+}
+
+(* The smallest cube containing the complement of [lo, hi) (SCCC) by the
+   same recursion: sccc(F) = supercube(x . sccc(F_x), x' . sccc(F_x')),
+   an empty branch dropping out. [h.path_care] and [h.path_pol] hold the
+   literals fixed on the way down, and each leaf's cube, with them, joins
+   the supercube [h.sup_care] and [h.sup_pol] ([h.found] false while it is
+   empty). A leaf is a cover holding the universe cube (empty complement)
+   or a unate cover, whose complement's smallest cube fixes the complement
+   of each single-literal cube and leaves every other variable free; the
+   empty cover is the case with none. Once the supercube has no literal
+   left, no leaf can widen it, and the walk stops. *)
+let rec sccc s h lo hi =
+  if not (h.found && Array.for_all (fun x -> x = 0) h.sup_care) then begin
+    let w = s.w and care = s.care and pol = s.pol in
+    let pos_any = Array.make w 0 and neg_any = Array.make w 0 in
+    let fixed_care = Array.make w 0 and fixed_pol = Array.make w 0 in
+    let universe = ref false in
+    for i = lo to hi - 1 do
+      let base = i * w in
+      let lits = ref 0 in
+      for k = 0 to w - 1 do
+        let c = Array.unsafe_get care (base + k) and p = Array.unsafe_get pol (base + k) in
+        pos_any.(k) <- pos_any.(k) lor p;
+        neg_any.(k) <- neg_any.(k) lor (c land lnot p);
+        lits := !lits + Bits.popcount c
+      done;
+      if !lits = 0 then universe := true
+      else if !lits = 1 then
+        for k = 0 to w - 1 do
+          let c = Array.unsafe_get care (base + k) in
+          fixed_care.(k) <- fixed_care.(k) lor c;
+          fixed_pol.(k) <- fixed_pol.(k) lor (c land lnot (Array.unsafe_get pol (base + k)))
+        done
+    done;
+    let binate = Array.init w (fun k -> pos_any.(k) land neg_any.(k)) in
+    if !universe then ()
+    else if Array.for_all (fun x -> x = 0) binate then begin
+      for k = 0 to w - 1 do
+        let c = h.path_care.(k) lor fixed_care.(k) and p = h.path_pol.(k) lor fixed_pol.(k) in
+        if h.found then begin
+          h.sup_care.(k) <- h.sup_care.(k) land c land lnot (h.sup_pol.(k) lxor p);
+          h.sup_pol.(k) <- h.sup_pol.(k) land h.sup_care.(k)
+        end
+        else begin
+          h.sup_care.(k) <- c;
+          h.sup_pol.(k) <- p
+        end
+      done;
+      h.found <- true
+    end
+    else begin
+      let v = most_binate s lo hi binate in
+      let k = Bits.word_of v and bit = 1 lsl Bits.bit_of v in
+      h.path_care.(k) <- h.path_care.(k) lor bit;
+      h.path_pol.(k) <- h.path_pol.(k) lor bit;
+      sccc s h hi (cofactor s lo hi k bit bit);
+      h.path_pol.(k) <- h.path_pol.(k) land lnot bit;
+      sccc s h hi (cofactor s lo hi k bit 0);
+      h.path_care.(k) <- h.path_care.(k) land lnot bit
+    end
+  end
 
 type cubes = {
   arity : int;
@@ -187,44 +263,20 @@ let of_cubes ~arity cubes =
 
 let switch t i on = Bytes.set t.on i (if on then '\001' else '\000')
 
-let absorb t i e =
-  if Cube.arity e <> t.arity then invalid_arg "Tautology.absorb: arity mismatch";
+let set t i c =
+  if Cube.arity c <> t.arity then invalid_arg "Tautology.set: arity mismatch";
   let w = t.scratch.w in
-  let ec = Array.init w (Cube.care_word e) and ep = Array.init w (Cube.pol_word e) in
-  let absorbed = ref false in
-  for j = 0 to t.count - 1 do
-    if j <> i && Bytes.unsafe_get t.on j <> '\000' then begin
-      let base = j * w in
-      let k = ref 0 in
-      while
-        !k < w
-        && Array.unsafe_get ec !k land lnot (Array.unsafe_get t.care (base + !k)) = 0
-        && Array.unsafe_get ec !k
-           land (Array.unsafe_get ep !k lxor Array.unsafe_get t.pol (base + !k))
-           = 0
-      do
-        incr k
-      done;
-      if !k = w then begin
-        Bytes.unsafe_set t.on j '\000';
-        absorbed := true
-      end
-    end
-  done;
-  if !absorbed then begin
-    Array.blit ec 0 t.care (i * w) w;
-    Array.blit ep 0 t.pol (i * w) w;
-    Bytes.set t.on i '\001'
-  end
+  for k = 0 to w - 1 do
+    t.care.((i * w) + k) <- Cube.care_word c k;
+    t.pol.((i * w) + k) <- Cube.pol_word c k
+  done
 
-(* The switched-on cubes cofactored with respect to [c] (conflicting cubes
-   dropped, [c]'s variables freed) go to the bottom of the scratch; [c] is
-   covered iff they form a tautology. *)
-let covers t c =
-  if Cube.arity c <> t.arity then invalid_arg "Tautology.covers: arity mismatch";
+(* The switched-on cubes cofactored with respect to the cube [cc], [cp]
+   (conflicting cubes dropped, its variables freed) go to the bottom of the
+   scratch; returns how many there are. *)
+let cofactor_on t cc cp =
   let s = t.scratch in
   let w = s.w in
-  let cc = Array.init w (Cube.care_word c) and cp = Array.init w (Cube.pol_word c) in
   reserve s ~top:0 t.count;
   let src_care = t.care and src_pol = t.pol and dst_care = s.care and dst_pol = s.pol in
   let j = ref 0 in
@@ -252,7 +304,38 @@ let covers t c =
       end
     end
   done;
-  taut s 0 !j
+  !j
+
+let words name t c =
+  if Cube.arity c <> t.arity then invalid_arg ("Tautology." ^ name ^ ": arity mismatch");
+  let w = t.scratch.w in
+  (Array.init w (Cube.care_word c), Array.init w (Cube.pol_word c))
+
+(* [c] is covered iff its cofactor of the cubes switched on is a
+   tautology. *)
+let covers t c =
+  let cc, cp = words "covers" t c in
+  taut t.scratch 0 (cofactor_on t cc cp)
+
+(* The points of [c] the cubes switched on miss are [c] times the
+   complement of their cofactor, which is free of [c]'s variables. *)
+let hull t c =
+  let cc, cp = words "hull" t c in
+  let w = t.scratch.w in
+  let h =
+    {
+      path_care = Array.make w 0;
+      path_pol = Array.make w 0;
+      sup_care = Array.make w 0;
+      sup_pol = Array.make w 0;
+      found = false;
+    }
+  in
+  sccc t.scratch h 0 (cofactor_on t cc cp);
+  if not h.found then None
+  else
+    let join a b = Array.init w (fun k -> a.(k) lor b.(k)) in
+    Some (Cube.of_words ~arity:t.arity (join cc h.sup_care) (join cp h.sup_pol) 0)
 
 let check f =
   covers (of_cubes ~arity:(Cover.arity f) (Cover.cubes f)) (Cube.universe (Cover.arity f))

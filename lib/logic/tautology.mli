@@ -5,8 +5,8 @@
     the most binate variable, and a branch stops at the universe cube, at
     an empty or unate cover, or when its cubes are too few to fill the
     space. One kernel over flat word arrays serves every arity and
-    allocates no cube per recursion. These predicates are the workhorses
-    behind cube expansion and irredundant-cover extraction. *)
+    allocates no cube per recursion. Its predicates drive irredundant
+    cover extraction, and its hull query drives espresso's REDUCE. *)
 
 val check : Cover.t -> bool
 (** [check f] is true iff [f] is the constant-true function. *)
@@ -25,9 +25,9 @@ val equal : Cover.t -> Cover.t -> bool
 
 (** {1 Sweeps}
 
-    Expand and irredundant ask one cover many containment questions, often
-    with one of its own cubes left out. A sweep lays the cover out for the
-    kernel once and switches cubes off and on between questions. *)
+    Irredundant and reduce ask one cover many questions, often with one
+    of its own cubes left out. A sweep lays the cover out for the kernel
+    once and switches cubes off and on between questions. *)
 
 type cubes
 (** A list of cubes in the kernel's layout, each switched on or off, with
@@ -41,13 +41,18 @@ val of_cubes : arity:int -> Cube.t list -> cubes
 val switch : cubes -> int -> bool -> unit
 (** [switch t i on] switches cube [i] on or off. *)
 
-val absorb : cubes -> int -> Cube.t -> unit
-(** [absorb t i e]: when [e] contains some other cube switched on, those
-    cubes are switched off and [e] becomes cube [i], switched on; otherwise
-    nothing changes. When the old cube [i] lies in [e] and [e] lies in the
-    function of the cubes switched on, that function is unchanged and so
-    is every later answer of {!covers}. *)
+val set : cubes -> int -> Cube.t -> unit
+(** [set t i c]: cube [i] becomes [c], switched as it was.
+    @raise Invalid_argument on arity mismatch. *)
 
 val covers : cubes -> Cube.t -> bool
 (** [covers t c]: the cubes switched on cover every minterm of [c].
+    @raise Invalid_argument on arity mismatch. *)
+
+val hull : cubes -> Cube.t -> Cube.t option
+(** [hull t c]: the smallest cube containing the minterms of [c] that the
+    cubes switched on miss, or [None] when they cover [c]: [c] with the
+    literals of the smallest cube containing the complement (SCCC) of
+    their cofactor by [c], computed by the unate recursive paradigm
+    (Brayton et al., 1984) without building the complement.
     @raise Invalid_argument on arity mismatch. *)

@@ -8,15 +8,6 @@ let check_arity n =
   if n < 0 || n > max_arity then
     invalid_arg (Printf.sprintf "Truthtable: arity %d out of [0, %d]" n max_arity)
 
-let index_of_assignment v =
-  let idx = ref 0 in
-  for i = Array.length v - 1 downto 0 do
-    idx := (!idx lsl 1) lor (if v.(i) then 1 else 0)
-  done;
-  !idx
-
-let assignment_of_index ~arity idx = Array.init arity (fun i -> (idx lsr i) land 1 = 1)
-
 let of_fun_int ~arity f =
   check_arity arity;
   let size = 1 lsl arity in
@@ -26,17 +17,9 @@ let of_fun_int ~arity f =
   done;
   { arity; table }
 
-let create ~arity f =
-  check_arity arity;
-  of_fun_int ~arity (fun idx -> f (assignment_of_index ~arity idx))
-
 let get t idx =
   if idx < 0 || idx >= Bytes.length t.table then invalid_arg "Truthtable.get: out of range";
   Bytes.unsafe_get t.table idx <> '\000'
-
-let eval t v =
-  if Array.length v <> t.arity then invalid_arg "Truthtable.eval: arity mismatch";
-  get t (index_of_assignment v)
 
 let minterm_indices t =
   let acc = ref [] in
@@ -45,28 +28,22 @@ let minterm_indices t =
   done;
   !acc
 
-let on_count t =
-  let n = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr n) t.table;
-  !n
-
 let complement t =
   of_fun_int ~arity:t.arity (fun idx -> not (get t idx))
-
-let equal a b = a.arity = b.arity && Bytes.equal a.table b.table
 
 (* With at most [max_arity] variables a cube is one care and one polarity
    word, and its points are its polarity word joined with every subset of
    its free variables. *)
+let word get c = if Cube.words c = 0 then 0 else get c 0
+let free_of arity c = ((1 lsl arity) - 1) land lnot (word Cube.care_word c)
+
 let of_cover f =
   let arity = Cover.arity f in
   check_arity arity;
   let table = Bytes.make (1 lsl arity) '\000' in
-  let word get c = if Cube.words c = 0 then 0 else get c 0 in
   List.iter
     (fun c ->
-      let pol = word Cube.pol_word c in
-      let free = ((1 lsl arity) - 1) land lnot (word Cube.care_word c) in
+      let pol = word Cube.pol_word c and free = free_of arity c in
       let sub = ref free in
       Bytes.unsafe_set table pol '\001';
       while !sub <> 0 do
@@ -76,10 +53,10 @@ let of_cover f =
     (Cover.cubes f);
   { arity; table }
 
-let to_cover t =
-  let ms = List.map (assignment_of_index ~arity:t.arity) (minterm_indices t) in
-  Cover.of_minterms ~arity:t.arity ms
-
-let random prng ~arity ~on_bias =
-  check_arity arity;
-  of_fun_int ~arity (fun _ -> Mcx_util.Prng.bernoulli prng on_bias)
+let covers t c =
+  if Cube.arity c <> t.arity then invalid_arg "Truthtable.covers: arity mismatch";
+  let table = t.table and pol = word Cube.pol_word c and free = free_of t.arity c in
+  let rec walk sub =
+    Bytes.unsafe_get table (pol lor sub) <> '\000' && (sub = 0 || walk ((sub - 1) land free))
+  in
+  walk free

@@ -1,47 +1,31 @@
 (** Explicit truth tables for small arities.
 
     Used by the benchmark generators (which define circuits functionally),
-    as the reference semantics in tests, and for robust complementation of
-    multi-output benchmarks. Bounded to arity 22 (4M entries). *)
+    for robust complementation of multi-output benchmarks, and as the
+    containment oracle of joint minimization. Bounded to arity 22 (4M
+    entries). *)
 
 type t
 
 val arity : t -> int
 
-val create : arity:int -> (bool array -> bool) -> t
-(** Tabulate a predicate. @raise Invalid_argument if arity is negative or
-    greater than 22. *)
-
 val of_fun_int : arity:int -> (int -> bool) -> t
 (** Tabulate from the integer encoding of the assignment: bit [i] of the
-    index is variable [i]. *)
+    index is variable [i]. @raise Invalid_argument if arity is negative or
+    greater than 22. *)
 
 val get : t -> int -> bool
 (** Value at an assignment index. @raise Invalid_argument out of range. *)
 
-val eval : t -> bool array -> bool
-(** @raise Invalid_argument on arity mismatch. *)
-
-val index_of_assignment : bool array -> int
-(** Bit [i] set iff variable [i] is true. *)
-
-val assignment_of_index : arity:int -> int -> bool array
-
 val minterm_indices : t -> int list
 (** Indices of the ON-set, ascending. *)
 
-val on_count : t -> int
-
 val complement : t -> t
-
-val equal : t -> t -> bool
 
 val of_cover : Cover.t -> t
 (** Tabulate a cover. @raise Invalid_argument if the cover's arity exceeds
     the bound. *)
 
-val to_cover : t -> Cover.t
-(** One-minterm-per-cube canonical cover of the ON-set (not minimized). *)
-
-val random : Mcx_util.Prng.t -> arity:int -> on_bias:float -> t
-(** Each entry true independently with probability [on_bias]. *)
+val covers : t -> Cube.t -> bool
+(** [covers t c]: every minterm of [c] is in the ON-set, checked by walking
+    them. @raise Invalid_argument on arity mismatch. *)

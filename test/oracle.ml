@@ -378,7 +378,8 @@ let test_qm_minimize_oracle () =
       let tt = Truthtable.of_cover f in
       let reference idx = Truthtable.get tt idx in
       assert_equivalent ~what:"Qm.minimize" ~arity reference (Qm.minimize tt);
-      assert_equivalent ~what:"Minimize.espresso" ~arity reference (Minimize.espresso f)
+      assert_equivalent ~what:"Minimize.espresso" ~arity reference
+        (Minimize.espresso ~off:(Complement.complement f) f)
     done
   done
 
@@ -400,7 +401,7 @@ let random_table seed =
     else if pick < 16 then (10, 0.2 +. (0.6 *. Mcx_util.Prng.float prng))
     else (11 + Mcx_util.Prng.int prng 2, 0.005 +. (0.04 *. Mcx_util.Prng.float prng))
   in
-  Truthtable.random prng ~arity ~on_bias
+  Truthtable_helper.random prng ~arity ~on_bias
 
 let same_cubes a b = List.equal String.equal (List.map Cube.to_string a) (List.map Cube.to_string b)
 
@@ -514,9 +515,8 @@ let prop_tautology_straddles_word =
         for_all_points ~arity support (fun v -> (not (Cube.eval query v)) || covered_by on v)
       in
       let before = Tautology.covers sweep query in
-      (* Grow the first cube switched on as far as the sweep allows and let
-         it absorb what it contains, as expand does: the function, and so
-         the answer, must not move. *)
+      (* Grow the first cube switched on as far as the sweep allows and set
+         it in place: the function, and so the answer, must not move. *)
       (match List.find_opt (fun i -> not (is_off i)) (List.init (List.length cubes) Fun.id) with
       | None -> ()
       | Some i ->
@@ -525,7 +525,7 @@ let prop_tautology_straddles_word =
           let raised = Cube.set !grown v Literal.Absent in
           if Tautology.covers sweep raised then grown := raised
         done;
-        Tautology.absorb sweep i !grown);
+        Tautology.set sweep i !grown);
       Bool.equal (Tautology.check (Cover.create ~arity cubes)) taut
       && Bool.equal before query_covered
       && Bool.equal (Tautology.covers sweep query) query_covered
@@ -571,6 +571,138 @@ let test_complement_suite_reference () =
       end)
     Suite.all
 
+(* --- Minimization against its former implementation
+   (test/minimize_reference.ml) ---
+
+   Espresso expands against the OFF-set and reduces by the kernel's hull
+   query, and joint minimization reads truth tables. Every answer these
+   replace is a property of the function, and the smallest cube containing
+   a set is unique, so the covers must match the old ones cube for cube,
+   in order. *)
+
+let fig6_sop seed ~max_inputs =
+  let prng = Mcx_util.Prng.create seed in
+  let n_inputs = 1 + Mcx_util.Prng.int prng max_inputs in
+  Random_sop.random_cover prng (Random_sop.paper_params prng ~n_inputs)
+
+let prop_complement_minimized_matches_reference =
+  QCheck2.Test.make ~name:"complement_minimized matches the reference" ~count:150
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let f =
+        if seed land 1 = 0 then fig6_sop seed ~max_inputs:18
+        else
+          let arity, _, cubes, _ = straddling_case seed in
+          Cover.create ~arity cubes
+      in
+      same_cubes (Cover.cubes (Minimize.complement_minimized f))
+        (Cover.cubes (Minimize_reference.complement_minimized f)))
+
+let test_complement_minimized_suite_reference () =
+  let module Suite = Mcx_benchmarks.Suite in
+  List.iter
+    (fun name ->
+      let cover = Suite.cover (Suite.find name) in
+      for k = 0 to Mo_cover.n_outputs cover - 1 do
+        let f = Mo_cover.output_cover cover k in
+        if
+          not
+            (same_cubes (Cover.cubes (Minimize.complement_minimized f))
+               (Cover.cubes (Minimize_reference.complement_minimized f)))
+        then Alcotest.failf "%s output %d: complement_minimized differs from the reference" name k
+      done)
+    [ "b12"; "t481"; "cordic" ]
+
+(* The hull of what the cubes switched on miss of a query, against the
+   supercube of the complement of their cofactor: on a Fig. 6 SOP with
+   one cube switched off and queried, as reduce asks, and on covers
+   straddling bit 63, many of them tautologies. *)
+let prop_hull_matches_complement =
+  QCheck2.Test.make ~name:"hull is the supercube of the complement" ~count:400
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let arity, cubes, off, query =
+        if seed mod 3 = 0 then begin
+          let f = fig6_sop seed ~max_inputs:15 in
+          let cubes = Cover.cubes f in
+          let i = seed / 3 mod List.length cubes in
+          (Cover.arity f, cubes, (fun j -> j = i), List.nth cubes i)
+        end
+        else
+          let arity, _, cubes, query = straddling_case seed in
+          (arity, cubes, (fun j -> j mod 3 = seed mod 3), query)
+      in
+      let sweep = Tautology.of_cubes ~arity cubes in
+      List.iteri (fun i _ -> if off i then Tautology.switch sweep i false) cubes;
+      let on = List.filteri (fun i _ -> not (off i)) cubes in
+      let cofactor = Cover.create ~arity (List.filter_map (fun g -> Cube.cofactor_wrt g query) on) in
+      let expected =
+        match Cover.cubes (Complement.complement cofactor) with
+        | [] -> None
+        | first :: rest -> Cube.intersect query (List.fold_left Cube.supercube first rest)
+      in
+      Option.equal Cube.equal (Tautology.hull sweep query) expected)
+
+(* [complement_minimized f] is f's complement: f + g covers everything
+   and no cube of g meets f. *)
+let prop_complement_minimized_is_complement =
+  QCheck2.Test.make ~name:"complement_minimized is the complement at 15-18 inputs" ~count:40
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let prng = Mcx_util.Prng.create seed in
+      let n_inputs = 15 + Mcx_util.Prng.int prng 4 in
+      let f = Random_sop.random_cover prng (Random_sop.paper_params prng ~n_inputs) in
+      let g = Minimize.complement_minimized f in
+      Tautology.check (Cover.union f g)
+      && List.for_all
+           (fun a -> List.for_all (fun b -> Option.is_none (Cube.intersect a b)) (Cover.cubes g))
+           (Cover.cubes f))
+
+let same_rows a b =
+  List.equal
+    (fun (r : Mo_cover.row) (q : Mo_cover.row) ->
+      Cube.equal r.cube q.cube && Array.for_all2 Bool.equal r.outputs q.outputs)
+    (Mo_cover.rows a) (Mo_cover.rows b)
+
+let prop_joint_matches_reference =
+  QCheck2.Test.make ~name:"minimize_joint matches the reference" ~count:300
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let prng = Mcx_util.Prng.create seed in
+      let n_inputs = 1 + Mcx_util.Prng.int prng 9 and n_outputs = 1 + Mcx_util.Prng.int prng 4 in
+      let output _ =
+        Random_sop.random_cover prng
+          {
+            Random_sop.n_inputs;
+            n_products = 1 + Mcx_util.Prng.int prng (2 * n_inputs);
+            literal_probability = 0.3 +. (0.6 *. Mcx_util.Prng.float prng);
+          }
+      in
+      let mo = Mo_cover.of_covers (List.init n_outputs output) in
+      same_rows (Mo_minimize.minimize_joint mo) (Minimize_reference.minimize_joint mo))
+
+(* The joint pass of every Suite circuit built by it, on its production
+   input: each output's QM cover. *)
+let test_joint_suite_reference () =
+  let module Suite = Mcx_benchmarks.Suite in
+  List.iter
+    (fun (b : Suite.t) ->
+      match b.source with
+      | Suite.Arithmetic _ when b.inputs <= 9 ->
+        let cover = Suite.cover b in
+        let qm k = Qm.minimize (Truthtable.of_cover (Mo_cover.output_cover cover k)) in
+        let input = Mo_cover.of_covers (List.init (Mo_cover.n_outputs cover) qm) in
+        let joint = Mo_minimize.minimize_joint input in
+        if not (same_rows joint cover) then Alcotest.failf "%s: not its Suite cover" b.name;
+        if not (same_rows joint (Minimize_reference.minimize_joint input)) then
+          Alcotest.failf "%s: minimize_joint differs from the reference" b.name
+      | Suite.Arithmetic _ | Suite.Synthetic _ -> ())
+    Suite.all
+
 let () =
   Alcotest.run "oracle"
     [
@@ -605,11 +737,19 @@ let () =
             test_qm_suite_reference;
           Alcotest.test_case "Complement on Suite outputs above 14 inputs" `Quick
             test_complement_suite_reference;
+          Alcotest.test_case "complement_minimized on b12, t481 and cordic" `Quick
+            test_complement_minimized_suite_reference;
+          Alcotest.test_case "minimize_joint on Suite arithmetic circuits" `Quick
+            test_joint_suite_reference;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
               prop_qm_matches_reference;
               prop_tautology_straddles_word;
               prop_complement_matches_reference;
+              prop_complement_minimized_matches_reference;
+              prop_hull_matches_complement;
+              prop_complement_minimized_is_complement;
+              prop_joint_matches_reference;
             ] );
     ]

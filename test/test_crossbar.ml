@@ -268,7 +268,7 @@ let test_fm_structure () =
   Alcotest.(check int) "m1 row has 3 switches" 3 (Mcx_util.Bmatrix.count_row m 0);
   Alcotest.(check int) "output rows have 2 switches" 2 (Mcx_util.Bmatrix.count_row m 4);
   (* switches: 8 literals + 4 connections + 2x2 output pairs = 16 *)
-  Alcotest.(check int) "switch count" 16 (Function_matrix.switch_count fm)
+  Alcotest.(check int) "switch count" 16 (Mcx_util.Bmatrix.count m)
 
 let test_dual_choice () =
   (* A function whose complement has fewer products: f with many products,
@@ -657,6 +657,24 @@ let gen_mo_cover =
     let+ rows = list_size (int_range 1 6) gen_row in
     Mo_cover.create ~n_inputs ~n_outputs rows)
 
+(* [Cost.two_level] counts the cover: its report is the one its function
+   matrix gives, with and without the IL row. *)
+let prop_two_level_counts_the_matrix =
+  QCheck2.Test.make ~name:"two-level report = function matrix's" ~count:300
+    ~print:(fun (mo, il) -> Format.asprintf "%a@.il row %b" Mo_cover.pp mo il)
+    QCheck2.Gen.(pair gen_mo_cover bool)
+    (fun (mo, include_il_row) ->
+      let fm = Function_matrix.build ~include_il_row mo in
+      let rows = Geometry.rows fm.Function_matrix.geometry
+      and cols = Geometry.cols fm.Function_matrix.geometry in
+      let switches = Mcx_util.Bmatrix.count fm.Function_matrix.matrix in
+      let r = Cost.two_level ~include_il_row mo in
+      r.Cost.rows = rows && r.Cost.cols = cols
+      && r.Cost.area = rows * cols
+      && r.Cost.switches = switches
+      && Float.equal r.Cost.inclusion_ratio
+           (100. *. float_of_int switches /. float_of_int (rows * cols)))
+
 let gen_defect_map ~rows ~cols =
   QCheck2.Gen.(
     let* open_rate = oneofl [ 0.; 0.02; 0.05; 0.1 ] in
@@ -852,6 +870,7 @@ let () =
           Alcotest.test_case "fig5 multi-level" `Quick test_fig5_multilevel_cost;
           Alcotest.test_case "FM structure (fig8 dims)" `Quick test_fm_structure;
           Alcotest.test_case "dual choice" `Quick test_dual_choice;
+          QCheck_alcotest.to_alcotest prop_two_level_counts_the_matrix;
         ] );
       ( "layout",
         [

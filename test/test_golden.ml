@@ -4,11 +4,17 @@
    (packed cubes, bit-packed matrices, ...) must not silently change the
    paper numbers.  The simulator-driven entries (fig3, fig5, fig7,
    transient, mldefect) are pinned by their full [memx experiment] text,
-   which shows a changed upset-draw order or a changed verdict.
+   which shows a changed upset-draw order or a changed verdict. [synth]
+   is the stdout of [memx synth] for every Suite circuit: its dual choice
+   runs espresso (b12, t481, cordic) and joint minimization (the
+   arithmetic circuits), so it pins the covers two-level minimization
+   returns.
 
-   Regenerating (only when an *intentional* semantic change lands):
+   Regenerating (only when an *intentional* semantic change lands; the
+   synth case runs ../bin/memx.exe, so start from the build directory):
 
-     MCX_GOLDEN_REGEN=$PWD/test/golden dune exec test/test_golden.exe
+     dune build
+     (cd _build/default/test && MCX_GOLDEN_REGEN=$PWD/../../../test/golden ./test_golden.exe)
 *)
 
 let seed = 2018
@@ -64,17 +70,17 @@ let fig6_projection () =
 let registry_text ?samples name () =
   (Mcx.Experiments.Registry.run ~pool:(Lazy.force pool) ?samples ~seed name).text
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let synth_text () =
+  String.concat ""
+    (List.map
+       (fun (b : Mcx.Benchmarks.Suite.t) ->
+         Memx_run.run_memx ~stdout_path:"golden_synth.out" ~stderr_path:"golden_synth.err"
+           [ "synth"; b.name ];
+         Printf.sprintf "== %s ==\n%s" b.name (Memx_run.read_file "golden_synth.out"))
+       Mcx.Benchmarks.Suite.all)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
+let read_file = Memx_run.read_file
+let write_file = Memx_run.write_file
 
 let golden_cases =
   [
@@ -85,6 +91,7 @@ let golden_cases =
     ("fig7", registry_text "fig7");
     ("transient", registry_text ~samples:40 "transient");
     ("mldefect", registry_text ~samples:8 "mldefect");
+    ("synth", synth_text);
   ]
 
 let regen dir =

@@ -224,9 +224,12 @@ let test_complement_paper_example () =
 (* Minimize                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Espresso of [f] against its exact OFF-set. *)
+let espresso f = Minimize.espresso ~off:(Complement.complement f) f
+
 let test_expand_merges_minterms () =
   let f = cover [ "110"; "111"; "100"; "101" ] in
-  let g = Minimize.espresso f in
+  let g = espresso f in
   Alcotest.(check int) "collapses to x0" 1 (Cover.size g);
   Alcotest.(check string) "single cube 1--" "1--" (List.hd (cover_strings g))
 
@@ -241,35 +244,9 @@ let test_espresso_preserves_semantics () =
   let f =
     cover [ "1100"; "1101"; "111-"; "0-11"; "0010"; "1011"; "0000" ]
   in
-  let g = Minimize.espresso f in
+  let g = espresso f in
   Alcotest.(check bool) "semantics equal" true (Cover.equal_semantics f g);
   Alcotest.(check bool) "not larger" true (Cover.size g <= Cover.size f)
-
-let test_espresso_dc () =
-  (* ON = {110}, DC = {111, 10-}: with don't-cares the whole thing expands
-     to the single cube 1--. *)
-  let on = cover [ "110" ] in
-  let dc = cover [ "111"; "10-" ] in
-  let g = Minimize.espresso_dc ~dc on in
-  Alcotest.(check int) "one cube" 1 (Cover.size g);
-  Alcotest.(check string) "expanded to x1" "1--" (List.hd (cover_strings g));
-  (* without DC, no such expansion is legal *)
-  let h = Minimize.espresso on in
-  Alcotest.(check int) "still 3 literals" 3 (Cover.literal_count h)
-
-let test_espresso_dc_respects_offset () =
-  let on = cover [ "11-" ] and dc = cover [ "10-" ] in
-  let g = Minimize.espresso_dc ~dc on in
-  (* every ON point covered *)
-  Alcotest.(check bool) "covers ON" true
-    (List.for_all (fun c -> Tautology.cube_covered c (Cover.union g dc))
-       (Cover.cubes on));
-  Alcotest.(check bool) "ON still covered by result" true
-    (List.for_all (fun c -> Tautology.cube_covered c g) (Cover.cubes on) ||
-     Tautology.cover_covered on g);
-  (* no OFF point covered: result within ON u DC *)
-  Alcotest.(check bool) "inside ON u DC" true
-    (Tautology.cover_covered g (Cover.union on dc))
 
 (* ------------------------------------------------------------------ *)
 (* Truthtable                                                         *)
@@ -278,20 +255,22 @@ let test_espresso_dc_respects_offset () =
 let test_tt_roundtrip () =
   let f = cover [ "1-0"; "011" ] in
   let tt = Truthtable.of_cover f in
-  let back = Truthtable.to_cover tt in
+  let back = Truthtable_helper.to_cover tt in
   Alcotest.(check bool) "cover->tt->cover" true (Cover.equal_semantics f back)
 
 let test_tt_indexing () =
-  let v = [| true; false; true |] in
-  let idx = Truthtable.index_of_assignment v in
-  Alcotest.(check int) "bit0 + bit2" 5 idx;
-  Alcotest.(check (array bool)) "inverse" v (Truthtable.assignment_of_index ~arity:3 idx)
+  (* Bit i of an index is variable i: x0 x2' holds at indices 1 and 3. *)
+  let tt = Truthtable.of_cover (cover [ "1-0" ]) in
+  Alcotest.(check (list int)) "x0 x2' at 1 and 3" [ 1; 3 ] (Truthtable.minterm_indices tt);
+  Alcotest.(check bool) "get" true (Truthtable.get tt 3 && not (Truthtable.get tt 5));
+  Alcotest.(check bool) "covers x0 x2'" true (Truthtable.covers tt (cube "1-0"));
+  Alcotest.(check bool) "not x0" false (Truthtable.covers tt (cube "1--"))
 
 let test_tt_complement () =
-  let tt = Truthtable.create ~arity:4 (fun v -> v.(0)) in
+  let tt = Truthtable_helper.create ~arity:4 (fun v -> v.(0)) in
   let cc = Truthtable.complement tt in
-  Alcotest.(check int) "on count flips" 8 (Truthtable.on_count cc);
-  Alcotest.(check bool) "double complement" true (Truthtable.equal tt (Truthtable.complement cc))
+  Alcotest.(check int) "on count flips" 8 (Truthtable_helper.on_count cc);
+  Alcotest.(check bool) "double complement" true (Truthtable_helper.equal tt (Truthtable.complement cc))
 
 (* ------------------------------------------------------------------ *)
 (* QM                                                                 *)
@@ -302,21 +281,21 @@ let test_qm_classic () =
   let on = [ 4; 8; 10; 11; 12; 15 ] in
   let tt = Truthtable.of_fun_int ~arity:4 (fun i -> List.mem i on) in
   let g = Qm.minimize tt in
-  Alcotest.(check bool) "covers exactly" true (Truthtable.equal tt (Truthtable.of_cover g));
+  Alcotest.(check bool) "covers exactly" true (Truthtable_helper.equal tt (Truthtable.of_cover g));
   Alcotest.(check bool) "<= 4 products (known minimum 3..4)" true (Cover.size g <= 4)
 
 let test_qm_xor () =
-  let tt = Truthtable.create ~arity:3 (fun v -> v.(0) <> v.(1) <> v.(2)) in
+  let tt = Truthtable_helper.create ~arity:3 (fun v -> v.(0) <> v.(1) <> v.(2)) in
   let g = Qm.minimize tt in
   Alcotest.(check int) "xor3 needs 4 minterms" 4 (Cover.size g);
-  Alcotest.(check bool) "exact" true (Truthtable.equal tt (Truthtable.of_cover g))
+  Alcotest.(check bool) "exact" true (Truthtable_helper.equal tt (Truthtable.of_cover g))
 
 let test_qm_constant () =
-  let ttrue = Truthtable.create ~arity:3 (fun _ -> true) in
+  let ttrue = Truthtable_helper.create ~arity:3 (fun _ -> true) in
   let g = Qm.minimize ttrue in
   Alcotest.(check int) "tautology is one cube" 1 (Cover.size g);
   Alcotest.(check int) "universe cube" 0 (Cover.literal_count g);
-  let tfalse = Truthtable.create ~arity:3 (fun _ -> false) in
+  let tfalse = Truthtable_helper.create ~arity:3 (fun _ -> false) in
   Alcotest.(check int) "empty" 0 (Cover.size (Qm.minimize tfalse))
 
 (* ------------------------------------------------------------------ *)
@@ -368,13 +347,6 @@ let test_mo_complement () =
       (not (Tautology.check f) || Cover.is_empty g);
     Alcotest.(check bool) "union is tautology" true (Tautology.check (Cover.union f g))
   done
-
-let test_mo_minimize () =
-  let o1 = cover [ "110"; "111"; "10-" ] in
-  let mo = Mo_cover.of_covers [ o1 ] in
-  let minimized = Mo_cover.minimize mo in
-  Alcotest.(check int) "minimized to x0" 1 (Mo_cover.product_count minimized);
-  Alcotest.(check bool) "same function" true (Mo_cover.equal_semantics mo minimized)
 
 (* ------------------------------------------------------------------ *)
 (* Mo_minimize                                                        *)
@@ -576,13 +548,13 @@ let prop_complement_correct =
     (fun f ->
       let fc = Complement.complement f in
       let tt = Truthtable.of_cover f and ttc = Truthtable.of_cover fc in
-      Truthtable.equal ttc (Truthtable.complement tt))
+      Truthtable_helper.equal ttc (Truthtable.complement tt))
 
 let prop_espresso_preserves =
   QCheck2.Test.make ~name:"espresso preserves semantics" ~count:100
     (gen_cover ~arity:5 ~max_products:8)
     (fun f ->
-      let g = Minimize.espresso f in
+      let g = espresso f in
       Cover.equal_semantics f g && Cover.size g <= max 1 (Cover.size f))
 
 let prop_qm_exact =
@@ -591,19 +563,19 @@ let prop_qm_exact =
     (fun bits ->
       let tt = Truthtable.of_fun_int ~arity:4 (fun i -> (bits lsr i) land 1 = 1) in
       let g = Qm.minimize tt in
-      Truthtable.equal tt (Truthtable.of_cover g))
+      Truthtable_helper.equal tt (Truthtable.of_cover g))
 
 let prop_tautology_vs_truthtable =
   QCheck2.Test.make ~name:"tautology check agrees with truth table" ~count:150
     (gen_cover ~arity:4 ~max_products:6)
     (fun f ->
       Bool.equal (Tautology.check f)
-        (Truthtable.on_count (Truthtable.of_cover f) = 16))
+        (Truthtable_helper.on_count (Truthtable.of_cover f) = 16))
 
 let prop_expand_preserves =
   QCheck2.Test.make ~name:"expand preserves semantics" ~count:100
     (gen_cover ~arity:5 ~max_products:6)
-    (fun f -> Cover.equal_semantics f (Minimize.expand f))
+    (fun f -> Cover.equal_semantics f (Minimize.expand ~off:(Complement.complement f) f))
 
 let prop_irredundant_preserves =
   QCheck2.Test.make ~name:"irredundant preserves semantics" ~count:100
@@ -642,14 +614,6 @@ let prop_cube_sharp_disjoint =
           List.for_all (fun y -> Option.is_none (Cube.intersect x y)) rest && pairwise rest
       in
       pairwise pieces)
-
-let prop_espresso_dc_sound =
-  QCheck2.Test.make ~name:"espresso_dc: covers ON, stays inside ON u DC" ~count:80
-    QCheck2.Gen.(pair (gen_cover ~arity:4 ~max_products:5) (gen_cover ~arity:4 ~max_products:3))
-    (fun (on, dc) ->
-      let g = Minimize.espresso_dc ~dc on in
-      Tautology.cover_covered on (Cover.union g dc)
-      && Tautology.cover_covered g (Cover.union on dc))
 
 let prop_pla_roundtrip =
   QCheck2.Test.make ~name:"PLA print/parse roundtrip" ~count:100
@@ -690,7 +654,7 @@ let prop_bdd_matches_truthtable =
       let ok = ref true in
       for idx = 0 to 31 do
         let v = Array.init 5 (fun i -> (idx lsr i) land 1 = 1) in
-        if Bdd.eval b v <> Truthtable.eval tt v then ok := false
+        if Bdd.eval b v <> Truthtable_helper.eval tt v then ok := false
       done;
       !ok)
 
@@ -798,7 +762,7 @@ let test_bdd_random_ops_vs_truthtable () =
          incr cases;
          if List.exists (fun (b, _) -> Bdd.size b > 510) !results then incr grown;
          let agrees i =
-           let v = Truthtable.assignment_of_index ~arity i in
+           let v = Truthtable_helper.assignment_of_index ~arity i in
            List.for_all (fun (b, tt) -> Bool.equal (Bdd.eval b v) (Truthtable.get tt i)) !results
          in
          let rec every_vector i = i = 1 lsl arity || (agrees i && every_vector (i + 1)) in
@@ -806,7 +770,7 @@ let test_bdd_random_ops_vs_truthtable () =
          && List.for_all
               (fun (b, tt) ->
                 List.for_all
-                  (fun (b', tt') -> Bool.equal (Bdd.equal b b') (Truthtable.equal tt tt'))
+                  (fun (b', tt') -> Bool.equal (Bdd.equal b b') (Truthtable_helper.equal tt tt'))
                   !results)
               !results));
   Alcotest.(check bool)
@@ -862,7 +826,6 @@ let qcheck_cases =
       prop_irredundant_preserves;
       prop_reduce_preserves;
       prop_pla_roundtrip;
-      prop_espresso_dc_sound;
       prop_sharp_is_difference;
       prop_cube_sharp_disjoint;
       prop_bdd_matches_truthtable;
@@ -919,8 +882,6 @@ let () =
           Alcotest.test_case "expand merges" `Quick test_expand_merges_minterms;
           Alcotest.test_case "irredundant" `Quick test_irredundant;
           Alcotest.test_case "espresso semantics" `Quick test_espresso_preserves_semantics;
-          Alcotest.test_case "espresso with DC" `Quick test_espresso_dc;
-          Alcotest.test_case "DC respects off-set" `Quick test_espresso_dc_respects_offset;
         ] );
       ( "truthtable",
         [
@@ -940,7 +901,6 @@ let () =
           Alcotest.test_case "paper row counts" `Quick test_mo_paper_counts;
           Alcotest.test_case "eval" `Quick test_mo_eval;
           Alcotest.test_case "complement" `Quick test_mo_complement;
-          Alcotest.test_case "minimize" `Quick test_mo_minimize;
         ] );
       ( "pla",
         [

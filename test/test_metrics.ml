@@ -203,6 +203,27 @@ let test_report_reprints_summary () =
         (read_file (file "out")))
     [ ("timed", ""); ("projected", "0") ]
 
+(* An arithmetic circuit's negation complements its memoized cover, so
+   each of the three arithmetic circuits of table1 and the six of table2
+   runs joint minimization once. *)
+let test_negations_reuse_covers () =
+  List.iter
+    (fun (experiment, joint_calls) ->
+      let err = Printf.sprintf "negations_%s.err" experiment in
+      run_memx ~stderr_path:err
+        [ "experiment"; experiment; "--samples"; "4"; "--trace"; experiment ^ "_negations.json" ];
+      let calls =
+        List.find_map
+          (fun line ->
+            match String.split_on_char '|' line with
+            | [ ""; name; calls; "" ] when String.trim name = "mo_minimize.joint" ->
+              Some (int_of_string (String.trim calls))
+            | _ -> None)
+          (String.split_on_char '\n' (read_file err))
+      in
+      Alcotest.(check (option int)) (experiment ^ " joint calls") (Some joint_calls) calls)
+    [ ("table1", 3); ("table2", 6) ]
+
 (* A file that is not a trace: exit 1 naming the file. *)
 let test_report_refuses_non_trace () =
   List.iter
@@ -268,6 +289,8 @@ let () =
                 test_report_reprints_summary;
               Alcotest.test_case "report refuses a non-trace" `Quick
                 test_report_refuses_non_trace;
+              Alcotest.test_case "negations reuse the memoized covers" `Quick
+                test_negations_reuse_covers;
             ] );
           ( "goldens",
             List.map
